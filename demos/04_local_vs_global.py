@@ -10,6 +10,7 @@ different analogy counts.
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 from abetune import datasets, metrics, mopso, tuning
 
@@ -25,8 +26,8 @@ def suite_of(preds):
 
 
 best_k, abe0_preds = tuning.best_k_abe0(ds)
-lt = tuning.run_lt(ds, tuning.variant_lt(mode), cfg, threads=2)
-gt = tuning.run_gt(ds, tuning.variant_gt(), cfg)
+lt = tuning.run_lt(ds, replace(tuning.VARIANTS["lt"], mode=mode), cfg, threads=2)
+gt = tuning.run_gt(ds, tuning.VARIANTS["gt"], cfg)
 
 print(f"dataset: {ds.name} (n={ds.n}, m={ds.m}); local mode: {mode}")
 print(f"\n{'method':22s} {'SA%':>7s} {'MBRE%':>8s} {'MIBRE%':>8s} {'LSD':>7s}")

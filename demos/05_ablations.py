@@ -16,11 +16,11 @@ for name in ("albrecht", "kemerer"):
     baseline = metrics.random_guess_baseline(ds.efforts())
     print(f"\n{name} (n={ds.n}, m={ds.m})")
     print(f"{'variant':28s} {'SA%':>7s} {'MBRE%':>8s} {'MIBRE%':>8s}")
-    for label, variant in (("full (k, mask, weights)", tuning.variant_lt()),
-                           ("mask pinned to all ones", tuning.variant_lt_star()),
-                           ("weights pinned to 1/m", tuning.variant_lt_plus()),
-                           ("k only", tuning.variant_k_only())):
-        res = tuning.run_lt(ds, variant, cfg, threads=2)
+    for label, name in (("full (k, mask, weights)", "lt"),
+                        ("mask pinned to all ones", "lt_star"),
+                        ("weights pinned to 1/m", "lt_plus"),
+                        ("k only", "k_only")):
+        res = tuning.run_lt(ds, tuning.VARIANTS[name], cfg, threads=2)
         recs = [metrics.PredictionRecord(a, p)
                 for a, p in zip(ds.efforts(), res.predictions)]
         s = metrics.aggregate(recs, baseline)

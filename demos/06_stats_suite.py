@@ -17,8 +17,8 @@ for name in ("albrecht", "nasa"):
     baseline = metrics.random_guess_baseline(ds.efforts())
     preds = {
         "abe0": tuning.best_k_abe0(ds)[1],
-        "lt": tuning.run_lt(ds, tuning.variant_lt(), cfg, threads=2).predictions,
-        "gt": tuning.run_gt(ds, tuning.variant_gt(), cfg).predictions,
+        "lt": tuning.run_lt(ds, tuning.VARIANTS["lt"], cfg, threads=2).predictions,
+        "gt": tuning.run_gt(ds, tuning.VARIANTS["gt"], cfg).predictions,
     }
     errors = {m: np.abs(ds.efforts() - p) for m, p in preds.items()}
     suites = {}

@@ -43,41 +43,18 @@ class FeatureMask:
         return np.array(self.bits, dtype=float)
 
 
-def _feature_distance_sq(row_a: np.ndarray, row_b: np.ndarray, cat_mask: np.ndarray) -> float:
+def distance(row_a: np.ndarray, row_b: np.ndarray, cat_mask: np.ndarray):
+    """Euclidean distance over input features; categoricals mismatch as 1.
+    A matrix argument gives one distance per row; two rows give a float."""
     diff = row_a - row_b
-    num_sq = np.where(cat_mask, 0.0, diff * diff)
-    cat_sq = np.where(cat_mask, (row_a != row_b).astype(float), 0.0)
-    return float(np.sum(num_sq + cat_sq))
-
-
-def distance(row_a: np.ndarray, row_b: np.ndarray, cat_mask: np.ndarray) -> float:
-    """Euclidean distance over input features; categoricals mismatch as 1."""
-    return float(np.sqrt(_feature_distance_sq(row_a, row_b, cat_mask)))
-
-
-def project_distance(a, b, specs) -> float:
-    """Distance between two projects given their (standardized) value tuples.
-
-    `specs` lists the input FeatureSpecs aligned with the value tuples;
-    categorical cells are compared as labels.
-    """
-    total = 0.0
-    for va, vb, spec in zip(a.values, b.values, specs):
-        if spec.role.name != "INPUT":
-            continue
-        if spec.kind.name == "CATEGORICAL":
-            total += 0.0 if va == vb else 1.0
-        else:
-            total += (float(va) - float(vb)) ** 2
-    return float(np.sqrt(total))
+    sq = np.where(cat_mask, (row_a != row_b).astype(float), diff * diff)
+    d = np.sqrt(sq.sum(axis=-1))
+    return float(d) if d.ndim == 0 else d
 
 
 def distances_to(train: StandardizedDataset, target_row: np.ndarray) -> np.ndarray:
-    """Distance from every training row to the target (vectorized)."""
-    diff = train.matrix - target_row[None, :]
-    cat = train.categorical_mask
-    sq = np.where(cat[None, :], (train.matrix != target_row[None, :]).astype(float), diff * diff)
-    return np.sqrt(sq.sum(axis=1))
+    """Distance from every training row to the target."""
+    return distance(train.matrix, target_row, train.categorical_mask)
 
 
 def neighbor_order(train: StandardizedDataset, target_row: np.ndarray) -> np.ndarray:

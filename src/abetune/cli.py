@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, metrics, stats
+from . import harness, metrics
 from .errors import AbetuneError, ConfigError, ParseError, SchemaError
 
 VALIDATION_ERRORS = (ConfigError, SchemaError, ParseError)
@@ -138,27 +138,22 @@ def cmd_compare(args) -> int:
     for (ds_name, method), pairs in groups.items():
         by_dataset.setdefault(ds_name, {})[method] = pairs
 
-    lines = ["dataset,method_a,method_b,p_value," + ",".join(harness.MEASURES)]
+    lines = [harness.COMPARISON_HEADER]
     for ds_name, per_method in sorted(by_dataset.items()):
         if len(per_method) < 2:
             print(f"{ds_name}: needs at least two methods to compare", file=sys.stderr)
             continue
-        actuals = {m: np.array([a for a, _ in pairs]) for m, pairs in per_method.items()}
+        actual_lists = {tuple(a for a, _ in pairs) for pairs in per_method.values()}
+        if len(actual_lists) != 1:
+            raise SchemaError(f"{ds_name}: prediction files disagree on the actual efforts")
+        actuals = np.array(actual_lists.pop())
         preds = {m: np.array([p for _, p in pairs]) for m, pairs in per_method.items()}
-        baseline = metrics.random_guess_baseline(next(iter(actuals.values())))
-        errors = {m: np.abs(actuals[m] - preds[m]) for m in per_method}
-        suites = {}
-        for m in per_method:
-            records = [metrics.PredictionRecord(a, p) for a, p in zip(actuals[m], preds[m])]
-            s = metrics.aggregate(records, baseline)
-            suites[m] = {"sa": s.sa, "mbre": s.mbre, "mibre": s.mibre, "lsd": s.lsd, "mae": s.mae}
-        _, comps = stats.win_tie_loss(errors, suites)
+        _, comps, _ = harness.compare_methods(
+            actuals, preds, metrics.random_guess_baseline(actuals))
         for c in comps:
-            row = [ds_name, c.method_a, c.method_b, f"{c.p_value:.4g}"]
-            row += [c.outcomes.get(e, "") for e in harness.MEASURES]
-            lines.append(",".join(row))
-            print(f"{ds_name}: {c.method_a} vs {c.method_b}: p={c.p_value:.4g} "
-                  + " ".join(f"{e}={c.outcomes[e]}" for e in harness.MEASURES))
+            lines.append(harness.comparison_line(ds_name, c))
+            print(f"{ds_name}: {c['method_a']} vs {c['method_b']}: p={c['p_value']:.4g} "
+                  + " ".join(f"{e}={c['outcomes'][e]}" for e in harness.MEASURES))
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         out_path = args.out / "comparisons.csv"

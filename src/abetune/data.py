@@ -21,7 +21,9 @@ from .errors import InsufficientDataError, ParseError, SchemaError
 # Cells that count as missing in PROMISE-style CSV exports.
 MISSING_TOKENS = ("", "?")
 
-MAX_INPUT_FEATURES = 63  # feature mask must fit one machine word
+# The swarm encodes the feature mask as one float dimension, which decodes
+# every mask value 1..2^m-1 only while m <= 52 (past that, x + 0.5 rounds).
+MAX_INPUT_FEATURES = 52
 MIN_PROJECTS = 3
 
 

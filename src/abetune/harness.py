@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import AbetuneError, BoundsError, ConfigError
 from .mopso import MopsoConfig
 
 MEASURES = ("sa", "mbre", "mibre", "lsd", "mae")
+COMPARISON_HEADER = "dataset,method_a,method_b,p_value," + ",".join(MEASURES)
 
 METHOD_ORDER = ("abe0", "lt", "gt", "lt_star", "gt_star", "lt_plus", "gt_plus")
 
@@ -34,16 +35,6 @@ DISPLAY_NAMES = {
     "lt_plus": "LT+",
     "gt_plus": "GT+",
 }
-
-_VARIANTS = {
-    "lt": tuning.variant_lt,
-    "gt": lambda mode=None: tuning.variant_gt(),
-    "lt_star": tuning.variant_lt_star,
-    "gt_star": lambda mode=None: tuning.variant_gt_star(),
-    "lt_plus": tuning.variant_lt_plus,
-    "gt_plus": lambda mode=None: tuning.variant_gt_plus(),
-}
-
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -152,6 +143,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     unknown = [m for m in methods if m not in METHOD_ORDER]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {list(METHOD_ORDER)}")
+    if len(set(methods)) != len(methods):
+        raise ConfigError(f"methods repeat: {list(methods)}")
 
     mraw = raw.get("mopso", {})
     try:
@@ -234,13 +227,14 @@ def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, mode: str =
     if name == "abe0":
         k, preds = tuning.best_k_abe0(ds)
         return MethodResult(predictions=preds, solutions=[{"k": k}], mode="best_k_scan")
-    if name not in _VARIANTS:
+    if name not in tuning.VARIANTS:
         raise ConfigError(f"unknown method {name!r}")
-    local_mode = "local_oracle" if mode == "oracle" else "local_honest"
-    variant = _VARIANTS[name](local_mode) if name.startswith("lt") else _VARIANTS[name]()
+    variant = tuning.VARIANTS[name]
     if variant.mode == "global":
         result = tuning.run_gt(ds, variant, cfg, threads=threads)
     else:
+        if mode == "honest":
+            variant = replace(variant, mode="local_honest")
         result = tuning.run_lt(ds, variant, cfg, threads=threads)
     return MethodResult(predictions=result.predictions,
                         solutions=[_solution_summary(s) for s in result.solutions],
@@ -255,20 +249,6 @@ def _solution_summary(sol: tuning.SolutionVector) -> dict:
         "n_rows": int(sol.weights.shape[0]),
         "weights_used": [list(map(float, row)) for row in sol.weights[: sol.k]],
     }
-
-
-def run_loocv(ds: StandardizedDataset, predictor) -> list[tuple[float, float]]:
-    """Hold each project out in turn; `predictor(train, target_row) -> float`.
-    Returns (actual, predicted) pairs in dataset order."""
-    pairs = []
-    for i in range(ds.n):
-        train, target_row, actual = ds.loocv_fold(i)
-        try:
-            pred = predictor(train, target_row)
-        except Exception as exc:
-            raise AbetuneError(f"{ds.name}: fold {i} failed: {exc}") from exc
-        pairs.append((actual, float(pred)))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +305,40 @@ def _compute_suite(actuals, preds, baseline) -> metrics.MetricSuite:
     return metrics.aggregate(records, baseline)
 
 
+def _baseline(efforts, cfg: ExperimentConfig) -> metrics.RandomGuessBaseline:
+    if cfg.baseline == "exact":
+        return metrics.random_guess_baseline(efforts)
+    return metrics.random_guess_baseline(
+        efforts, mode="sampled", runs=cfg.baseline_runs, seed=cfg.seed)
+
+
+def compare_methods(actuals, predictions: dict, baseline) -> tuple[dict, list, dict]:
+    """Score each method's predictions of one dataset against its actuals:
+    per method the metric suite in report form, then, with two or more
+    methods, the pairwise comparisons and the win/tie/loss tallies."""
+    suites = {m: _suite_dict(_compute_suite(actuals, p, baseline))
+              for m, p in predictions.items()}
+    if len(predictions) < 2:
+        return suites, [], {}
+    errors = {m: np.abs(actuals - p) for m, p in predictions.items()}
+    measures = {m: {e: s[e] for e in MEASURES} for m, s in suites.items()}
+    tallies, comps = stats.win_tie_loss(errors, measures)
+    comparisons = [
+        {
+            "method_a": c.method_a,
+            "method_b": c.method_b,
+            "p_value": c.p_value,
+            "outcomes": dict(c.outcomes),
+        }
+        for c in comps
+    ]
+    wtl = {
+        m: {e: {"win": t.win, "tie": t.tie, "loss": t.loss} for e, t in tallies[m].items()}
+        for m in tallies
+    }
+    return suites, comparisons, wtl
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> EvaluationReport:
     """Evaluate every (dataset, method) cell and assemble the full report."""
     results: dict = {}
@@ -335,55 +349,27 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> EvaluationReport:
     for ds_cfg in cfg.datasets:
         ds = load_dataset_from_config(ds_cfg)
         efforts = ds.efforts()
-        if cfg.baseline == "exact":
-            baseline = metrics.random_guess_baseline(efforts)
-        else:
-            baseline = metrics.random_guess_baseline(
-                efforts, mode="sampled", runs=cfg.baseline_runs, seed=cfg.seed)
-
-        cells = {}
-        errors_by_method = {}
-        measures_by_method = {}
+        ran = {}
         for method in cfg.methods:
             try:
-                res = run_method(method, ds, cfg.mopso, mode=cfg.mode, threads=threads)
+                ran[method] = run_method(method, ds, cfg.mopso, mode=cfg.mode, threads=threads)
             except AbetuneError as exc:
                 raise AbetuneError(f"dataset {ds.name!r}, method {method!r}: {exc}") from exc
-            suite = _compute_suite(efforts, res.predictions, baseline)
-            cells[method] = {
-                "metrics": _suite_dict(suite),
+        suites, comparisons[ds.name], wtl[ds.name] = compare_methods(
+            efforts, {m: res.predictions for m, res in ran.items()}, _baseline(efforts, cfg))
+        results[ds.name] = {
+            method: {
+                "metrics": suites[method],
                 "actuals": [float(a) for a in efforts],
                 "predictions": [float(p) for p in res.predictions],
                 "solutions": res.solutions,
                 "mode": res.mode,
             }
-            errors_by_method[method] = np.abs(efforts - res.predictions)
-            measures_by_method[method] = {
-                m: cells[method]["metrics"][m] for m in MEASURES
-            }
+            for method, res in ran.items()
+        }
+        for method, suite in suites.items():
             for m in MEASURES:
-                measure_tables[m].setdefault(ds.name, {})[method] = cells[method]["metrics"][m]
-        results[ds.name] = cells
-
-        if len(cfg.methods) >= 2:
-            tallies, comps = stats.win_tie_loss(errors_by_method, measures_by_method)
-            comparisons[ds.name] = [
-                {
-                    "method_a": c.method_a,
-                    "method_b": c.method_b,
-                    "p_value": c.p_value,
-                    "outcomes": dict(c.outcomes),
-                }
-                for c in comps
-            ]
-            wtl[ds.name] = {
-                m: {e: {"win": t.win, "tie": t.tie, "loss": t.loss}
-                    for e, t in tallies[m].items()}
-                for m in tallies
-            }
-        else:
-            comparisons[ds.name] = []
-            wtl[ds.name] = {}
+                measure_tables[m].setdefault(ds.name, {})[method] = suite[m]
 
     rank_summaries = {}
     if len(cfg.methods) >= 2:
@@ -410,17 +396,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> EvaluationReport:
 
 def _verify_report(report: EvaluationReport, cfg: ExperimentConfig) -> None:
     """Recompute every metric suite from the stored prediction pairs and
-    insist on exact agreement before anything is emitted."""
+    insist on exact agreement before anything is emitted.  The cells of a
+    dataset must carry the same actuals, so its baseline is computed once."""
     for ds_name, cells in report.results.items():
+        actuals = next(iter(cells.values()))["actuals"]
+        baseline = _baseline(np.array(actuals), cfg)
         for method, cell in cells.items():
-            actuals = np.array(cell["actuals"])
-            preds = np.array(cell["predictions"])
-            if cfg.baseline == "exact":
-                baseline = metrics.random_guess_baseline(actuals)
-            else:
-                baseline = metrics.random_guess_baseline(
-                    actuals, mode="sampled", runs=cfg.baseline_runs, seed=cfg.seed)
-            suite = _compute_suite(actuals, preds, baseline)
+            if cell["actuals"] != actuals:
+                raise AbetuneError(f"report self-check failed: {ds_name}/{method}: "
+                                   "actuals differ from the dataset's other cells")
+            suite = _compute_suite(np.array(actuals), np.array(cell["predictions"]), baseline)
             stored = cell["metrics"]
             for key, val in _suite_dict(suite).items():
                 prev = stored[key]
@@ -446,6 +431,12 @@ def _human_value(measure: str, value: float) -> str:
     if measure == "sa":
         return f"{100.0 * value:.1f}" if not math.isnan(value) else "nan"
     return _fmt(value)
+
+
+def comparison_line(dataset: str, comp: dict) -> str:
+    """One comparisons.csv row (see COMPARISON_HEADER)."""
+    row = [dataset, comp["method_a"], comp["method_b"], _fmt(comp["p_value"])]
+    return ",".join(row + [comp["outcomes"].get(e, "") for e in MEASURES])
 
 
 def emit_report(report: EvaluationReport, out_dir, formats=("csv", "markdown", "json")) -> list:
@@ -475,12 +466,9 @@ def emit_report(report: EvaluationReport, out_dir, formats=("csv", "markdown", "
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
 
-        lines = ["dataset,method_a,method_b,p_value," + ",".join(MEASURES)]
+        lines = [COMPARISON_HEADER]
         for d in ds_names:
-            for comp in report.comparisons[d]:
-                row = [d, comp["method_a"], comp["method_b"], _fmt(comp["p_value"])]
-                row += [comp["outcomes"].get(e, "") for e in MEASURES]
-                lines.append(",".join(row))
+            lines.extend(comparison_line(d, comp) for comp in report.comparisons[d])
         path = out / "comparisons.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)

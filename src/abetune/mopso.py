@@ -1,4 +1,5 @@
-"""Multi-objective particle swarm optimizer with a crowding-distance archive.
+"""Multi-objective particle swarm optimizer with a crowding-distance archive
+(after Raquel & Naval, GECCO 2005).
 
 All objectives are minimized.  The swarm keeps a bounded external archive of
 mutually non-dominated solutions; when it overflows, the entries packed most
@@ -8,9 +9,11 @@ velocities are reflected, positions that leave the box are pulled back to
 the nearest boundary, and early iterations apply a non-uniform mutation
 whose reach shrinks with iteration count.
 
-Every stochastic draw comes from a per-particle substream derived from the
-run seed, so results are bit-identical no matter how fitness evaluations are
-scheduled.
+`run` steps the whole swarm at once, one row per particle, through the
+operators below: `leader_share`, `swarm_draws`, `step_velocity`,
+`step_position`, `mutate` and `update_pbests`.  Every stochastic draw comes
+from a per-particle substream derived from the run seed, so results are
+bit-identical no matter how fitness evaluations are scheduled.
 """
 
 from __future__ import annotations
@@ -76,22 +79,16 @@ class MopsoConfig:
             raise BoundsError("mutation_fraction must lie in [0, 1]")
 
 
-@dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    fitness: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: np.ndarray
-
-
-def dominates(a, b) -> bool:
-    """True iff a is no worse everywhere and strictly better somewhere."""
+def dominates(a, b):
+    """Row-wise: a is no worse than b in every objective and strictly better
+    in one.  Rows of two (pop, M) arrays give a (pop,) mask; two vectors
+    give one bool."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise BoundsError("objective vectors differ in length")
-    return bool(np.all(a <= b) and np.any(a < b))
+    out = np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
+    return bool(out) if out.ndim == 0 else out
 
 
 def crowding_distances(fitnesses) -> np.ndarray:
@@ -169,37 +166,50 @@ class Archive:
         return crowding_distances(self.fitnesses)
 
 
-def update_velocity(velocity, position, pbest_position, gbest_position, w_t: float,
-                    c1: float, c2: float, v_max, rng) -> np.ndarray:
-    """Inertia + cognitive + social pull, with fresh uniforms per dimension.
-    A component exceeding its cap is negated, then clamped into the cap."""
-    d = len(position)
-    r1 = rng.random(d)
-    r2 = rng.random(d)
-    v = (w_t * velocity
-         + c1 * r1 * (pbest_position - position)
-         + c2 * r2 * (gbest_position - position))
-    vm = np.asarray(v_max, dtype=float)
-    over = (v > vm) | (v < -vm)
-    v[over] *= -1.0
-    np.clip(v, -vm, vm, out=v)
-    return v
+def swarm_draws(rngs, n_leaders: int, d: int):
+    """One step's draws, each particle from its own stream and in this order:
+    its leader's index within the leader share, then its R1 and R2 rows."""
+    pop = len(rngs)
+    pick = np.empty(pop, dtype=int)
+    R1 = np.empty((pop, d))
+    R2 = np.empty((pop, d))
+    for j, rng in enumerate(rngs):
+        pick[j] = rng.integers(0, n_leaders)
+        R1[j] = rng.random(d)
+        R2[j] = rng.random(d)
+    return pick, R1, R2
 
 
-def update_position(position, velocity, bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Move by the velocity; on a boundary violation the velocity component is
-    negated and re-applied (returning to the old coordinate), then the result
-    is clamped to the nearest bound.  Returns (position, velocity)."""
-    x = position + velocity
-    viol = (x > bounds.upper) | (x < bounds.lower)
-    if viol.any():
-        v = velocity.copy()
-        v[viol] *= -1.0
-        x[viol] += v[viol]
-    else:
-        v = velocity
-    np.clip(x, bounds.lower, bounds.upper, out=x)
-    return x, v
+def step_velocity(V, X, PB, G, R1, R2, w_t: float, c1: float, c2: float, v_max) -> np.ndarray:
+    """Inertia plus cognitive and social pull, one row per particle, with
+    the uniforms R1 and R2 (consumed as scratch).  A component past its cap
+    is negated, then clamped into the cap.  Updates V in place."""
+    R1 *= PB - X
+    R1 *= c1
+    R2 *= G - X
+    R2 *= c2
+    V *= w_t
+    V += R1
+    V += R2
+    over = (V > v_max) | (V < -v_max)
+    V[over] *= -1.0
+    np.minimum(V, v_max, out=V)
+    np.maximum(V, -v_max, out=V)
+    return V
+
+
+def step_position(X, V, bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Move every particle by its velocity.  Where a coordinate leaves the
+    box, its velocity component is negated and re-applied (returning to the
+    old coordinate), then the result is clamped to the nearest bound.
+    Returns the new positions and V, which is updated in place."""
+    X = X + V
+    viol = (X > bounds.upper) | (X < bounds.lower)
+    V[viol] *= -1.0
+    X[viol] += V[viol]
+    np.minimum(X, bounds.upper, out=X)
+    np.maximum(X, bounds.lower, out=X)
+    return X, V
 
 
 def _mutation_delta(t: int, max_iter: int, y: np.ndarray, r: np.ndarray, b: float,
@@ -229,44 +239,24 @@ def mutate(position, t: int, cfg: MopsoConfig, bounds: Bounds, rng) -> np.ndarra
     return x
 
 
-def update_archive(archive: Archive, positions, fitnesses) -> Archive:
-    return archive.update(positions, fitnesses)
+def update_pbests(PB, PBF, X, F, rngs) -> None:
+    """Per particle, the dominating side of (current, pbest) becomes the
+    pbest; on mutual non-dominance the particle's own coin decides.  Updates
+    PB and PBF in place."""
+    cur_dom = dominates(F, PBF)
+    pb_dom = dominates(PBF, F)
+    for j, rng in enumerate(rngs):
+        if cur_dom[j] or (not pb_dom[j] and rng.integers(0, 2)):
+            PB[j] = X[j]
+            PBF[j] = F[j]
 
 
-def select_gbest(archive: Archive, rng, particle_fitness=None, cds=None,
-                 fraction: float = 0.10) -> np.ndarray:
-    """Uniform pick among the least crowded top share of the archive.
-
-    `particle_fitness` is accepted for interface compatibility; the leader is
-    drawn independently of the asking particle.  Pass precomputed crowding
-    distances via `cds` to avoid recomputation inside the swarm loop.
-    """
-    if len(archive) == 0:
+def leader_share(cds: np.ndarray, fraction: float) -> np.ndarray:
+    """Archive indices of the least crowded top share (at least one entry),
+    largest crowding distance first, ties in archive order."""
+    if len(cds) == 0:
         raise BoundsError("cannot select a leader from an empty archive")
-    if cds is None:
-        cds = archive.crowding()
-    top = max(1, math.ceil(fraction * len(archive)))
-    ranked = np.argsort(-cds, kind="stable")[:top]
-    choice = ranked[int(rng.integers(0, len(ranked)))]
-    return archive.positions[int(choice)]
-
-
-def update_pbest(particle: Particle, rng) -> None:
-    """Keep the dominating side; on mutual non-dominance flip a coin."""
-    cur, pb = particle.fitness, particle.pbest_fitness
-    if dominates(cur, pb):
-        take = True
-    elif dominates(pb, cur):
-        take = False
-    else:
-        take = bool(rng.integers(0, 2))
-    if take:
-        particle.pbest_position = particle.position.copy()
-        particle.pbest_fitness = cur.copy()
-
-
-def _leader_share(archive: Archive, fraction: float, cds: np.ndarray) -> np.ndarray:
-    top = max(1, math.ceil(fraction * len(archive)))
+    top = max(1, math.ceil(fraction * len(cds)))
     return np.argsort(-cds, kind="stable")[:top]
 
 
@@ -281,9 +271,8 @@ def _check_finite(fit: np.ndarray, t: int) -> None:
 def run(problem, cfg: MopsoConfig) -> Archive:
     """Full optimizer loop; returns the final archive.
 
-    `problem` must expose `bounds` and either `evaluate_batch(X) -> (n, M)`
-    or `evaluate(x) -> (M,)` (the evaluator must be a pure function of the
-    position).
+    `problem` must expose `bounds` and `evaluate_batch(X) -> (n, M)`, a pure
+    function of the positions.
     """
     bounds: Bounds = problem.bounds
     d = bounds.dim
@@ -291,15 +280,10 @@ def run(problem, cfg: MopsoConfig) -> Archive:
     rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(j,)))
             for j in range(pop)]
 
-    evaluate_batch = getattr(problem, "evaluate_batch", None)
-    if evaluate_batch is None:
-        def evaluate_batch(batch, _single=problem.evaluate):
-            return np.array([_single(x) for x in batch], dtype=float)
-
-    lb, ub, vm = bounds.lower, bounds.upper, bounds.v_max
+    lb, ub = bounds.lower, bounds.upper
     X = np.stack([lb + rngs[j].random(d) * (ub - lb) for j in range(pop)])
     V = np.zeros_like(X)
-    F = np.asarray(evaluate_batch(X), dtype=float)
+    F = np.asarray(problem.evaluate_batch(X), dtype=float)
     _check_finite(F, t=-1)
     PB = X.copy()
     PBF = F.copy()
@@ -311,63 +295,18 @@ def run(problem, cfg: MopsoConfig) -> Archive:
     T = cfg.max_iter
     for t in range(T):
         w_t = w_start if T == 1 else w_start + (w_end - w_start) * (t / (T - 1))
-        cds = archive.crowding()
-        leaders = _leader_share(archive, cfg.leader_fraction, cds)
-        mutating = t < T * cfg.mutation_fraction
-
-        # Per-particle draws come from each particle's own substream, in the
-        # order the single-particle operations consume them; the swarm
-        # arithmetic below is the batched form of update_velocity and
-        # update_position.
-        pick = np.empty(pop, dtype=int)
-        R1 = np.empty((pop, d))
-        R2 = np.empty((pop, d))
-        for j, rng in enumerate(rngs):
-            pick[j] = rng.integers(0, len(leaders))
-            R1[j] = rng.random(d)
-            R2[j] = rng.random(d)
+        leaders = leader_share(archive.crowding(), cfg.leader_fraction)
+        pick, R1, R2 = swarm_draws(rngs, len(leaders), d)
         G = np.stack([archive.positions[int(leaders[i])] for i in pick])
-
-        R1 *= PB - X
-        R1 *= cfg.c1
-        R2 *= G - X
-        R2 *= cfg.c2
-        V *= w_t
-        V += R1
-        V += R2
-        over = (V > vm) | (V < -vm)
-        V[over] *= -1.0
-        np.minimum(V, vm, out=V)
-        np.maximum(V, -vm, out=V)
-
-        X = X + V
-        viol = (X > ub) | (X < lb)
-        V[viol] *= -1.0
-        X[viol] += V[viol]
-        np.minimum(X, ub, out=X)
-        np.maximum(X, lb, out=X)
-
-        if mutating:
+        step_velocity(V, X, PB, G, R1, R2, w_t, cfg.c1, cfg.c2, bounds.v_max)
+        X, V = step_position(X, V, bounds)
+        if t < T * cfg.mutation_fraction:
             for j in range(pop):
                 X[j] = mutate(X[j], t, cfg, bounds, rngs[j])
 
-        F = np.asarray(evaluate_batch(X), dtype=float)
+        F = np.asarray(problem.evaluate_batch(X), dtype=float)
         _check_finite(F, t)
         archive.update([X[j].copy() for j in range(pop)], F)
-
-        # pbest rules as in update_pbest: dominating side wins, mutual
-        # non-dominance flips the particle's coin
-        cur_dom = np.all(F <= PBF, axis=1) & np.any(F < PBF, axis=1)
-        pb_dom = np.all(PBF <= F, axis=1) & np.any(PBF < F, axis=1)
-        for j in range(pop):
-            if cur_dom[j]:
-                take = True
-            elif pb_dom[j]:
-                take = False
-            else:
-                take = bool(rngs[j].integers(0, 2))
-            if take:
-                PB[j] = X[j]
-                PBF[j] = F[j]
+        update_pbests(PB, PBF, X, F, rngs)
 
     return archive

@@ -2,15 +2,14 @@
 
 A tuned solution is the triple (k, feature mask, weight matrix).  The swarm
 works in a continuous box: one dimension for k, one for the integer-encoded
-mask, and one per weight cell; fixed variables (per variant) are left out of
-the box entirely.  Local tuning runs one optimizer per held-out project,
-global tuning runs a single optimizer whose fitness is an internal
-leave-one-out pass over the whole dataset.
+mask, and one per weight cell; pinned variables (per variant, or where only
+one value is possible) are left out of the box entirely.  Local tuning runs
+one optimizer per held-out project, global tuning runs a single optimizer
+whose fitness is an internal leave-one-out pass over the whole dataset.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,54 +56,36 @@ class SolutionVector:
 class VariantConfig:
     """Which decision variables the optimizer may move, and the tuning mode.
 
-    mode: "local_oracle" scores a candidate on the held-out project's actual
-    effort (reproduces the published protocol, which leaks the label);
-    "local_honest" scores on an internal leave-one-out pass over the fold's
-    training set; "global" tunes one shared solution per dataset.
+    k is always tuned.  mode: "local_oracle" scores a candidate on the
+    held-out project's actual effort (reproduces the published protocol,
+    which leaks the label); "local_honest" scores on an internal
+    leave-one-out pass over the fold's training set; "global" tunes one
+    shared solution per dataset.
     """
 
-    optimize_k: bool = True
     optimize_features: bool = True
     optimize_weights: bool = True
     mode: str = "local_oracle"
-    fixed_k: int = 1  # used only when optimize_k is off
 
     def __post_init__(self):
-        if not (self.optimize_k or self.optimize_features or self.optimize_weights):
-            raise BoundsError("at least one decision variable must be optimized")
         if self.mode not in ("local_oracle", "local_honest", "global"):
             raise BoundsError(f"unknown mode {self.mode!r}")
 
 
-# Named variants: star variants pin the mask to all ones, plus variants pin
-# the weights to the equal-weight row 1/m, the k-only scan pins both.  Each
-# pinned variant searches a subset of the full variant's space.
-def variant_lt(mode: str = "local_oracle") -> VariantConfig:
-    return VariantConfig(mode=mode)
-
-
-def variant_gt() -> VariantConfig:
-    return VariantConfig(mode="global")
-
-
-def variant_lt_star(mode: str = "local_oracle") -> VariantConfig:
-    return VariantConfig(optimize_features=False, mode=mode)
-
-
-def variant_gt_star() -> VariantConfig:
-    return VariantConfig(optimize_features=False, mode="global")
-
-
-def variant_lt_plus(mode: str = "local_oracle") -> VariantConfig:
-    return VariantConfig(optimize_weights=False, mode=mode)
-
-
-def variant_gt_plus() -> VariantConfig:
-    return VariantConfig(optimize_weights=False, mode="global")
-
-
-def variant_k_only(mode: str = "local_oracle") -> VariantConfig:
-    return VariantConfig(optimize_features=False, optimize_weights=False, mode=mode)
+# Method name -> variant.  Star variants pin the mask to all ones, plus
+# variants pin the weights to the equal-weight row 1/m, the k-only scan pins
+# both.  Each pinned variant searches a subset of the full variant's space.
+# Local variants run the oracle objective; replace their mode with
+# "local_honest" for the leakage-free one.
+VARIANTS = {
+    "lt": VariantConfig(),
+    "gt": VariantConfig(mode="global"),
+    "lt_star": VariantConfig(optimize_features=False),
+    "gt_star": VariantConfig(optimize_features=False, mode="global"),
+    "lt_plus": VariantConfig(optimize_weights=False),
+    "gt_plus": VariantConfig(optimize_weights=False, mode="global"),
+    "k_only": VariantConfig(optimize_features=False, optimize_weights=False),
+}
 
 
 def decode_mask(v: int, m: int) -> abe.FeatureMask:
@@ -115,39 +96,32 @@ def decode_mask(v: int, m: int) -> abe.FeatureMask:
     return abe.FeatureMask(bits=bits)
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 @dataclass(frozen=True)
 class SolutionSpace:
-    """Continuous-box layout for one tuning problem."""
+    """Continuous-box layout for one tuning problem: a k dimension, a mask
+    dimension and the weight cells, each only when it is free.  k is free
+    when there is more than one weight row, the mask when the variant tunes
+    it and there is more than one feature; a pinned k is 1 and a pinned mask
+    all ones, the only values left then."""
 
     n_rows: int  # weight rows == max analogy count
     m: int
     variant: VariantConfig
 
     @property
-    def k_max(self) -> int:
-        return self.n_rows
+    def free_k(self) -> bool:
+        return self.n_rows > 1
 
     @property
-    def dim(self) -> int:
-        d = 0
-        if self.variant.optimize_k:
-            d += 1
-        if self.variant.optimize_features:
-            d += 1
-        if self.variant.optimize_weights:
-            d += self.n_rows * self.m
-        return d
+    def free_mask(self) -> bool:
+        return self.variant.optimize_features and self.m > 1
 
     def bounds(self) -> mopso.Bounds:
         lower, upper = [], []
-        if self.variant.optimize_k:
+        if self.free_k:
             lower.append(1.0)
-            upper.append(float(self.k_max))
-        if self.variant.optimize_features:
+            upper.append(float(self.n_rows))
+        if self.free_mask:
             lower.append(1.0)
             upper.append(float(2 ** self.m - 1))
         if self.variant.optimize_weights:
@@ -155,70 +129,30 @@ class SolutionSpace:
             upper.extend([1.0] * (self.n_rows * self.m))
         return mopso.Bounds(lower=np.array(lower), upper=np.array(upper))
 
-    def split(self, x: np.ndarray):
-        """(x_k, x_v, x_w) with None for fixed variables."""
-        i = 0
-        x_k = x_v = x_w = None
-        if self.variant.optimize_k:
-            x_k = x[i]
-            i += 1
-        if self.variant.optimize_features:
-            x_v = x[i]
-            i += 1
-        if self.variant.optimize_weights:
-            x_w = x[i:i + self.n_rows * self.m]
-        return x_k, x_v, x_w
-
 
 def decode_position(x: np.ndarray, n_rows: int, m: int, variant: VariantConfig) -> SolutionVector:
     """Continuous position -> solution: k and v round half-up then clamp,
     weight rows clamp to [0,1] and renormalize to sum 1 (all-zero -> uniform).
     Pinned weights are uniform 1/m rows."""
-    space = SolutionSpace(n_rows=n_rows, m=m, variant=variant)
-    x_k, x_v, x_w = space.split(np.asarray(x, dtype=float))
-
-    if variant.optimize_k:
-        k = min(max(_round_half_up(float(x_k)), 1), n_rows)
-    else:
-        k = min(max(variant.fixed_k, 1), n_rows)
-
-    if variant.optimize_features:
-        v = min(max(_round_half_up(float(x_v)), 1), 2 ** m - 1)
-        mask = decode_mask(v, m)
-    else:
-        mask = abe.FeatureMask(bits=(1,) * m)
-
-    if variant.optimize_weights:
-        w = np.clip(np.asarray(x_w, dtype=float).reshape(n_rows, m), 0.0, 1.0)
-        sums = w.sum(axis=1, keepdims=True)
-        uniform = np.full((1, m), 1.0 / m)
-        w = np.where(sums > 0, w / np.where(sums > 0, sums, 1.0), uniform)
-    else:
-        w = np.full((n_rows, m), 1.0 / m)
-
-    return SolutionVector(k=k, mask=mask, weights=w)
+    decoder = _BatchDecoder(SolutionSpace(n_rows=n_rows, m=m, variant=variant))
+    K, masks, W = decoder(np.asarray(x, dtype=float)[None, :])
+    bits = tuple(masks[0].astype(int).tolist())
+    return SolutionVector(k=int(K[0]), mask=abe.FeatureMask(bits=bits), weights=W[0])
 
 
-def encode_position(sol: SolutionVector, variant: VariantConfig | None = None) -> np.ndarray:
-    """Solution -> continuous position (inverse of decode_position up to the
-    weight-row renormalization no-op)."""
-    variant = variant or VariantConfig()
-    parts = []
-    if variant.optimize_k:
-        parts.append(float(sol.k))
-    if variant.optimize_features:
-        parts.append(float(sol.mask_int))
-    if variant.optimize_weights:
-        parts.extend(np.asarray(sol.weights, dtype=float).ravel().tolist())
-    return np.array(parts)
+def _solution_rows(sol: SolutionVector, n_rows: int):
+    """A solution as a one-row decoded batch (K, masks, W) for a problem
+    that retrieves up to n_rows analogies."""
+    if sol.k > n_rows:
+        raise BoundsError(f"k={sol.k} out of range 1..{n_rows}")
+    return np.array([sol.k]), sol.mask.as_array()[None, :], sol.weights[None, :, :]
 
 
 def lt_objectives(train: StandardizedDataset, target_row: np.ndarray, target_actual: float,
                   sol: SolutionVector) -> np.ndarray:
     """(AE, BRE, IBRE) of the single adapted prediction, all minimized."""
-    pred = abe.predict_adapted(train, target_row, sol)
-    rec = metrics.PredictionRecord(actual=target_actual, predicted=pred)
-    return np.array([metrics.ae(rec), metrics.bre(rec), metrics.ibre(rec)])
+    problem = LocalProblem(train, target_row, target_actual, VARIANTS["lt"])
+    return problem.score(*_solution_rows(sol, problem.space.n_rows))[0]
 
 
 def _sa_for_optimization(mae, mae_p0: float):
@@ -230,16 +164,8 @@ def _sa_for_optimization(mae, mae_p0: float):
 def gt_objectives(ds: StandardizedDataset, sol: SolutionVector,
                   baseline: metrics.RandomGuessBaseline | None = None) -> np.ndarray:
     """(-SA, MBRE, MIBRE) from an internal leave-one-out pass over `ds`."""
-    if baseline is None:
-        baseline = metrics.random_guess_baseline(ds.efforts())
-    records = []
-    for i in range(ds.n):
-        train, target_row, actual = ds.loocv_fold(i)
-        pred = abe.predict_adapted(train, target_row, sol)
-        records.append(metrics.PredictionRecord(actual=actual, predicted=pred))
-    suite = metrics.aggregate(records)
-    sa_val = _sa_for_optimization(suite.mae, baseline.mae_p0)
-    return np.array([-sa_val, suite.mbre, suite.mibre])
+    problem = GlobalProblem(ds, VARIANTS["gt"], baseline)
+    return problem.score(*_solution_rows(sol, problem.space.n_rows))[0]
 
 
 def select_from_front(front: Sequence[tuple]) -> tuple:
@@ -279,36 +205,31 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _BatchDecoder:
-    """Vectorized decode_position over a swarm; mirrors decode_position."""
+    """Swarm positions -> decoded solutions, one row per particle."""
 
     def __init__(self, space: SolutionSpace):
         self.space = space
-        self.variant = space.variant
-        self.n_rows = space.n_rows
-        self.m = space.m
-        if self.m > 62:
-            raise BoundsError("batched mask decode supports up to 62 features")
 
     def __call__(self, X: np.ndarray):
         """Return (K, mask_matrix, W) with shapes (p,), (p, m), (p, rows, m)."""
         X = np.asarray(X, dtype=float)
         pop = X.shape[0]
-        v = self.variant
+        n_rows, m = self.space.n_rows, self.space.m
         i = 0
-        if v.optimize_k:
-            K = np.clip(np.floor(X[:, i] + 0.5).astype(int), 1, self.n_rows)
+        if self.space.free_k:
+            K = np.clip(np.floor(X[:, i] + 0.5).astype(int), 1, n_rows)
             i += 1
         else:
-            K = np.full(pop, min(max(v.fixed_k, 1), self.n_rows), dtype=int)
-        if v.optimize_features:
-            vint = np.clip(np.floor(X[:, i] + 0.5).astype(np.int64), 1, 2 ** self.m - 1)
-            shifts = np.arange(self.m - 1, -1, -1, dtype=np.int64)
+            K = np.ones(pop, dtype=int)
+        if self.space.free_mask:
+            vint = np.clip(np.floor(X[:, i] + 0.5).astype(np.int64), 1, 2 ** m - 1)
+            shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
             masks = ((vint[:, None] >> shifts[None, :]) & 1).astype(float)
             i += 1
         else:
-            masks = np.ones((pop, self.m))
-        if v.optimize_weights:
-            W = X[:, i:i + self.n_rows * self.m].reshape(pop, self.n_rows, self.m).copy()
+            masks = np.ones((pop, m))
+        if self.space.variant.optimize_weights:
+            W = X[:, i:i + n_rows * m].reshape(pop, n_rows, m).copy()
             np.minimum(W, 1.0, out=W)
             np.maximum(W, 0.0, out=W)
             sums = W.sum(axis=2, keepdims=True)
@@ -316,11 +237,11 @@ class _BatchDecoder:
             if zero.any():
                 np.copyto(sums, 1.0, where=zero)
                 W /= sums
-                np.copyto(W, 1.0 / self.m, where=zero)
+                np.copyto(W, 1.0 / m, where=zero)
             else:
                 W /= sums
         else:
-            W = np.full((pop, self.n_rows, self.m), 1.0 / self.m)
+            W = np.full((pop, n_rows, m), 1.0 / m)
         return K, masks, W
 
 
@@ -362,7 +283,10 @@ class LocalProblem:
         self.actual = float(target_actual)
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        K, masks, W = self.decoder(X)
+        return self.score(*self.decoder(X))
+
+    def score(self, K, masks, W) -> np.ndarray:
+        """(AE, BRE, IBRE) per decoded solution."""
         pred = self.ctx.predict_batch(K, masks, W, int(K.max()))
         ae_v = np.abs(self.actual - pred)
         bre_v = ae_v / np.minimum(self.actual, pred)
@@ -396,7 +320,10 @@ class GlobalProblem:
         return np.maximum(np.einsum("pfk,pk->pf", adapted, owm), abe.EPS_EFFORT)
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        K, masks, W = self.decoder(X)
+        return self.score(*self.decoder(X))
+
+    def score(self, K, masks, W) -> np.ndarray:
+        """(-SA, MBRE, MIBRE) per decoded solution."""
         pred = self.predict_all(K, masks, W, int(K.max()))  # (pop, n)
         act = self.actuals[None, :]
         ae_v = np.abs(act - pred)
@@ -426,7 +353,13 @@ def _fold_seed(base_seed: int, index: int) -> int:
     return (int(base_seed) ^ index) & 0xFFFFFFFFFFFFFFFF
 
 
-def _archive_front(problem, archive: mopso.Archive) -> list:
+def _front(problem, cfg: mopso.MopsoConfig) -> list:
+    """(solution, objectives) pairs of the swarm's final archive.  A box with
+    no free dimension holds one solution, which is then the whole front."""
+    if problem.bounds.dim == 0:
+        X = np.zeros((1, 0))
+        return [(problem.decode(X[0]), problem.evaluate_batch(X)[0])]
+    archive = mopso.run(problem, cfg)
     return [(problem.decode(pos), fit.copy())
             for pos, fit in zip(archive.positions, archive.fitnesses)]
 
@@ -438,9 +371,7 @@ def _run_lt_fold(ds: StandardizedDataset, i: int, variant: VariantConfig,
         problem = LocalProblem(train, target_row, actual, variant)
     else:
         problem = GlobalProblem(train, variant)
-    fold_cfg = _replace_seed(cfg, _fold_seed(cfg.seed, i))
-    archive = mopso.run(problem, fold_cfg)
-    front = _archive_front(problem, archive)
+    front = _front(problem, _replace_seed(cfg, _fold_seed(cfg.seed, i)))
     sol, _ = select_from_front(front)
     pred = abe.predict_adapted(train, target_row, sol)
     return pred, sol, front
@@ -482,9 +413,7 @@ def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConf
     applied to every project under leave-one-out to produce predictions."""
     if variant.mode != "global":
         raise BoundsError("run_gt requires the global mode")
-    problem = GlobalProblem(ds, variant)
-    archive = mopso.run(problem, cfg)
-    front = _archive_front(problem, archive)
+    front = _front(GlobalProblem(ds, variant), cfg)
     sol, _ = select_from_front(front)
     preds = np.empty(ds.n)
     for i in range(ds.n):

@@ -35,10 +35,13 @@ class TestDistance:
         assert abe.distance(np.array([2.0]), np.array([2.0]), cat) == 0.0
 
     def test_project_level_distance_with_labels(self):
-        specs = (FeatureSpec("lang", Kind.CATEGORICAL),)
-        a = Project(values=("C",), effort=1.0)
-        b = Project(values=("Java",), effort=2.0)
-        assert abe.project_distance(a, b, specs) == pytest.approx(1.0, abs=ATOL)
+        # labels are interned to codes, which compare for equality only
+        specs = (FeatureSpec("lang", Kind.CATEGORICAL), FeatureSpec("effort", role=Role.EFFORT))
+        projects = tuple(Project(values=(lang,), effort=1.0) for lang in ("C", "Java", "Ada", "C"))
+        ds = standardize(Dataset(specs=specs, projects=projects))
+        got = abe.distances_to(ds, ds.matrix[0])
+        assert got.tolist() == [0.0, 1.0, 1.0, 0.0]
+        assert abe.distance(ds.matrix[1], ds.matrix[2], ds.categorical_mask) == 1.0
 
     def test_symmetry(self):
         cat = np.array([False, True, False])

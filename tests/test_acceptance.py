@@ -58,15 +58,15 @@ def bench():
                 "lt_mbre": [], "lt_star_mbre": [], "lt_plus_mbre": []}
         for seed in SEEDS:
             cfg = mopso.MopsoConfig(seed=seed)
-            lt = tuning.run_lt(ds, tuning.variant_lt(), cfg, threads=THREADS)
+            lt = tuning.run_lt(ds, tuning.VARIANTS["lt"], cfg, threads=THREADS)
             cell["lt_sa"].append(_sa(ds, lt.predictions))
             cell["lt_mbre"].append(_mbre(ds, lt.predictions))
-            gt = tuning.run_gt(ds, tuning.variant_gt(), cfg)
+            gt = tuning.run_gt(ds, tuning.VARIANTS["gt"], cfg)
             cell["gt_sa"].append(_sa(ds, gt.predictions))
             cell["gt_k"].append(gt.solutions[0].k)
             if name in ("albrecht", "kemerer"):
-                star = tuning.run_lt(ds, tuning.variant_lt_star(), cfg, threads=THREADS)
-                plus = tuning.run_lt(ds, tuning.variant_lt_plus(), cfg, threads=THREADS)
+                star = tuning.run_lt(ds, tuning.VARIANTS["lt_star"], cfg, threads=THREADS)
+                plus = tuning.run_lt(ds, tuning.VARIANTS["lt_plus"], cfg, threads=THREADS)
                 cell["lt_star_mbre"].append(_mbre(ds, star.predictions))
                 cell["lt_plus_mbre"].append(_mbre(ds, plus.predictions))
         out[name] = cell
@@ -120,7 +120,7 @@ def _lt_star_optimum(ds) -> float:
 def _lt_plus_optimum(ds) -> float:
     """Exact least MBRE (%) over the LT+ space: every (k, mask) pair with the
     weight rows the variant pins."""
-    rows = _pinned_rows(tuning.variant_lt_plus(), ds.n - 1, ds.m)
+    rows = _pinned_rows(tuning.VARIANTS["lt_plus"], ds.n - 1, ds.m)
     masks = np.array([tuning.decode_mask(v, ds.m).as_array() for v in range(1, 2 ** ds.m)])
     best = []
     for i in range(ds.n):
@@ -269,10 +269,11 @@ def test_c1_metric_unit_exactness():
         np.array([3.4, 3.0] + [0.5] * 8), 4, 2, v).k, 3)
     chk("round half up 3.5", tuning.decode_position(
         np.array([3.5, 3.0] + [0.5] * 8), 4, 2, v).k, 4)
+    # one weight row pins k to 1, so the box has no k dimension
     chk("weight row fixed point", tuning.decode_position(
-        np.array([1.0, 7.0, 0.2, 0.2, 0.6]), 1, 3, v).weights[0], [0.2, 0.2, 0.6])
+        np.array([7.0, 0.2, 0.2, 0.6]), 1, 3, v).weights[0], [0.2, 0.2, 0.6])
     chk("weight row clamp+normalize", tuning.decode_position(
-        np.array([1.0, 7.0, 2.0, 0.0, 0.0]), 1, 3, v).weights[0], [1.0, 0.0, 0.0])
+        np.array([7.0, 2.0, 0.0, 0.0]), 1, 3, v).weights[0], [1.0, 0.0, 0.0])
     chk("lt objectives substitution",
         tuning.lt_objectives(
             numeric_std([[0.0], [0.5], [1.0]], [5, 5, 5]).subset([0, 1, 2]),
@@ -327,7 +328,7 @@ def test_c3_brute_force_pareto_equivalence():
     """Criterion 3: LT+ fronts vs exhaustive (k, v) enumeration, n=8, m=4."""
     t0 = time.time()
     ds = datasets.load_bundled("synthetic_small")
-    variant = tuning.variant_lt_plus()
+    variant = tuning.VARIANTS["lt_plus"]
     cfg = mopso.MopsoConfig(seed=7)
     checked = unique_cases = 0
     for i in range(ds.n):
@@ -344,8 +345,7 @@ def test_c3_brute_force_pareto_equivalence():
 
         problem = tuning.LocalProblem(train, target_row, actual, variant)
         fold_cfg = tuning._replace_seed(cfg, tuning._fold_seed(cfg.seed, i))
-        archive = mopso.run(problem, fold_cfg)
-        front = tuning._archive_front(problem, archive)
+        front = tuning._front(problem, fold_cfg)
         sol, _ = tuning.select_from_front(front)
         chosen_obj = tuning.lt_objectives(train, target_row, actual, sol)
         # dominance at the criterion's stated tolerance: an enumerated vector

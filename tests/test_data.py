@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abetune.data import (
-    Dataset, FeatureSpec, Kind, Project, Role,
+    MAX_INPUT_FEATURES, Dataset, FeatureSpec, Kind, Project, Role,
     load_dataset, pipeline, preprocess, standardize,
 )
 from abetune.datasets import load_bundled_raw
@@ -54,6 +54,15 @@ class TestLoad:
         path = write(tmp_path, "a,effort\n1,10\n2,0\n3,30\n")
         with pytest.raises(ParseError):
             load_dataset(path)
+
+    def test_feature_limit_enforced_at_load(self, tmp_path):
+        def csv(m):
+            header = ",".join(f"f{j}" for j in range(m)) + ",effort\n"
+            return header + "".join(",".join(["1"] * m) + f",{e}\n" for e in (1, 2, 3))
+
+        assert load_dataset(write(tmp_path, csv(MAX_INPUT_FEATURES))).m == 52
+        with pytest.raises(SchemaError, match="52"):
+            load_dataset(write(tmp_path, csv(53)))
 
     def test_header_inference_uses_effort_name(self, tmp_path):
         path = write(tmp_path, "a,Effort\n1,10\n2,20\n3,30\n")

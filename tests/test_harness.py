@@ -9,6 +9,7 @@ from abetune import abe, harness, metrics
 from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
 from abetune.errors import AbetuneError, ConfigError
 from abetune.harness import EvaluationReport, emit_report, parse_config, run_experiment
+from scalar_reference import run_loocv
 
 BASE_CONFIG = {
     "datasets": [{"name": "synthetic_small"}],
@@ -47,9 +48,10 @@ class TestConfig:
             parse_config(raw)
 
     def test_unknown_method_rejected(self):
-        raw = dict(BASE_CONFIG) | {"methods": ["abe0", "bogus"]}
-        with pytest.raises(ConfigError):
-            parse_config(raw)
+        for methods in (["abe0", "bogus"], ["lt", "abe0", "lt"]):
+            raw = dict(BASE_CONFIG) | {"methods": methods}
+            with pytest.raises(ConfigError):
+                parse_config(raw)
 
     def test_unknown_bundled_dataset_rejected(self):
         raw = dict(BASE_CONFIG) | {"datasets": [{"name": "isbsg"}]}
@@ -78,18 +80,18 @@ class TestRunLoocv:
             sizes.append(train.n)
             return 1.0
 
-        pairs = harness.run_loocv(ds, probe)
+        pairs = run_loocv(ds, probe)
         assert len(pairs) == 3 and sizes == [2, 2, 2]
         assert [a for a, _ in pairs] == [10, 20, 30]
 
     def test_deterministic_predictor(self):
         ds = numeric_std([[0.0], [1.0], [2.0], [3.0]], [10, 20, 30, 40])
         f = lambda train, row: abe.predict_abe0(train, row, 2)
-        assert harness.run_loocv(ds, f) == harness.run_loocv(ds, f)
+        assert run_loocv(ds, f) == run_loocv(ds, f)
 
     def test_duplicate_project_predicted_exactly_with_k1(self):
         ds = numeric_std([[0.0], [0.0], [5.0], [9.0]], [12, 12, 50, 90])
-        pairs = harness.run_loocv(ds, lambda tr, row: abe.predict_abe0(tr, row, 1))
+        pairs = run_loocv(ds, lambda tr, row: abe.predict_abe0(tr, row, 1))
         assert pairs[0] == (12.0, 12.0) and pairs[1] == (12.0, 12.0)
 
     def test_fold_failure_carries_index(self):
@@ -99,7 +101,7 @@ class TestRunLoocv:
             raise ValueError("nope")
 
         with pytest.raises(AbetuneError, match="fold 0"):
-            harness.run_loocv(ds, boom)
+            run_loocv(ds, boom)
 
 
 class TestRunExperiment:
@@ -129,6 +131,22 @@ class TestRunExperiment:
         back = EvaluationReport.from_json(report.to_json())
         assert back.to_json() == report.to_json()
         assert back.results == report.results
+
+    def test_self_check_rejects_a_perturbed_metric(self):
+        cfg = parse_config(dict(BASE_CONFIG))
+        report = run_experiment(cfg)
+        harness._verify_report(report, cfg)
+        cell = report.results["synthetic_small"]["lt"]
+        cell["metrics"]["mbre"] = cell["metrics"]["mbre"] * (1 + 1e-12)
+        with pytest.raises(AbetuneError, match="synthetic_small/lt/mbre"):
+            harness._verify_report(report, cfg)
+
+    def test_self_check_rejects_cells_with_different_actuals(self):
+        cfg = parse_config(dict(BASE_CONFIG) | {"baseline": {"sampled": 1000}})
+        report = run_experiment(cfg)
+        report.results["synthetic_small"]["lt"]["actuals"][0] += 1.0
+        with pytest.raises(AbetuneError, match="actuals differ"):
+            harness._verify_report(report, cfg)
 
     def test_metrics_recomputable_from_predictions(self):
         cfg = parse_config(dict(BASE_CONFIG))
@@ -245,6 +263,22 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "cmp" / "comparisons.csv").exists()
         assert "abe0 vs lt" in proc.stdout
+
+    @pytest.mark.parametrize("mode,rows", [("oracle", 6), ("honest", 3)])
+    def test_degenerate_boxes_run_every_method(self, tmp_path, mode, rows):
+        # one feature pins the mask; in honest mode three projects leave one
+        # weight row per inner fold, which pins k too, and lt_plus has no
+        # free dimension left
+        csv = tmp_path / "one.csv"
+        csv.write_text("size,effort\n" + "".join(f"{i},{10 * i}\n" for i in range(1, rows + 1)))
+        methods = list(harness.METHOD_ORDER)
+        path = self.write_config(tmp_path, mode=mode, methods=methods, datasets=[
+            {"name": "one", "path": str(csv), "effort_column": "effort"}])
+        out = tmp_path / "out"
+        proc = self.cli("run", "--config", str(path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report["results"]["one"]) == sorted(methods)
 
     def test_missing_config_is_validation_error(self):
         proc = self.cli("run")

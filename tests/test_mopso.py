@@ -3,7 +3,7 @@ import pytest
 
 from abetune import mopso
 from abetune.errors import BoundsError, EvaluationError
-from abetune.mopso import Archive, Bounds, MopsoConfig, Particle
+from abetune.mopso import Archive, Bounds, MopsoConfig
 
 
 class ScriptedRng:
@@ -53,45 +53,63 @@ class TestCrowding:
         assert cd.tolist() == [7.0, 7.0]
 
 
+def rows(*values):
+    """A one-dimension swarm: one particle per value."""
+    return np.array([[float(v)] for v in values])
+
+
+class TestDrawOrder:
+    def test_each_particle_draws_from_its_own_stream(self):
+        rngs = [np.random.default_rng(s) for s in (5, 6)]
+        pick, R1, R2 = mopso.swarm_draws(rngs, 3, 2)
+        for j, seed in enumerate((5, 6)):
+            ref = np.random.default_rng(seed)
+            assert pick[j] == ref.integers(0, 3)
+            assert R1[j].tolist() == ref.random(2).tolist()
+            assert R2[j].tolist() == ref.random(2).tolist()
+
+
 class TestVelocity:
+    def step(self, V, X, PB, G, R1, R2, w_t, c1, c2, cap):
+        return mopso.step_velocity(V, X, PB, G, R1, R2, w_t, c1, c2, np.array([cap]))
+
     def test_zero_attraction_at_both_bests(self):
-        x = np.array([0.5])
-        rng = ScriptedRng(uniforms=[[0.3], [0.9]])
-        v = mopso.update_velocity(np.zeros(1), x, x, x, 0.9, 2.0, 2.0, np.array([1.0]), rng)
-        assert v.tolist() == [0.0]
+        X = rows(0.5, 0.2)
+        V = self.step(rows(0, 0), X, X.copy(), X.copy(), rows(0.3, 0.6), rows(0.9, 0.1),
+                      0.9, 2.0, 2.0, 1.0)
+        assert V.tolist() == [[0.0], [0.0]]
 
     def test_single_term_reduction(self):
-        x = np.array([0.0])
-        pbest = np.array([0.4])
-        rng = ScriptedRng(uniforms=[[0.5], [0.1]])
-        v = mopso.update_velocity(np.array([9.9]), x, pbest, x, 0.0, 1.0, 0.0,
-                                  np.array([10.0]), rng)
-        assert v.tolist() == pytest.approx([0.2])
+        # cognitive pull only: 1.0 * 0.5 * (0.4 - 0) on the first particle
+        V = self.step(rows(9.9, 0.0), rows(0, 0), rows(0.4, 0.0), rows(0, 0),
+                      rows(0.5, 0.5), rows(0.1, 0.1), 0.0, 1.0, 0.0, 10.0)
+        assert V.ravel().tolist() == pytest.approx([0.2, 0.0])
 
     def test_overcap_negated_then_clamped(self):
-        # raw v' = 1.7 exceeds cap 1.0 -> negate to -1.7 -> clamp to -1.0
-        rng = ScriptedRng(uniforms=[[0.0], [0.0]])
-        v = mopso.update_velocity(np.array([1.7]), np.array([0.0]), np.array([0.0]),
-                                  np.array([0.0]), 1.0, 2.0, 2.0, np.array([1.0]), rng)
-        assert v.tolist() == [-1.0]
+        # raw v' = 1.7 exceeds cap 1.0 -> negate to -1.7 -> clamp to -1.0;
+        # -0.4 is within the cap and stays
+        V = self.step(rows(1.7, -0.4), rows(0, 0), rows(0, 0), rows(0, 0),
+                      rows(0, 0), rows(0, 0), 1.0, 2.0, 2.0, 1.0)
+        assert V.tolist() == [[-1.0], [-0.4]]
 
 
 class TestPosition:
+    bounds = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
+
     def test_interior_move(self):
-        b = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
-        x, v = mopso.update_position(np.array([0.4]), np.array([0.2]), b)
-        assert x.tolist() == pytest.approx([0.6]) and v.tolist() == [0.2]
+        X, V = mopso.step_position(rows(0.4, 0.1), rows(0.2, -0.1), self.bounds)
+        assert X.ravel().tolist() == pytest.approx([0.6, 0.0])
+        assert V.tolist() == [[0.2], [-0.1]]
 
     def test_boundary_reflection(self):
-        b = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
-        x, v = mopso.update_position(np.array([0.9]), np.array([0.3]), b)
-        assert x.tolist() == pytest.approx([0.9])
-        assert v.tolist() == [-0.3]
+        # only the particle that left the box is reflected back
+        X, V = mopso.step_position(rows(0.9, 0.1, 0.5), rows(0.3, -0.4, 0.1), self.bounds)
+        assert X.ravel().tolist() == pytest.approx([0.9, 0.1, 0.6])
+        assert V.tolist() == [[-0.3], [0.4], [0.1]]
 
     def test_fixed_point_at_bound(self):
-        b = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
-        x, v = mopso.update_position(np.array([0.0]), np.array([0.0]), b)
-        assert x.tolist() == [0.0] and v.tolist() == [0.0]
+        X, V = mopso.step_position(rows(0.0, 1.0), rows(0.0, 0.0), self.bounds)
+        assert X.tolist() == [[0.0], [1.0]] and V.tolist() == [[0.0], [0.0]]
 
 
 class TestMutation:
@@ -187,58 +205,59 @@ class TestLeaderSelection:
 
     def test_single_entry(self):
         a = self.make_archive(1)
-        rng = np.random.default_rng(0)
-        assert mopso.select_gbest(a, rng).tolist() == [0.0, 0.0]
+        assert mopso.leader_share(a.crowding(), 0.1).tolist() == [0]
 
     def test_archive_of_ten_selects_the_max_cd_entry(self):
-        a = self.make_archive(10)
-        cds = a.crowding()
-        best = int(np.argmax(cds))
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            got = mopso.select_gbest(a, rng, cds=cds)
-            assert got.tolist() == a.positions[best].tolist()
+        cds = self.make_archive(10).crowding()
+        assert mopso.leader_share(cds, 0.1).tolist() == [int(np.argmax(cds))]
 
     def test_archive_of_twenty_stays_in_top_two(self):
-        a = self.make_archive(20)
-        cds = a.crowding()
-        top2 = {a.positions[i][0] for i in np.argsort(-cds, kind="stable")[:2]}
-        rng = np.random.default_rng(3)
-        seen = {mopso.select_gbest(a, rng, cds=cds)[0] for _ in range(1000)}
-        assert seen <= top2 and len(seen) == 2
+        cds = self.make_archive(20).crowding()
+        share = mopso.leader_share(cds, 0.1)
+        assert share.tolist() == np.argsort(-cds, kind="stable")[:2].tolist()
+        rngs = [np.random.default_rng(s) for s in range(200)]
+        pick, _, _ = mopso.swarm_draws(rngs, len(share), 1)
+        assert set(pick.tolist()) == {0, 1}
 
     def test_empty_archive_rejected(self):
         with pytest.raises(BoundsError):
-            mopso.select_gbest(Archive(capacity=3), np.random.default_rng(0))
+            mopso.leader_share(Archive(capacity=3).crowding(), 0.1)
 
 
 class TestPbest:
-    def make_particle(self, fitness, pbest_fitness):
-        z = np.zeros(1)
-        return Particle(position=np.array([1.0]), velocity=z.copy(),
-                        fitness=np.array(fitness, dtype=float),
-                        pbest_position=np.array([0.0]),
-                        pbest_fitness=np.array(pbest_fitness, dtype=float))
+    def update(self, fitness, pbest_fitness, rngs):
+        pop = len(fitness)
+        PB = np.zeros((pop, 1))
+        PBF = np.array(pbest_fitness, dtype=float)
+        X = np.ones((pop, 1))
+        mopso.update_pbests(PB, PBF, X, np.array(fitness, dtype=float), rngs)
+        return PB, PBF
 
     def test_current_dominates(self):
-        p = self.make_particle([1, 1], [2, 2])
-        mopso.update_pbest(p, np.random.default_rng(0))
-        assert p.pbest_fitness.tolist() == [1, 1]
-        assert p.pbest_position.tolist() == [1.0]
+        PB, PBF = self.update([[1, 1], [3, 3]], [[2, 2], [2, 2]],
+                              [np.random.default_rng(0)] * 2)
+        assert PBF.tolist() == [[1, 1], [2, 2]]
+        assert PB.tolist() == [[1.0], [0.0]]
 
     def test_pbest_kept_when_dominating(self):
-        p = self.make_particle([2, 2], [1, 1])
-        mopso.update_pbest(p, np.random.default_rng(0))
-        assert p.pbest_fitness.tolist() == [1, 1]
+        PB, PBF = self.update([[2, 2], [2, 2]], [[1, 1], [1, 2]],
+                              [np.random.default_rng(0)] * 2)
+        assert PBF.tolist() == [[1, 1], [1, 2]] and PB.tolist() == [[0.0], [0.0]]
 
     def test_coin_flip_roughly_even(self):
-        rng = np.random.default_rng(42)
-        kept = 0
-        for _ in range(1000):
-            p = self.make_particle([1, 3], [3, 1])
-            mopso.update_pbest(p, rng)
-            kept += p.pbest_fitness.tolist() == [3, 1]
+        pop = 1000
+        rngs = [np.random.default_rng(42 + j) for j in range(pop)]
+        _, PBF = self.update([[1, 3]] * pop, [[3, 1]] * pop, rngs)
+        kept = sum(row == [3, 1] for row in PBF.tolist())
         assert 450 <= kept <= 550
+
+    def test_only_undecided_particles_draw_a_coin(self):
+        rngs = [np.random.default_rng(7) for _ in range(3)]
+        self.update([[1, 1], [3, 3], [1, 3]], [[2, 2], [2, 2], [3, 1]], rngs)
+        ref = np.random.default_rng(7)
+        nxt = ref.random()
+        assert rngs[0].random() == nxt and rngs[1].random() == nxt
+        assert rngs[2].random() != nxt
 
 
 class BiObjective:

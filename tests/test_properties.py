@@ -9,36 +9,44 @@ from abetune import abe, metrics, mopso, stats, tuning
 MANY = settings(max_examples=1000, deadline=None, derandomize=True)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-objective_vec = st.lists(finite, min_size=2, max_size=4)
 
 
-def vec_pair(draw, strategy=objective_vec):
-    a = draw(strategy)
-    b = draw(st.lists(finite, min_size=len(a), max_size=len(a)))
-    return np.array(a), np.array(b)
+def objective_rows(draw, pop: int, n_obj: int) -> np.ndarray:
+    return np.array([[draw(finite) for _ in range(n_obj)] for _ in range(pop)])
+
+
+def swarm_shape(draw):
+    return draw(st.integers(min_value=2, max_value=6)), draw(st.integers(min_value=2, max_value=4))
 
 
 class TestDominanceLaws:
+    """Row-wise laws of `dominates` over swarms of objective rows, the form
+    in which the pbest update applies it."""
+
     @MANY
     @given(st.data())
     def test_irreflexive(self, data):
-        a = np.array(data.draw(objective_vec))
-        assert not mopso.dominates(a, a)
+        a = objective_rows(data.draw, *swarm_shape(data.draw))
+        assert not mopso.dominates(a, a).any()
 
     @MANY
     @given(st.data())
     def test_antisymmetric(self, data):
-        a, b = vec_pair(data.draw)
-        assert not (mopso.dominates(a, b) and mopso.dominates(b, a))
+        pop, n_obj = swarm_shape(data.draw)
+        a = objective_rows(data.draw, pop, n_obj)
+        b = objective_rows(data.draw, pop, n_obj)
+        # shared values per cell make dominance in either direction likely
+        b = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=a.size,
+                                                 max_size=a.size))).reshape(a.shape), a, b)
+        assert not (mopso.dominates(a, b) & mopso.dominates(b, a)).any()
 
     @MANY
     @given(st.data())
     def test_transitive(self, data):
-        a = np.array(data.draw(st.lists(finite, min_size=3, max_size=3)))
-        b = np.array(data.draw(st.lists(finite, min_size=3, max_size=3)))
-        c = np.array(data.draw(st.lists(finite, min_size=3, max_size=3)))
-        if mopso.dominates(a, b) and mopso.dominates(b, c):
-            assert mopso.dominates(a, c)
+        pop = data.draw(st.integers(min_value=2, max_value=6))
+        a, b, c = (objective_rows(data.draw, pop, 3) for _ in range(3))
+        chain = mopso.dominates(a, b) & mopso.dominates(b, c)
+        assert mopso.dominates(a, c)[chain].all()
 
 
 class TestArchiveProperties:
@@ -69,13 +77,15 @@ class TestEncodingProperties:
     def test_decoded_weight_rows_sum_to_one(self, data):
         n_rows = data.draw(st.integers(min_value=1, max_value=5))
         m = data.draw(st.integers(min_value=1, max_value=5))
-        variant = tuning.VariantConfig()
+        variant = tuning.VARIANTS["lt"]
         space = tuning.SolutionSpace(n_rows=n_rows, m=m, variant=variant)
-        x = np.array([data.draw(st.floats(-2, 2, allow_nan=False))
-                      for _ in range(space.dim)])
-        x[0] = data.draw(st.floats(0, n_rows + 1, allow_nan=False))
-        x[1] = data.draw(st.floats(0, 2 ** m, allow_nan=False))
-        sol = tuning.decode_position(x, n_rows, m, variant)
+        x = [data.draw(st.floats(-2, 2, allow_nan=False))
+             for _ in range(n_rows * m)]
+        if space.free_mask:
+            x.insert(0, data.draw(st.floats(0, 2 ** m, allow_nan=False)))
+        if space.free_k:
+            x.insert(0, data.draw(st.floats(0, n_rows + 1, allow_nan=False)))
+        sol = tuning.decode_position(np.array(x), n_rows, m, variant)
         assert np.allclose(sol.weights.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(sol.weights >= 0) and np.all(sol.weights <= 1)
         assert 1 <= sol.k <= n_rows
@@ -84,19 +94,24 @@ class TestEncodingProperties:
     @MANY
     @given(st.data())
     def test_position_updates_stay_in_bounds(self, data):
+        pop = data.draw(st.integers(min_value=2, max_value=5))
         d = data.draw(st.integers(min_value=1, max_value=4))
         lo = np.zeros(d)
         hi = np.ones(d)
         bounds = mopso.Bounds(lower=lo, upper=hi)
-        x = np.array([data.draw(st.floats(0, 1, allow_nan=False)) for _ in range(d)])
-        v = np.array([data.draw(st.floats(-3, 3, allow_nan=False)) for _ in range(d)])
-        nx, nv = mopso.update_position(x, v, bounds)
-        assert np.all(nx >= lo) and np.all(nx <= hi)
+        X = np.array([[data.draw(st.floats(0, 1, allow_nan=False)) for _ in range(d)]
+                      for _ in range(pop)])
+        V = np.array([[data.draw(st.floats(-3, 3, allow_nan=False)) for _ in range(d)]
+                      for _ in range(pop)])
+        nX, _ = mopso.step_position(X, V, bounds)
+        assert np.all(nX >= lo) and np.all(nX <= hi)
         seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
-        cfg = mopso.MopsoConfig(pop_size=2, max_iter=10, seed=seed)
+        cfg = mopso.MopsoConfig(pop_size=pop, max_iter=10, seed=seed)
         t = data.draw(st.integers(min_value=0, max_value=4))
-        mx = mopso.mutate(nx, t, cfg, bounds, np.random.default_rng(seed))
-        assert np.all(mx >= lo) and np.all(mx <= hi)
+        rng = np.random.default_rng(seed)
+        for x in nX:
+            mx = mopso.mutate(x, t, cfg, bounds, rng)
+            assert np.all(mx >= lo) and np.all(mx <= hi)
 
 
 class TestAggregationFixedPoints:

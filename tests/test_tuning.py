@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
 from abetune.datasets import load_bundled
 from abetune.errors import BoundsError
 from abetune.tuning import (
-    GlobalProblem, LocalProblem, SolutionVector, VariantConfig,
-    decode_mask, decode_position, encode_position, select_from_front,
+    VARIANTS, GlobalProblem, LocalProblem, SolutionSpace, SolutionVector, VariantConfig,
+    decode_mask, decode_position, select_from_front,
 )
+import scalar_reference as ref
 
 ATOL = 1e-9
 
@@ -50,34 +53,36 @@ class TestPositionCodec:
         x[0] = 3.5
         assert decode_position(x, 4, 2, self.variant()).k == 4
 
+    # With one weight row k can only be 1, so the box holds no k dimension
+    # and these positions start at the mask.
     def test_weight_row_already_normalized(self):
-        x = np.array([1.0, 7.0, 0.2, 0.2, 0.6])
+        x = np.array([7.0, 0.2, 0.2, 0.6])
         sol = decode_position(x, n_rows=1, m=3, variant=self.variant())
         assert sol.weights[0].tolist() == pytest.approx([0.2, 0.2, 0.6], abs=ATOL)
 
     def test_weight_row_clamped_then_normalized(self):
-        x = np.array([1.0, 7.0, 2.0, 0.0, 0.0])
+        x = np.array([7.0, 2.0, 0.0, 0.0])
         sol = decode_position(x, n_rows=1, m=3, variant=self.variant())
         assert sol.weights[0].tolist() == pytest.approx([1.0, 0.0, 0.0], abs=ATOL)
 
     def test_zero_row_becomes_uniform(self):
-        x = np.array([1.0, 7.0, 0.0, 0.0, 0.0])
+        x = np.array([7.0, 0.0, 0.0, 0.0])
         sol = decode_position(x, n_rows=1, m=3, variant=self.variant())
         assert sol.weights[0].tolist() == pytest.approx([1 / 3] * 3, abs=ATOL)
 
     def test_roundtrip_identity(self):
         w = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
         sol = SolutionVector(k=2, mask=abe.FeatureMask((1, 0)), weights=w)
-        x = encode_position(sol)
+        x = ref.encode_position(sol, SolutionSpace(n_rows=3, m=2, variant=self.variant()))
         back = decode_position(x, n_rows=3, m=2, variant=self.variant())
         assert back.k == sol.k
         assert back.mask.bits == sol.mask.bits
         assert np.allclose(back.weights, sol.weights, atol=ATOL)
 
     def test_fixed_variables_left_out(self):
-        v = VariantConfig(optimize_features=False, optimize_weights=False)
-        space = tuning.SolutionSpace(n_rows=5, m=3, variant=v)
-        assert space.dim == 1
+        v = VARIANTS["k_only"]
+        space = SolutionSpace(n_rows=5, m=3, variant=v)
+        assert space.bounds().dim == 1
         sol = decode_position(np.array([2.6]), 5, 3, v)
         assert sol.k == 3
         assert sol.mask.bits == (1, 1, 1)
@@ -86,17 +91,35 @@ class TestPositionCodec:
         assert np.allclose(sol.weights.sum(axis=1), 1.0, atol=ATOL)
 
     def test_batch_decoder_matches_scalar_decode(self):
+        # includes boxes where k (one row) or the mask (one feature) is pinned
         rng = np.random.default_rng(0)
-        for variant in (self.variant(), tuning.variant_lt_star(),
-                        tuning.variant_lt_plus(), tuning.variant_k_only()):
-            space = tuning.SolutionSpace(n_rows=4, m=3, variant=variant)
-            X = rng.uniform(space.bounds().lower, space.bounds().upper, size=(40, space.dim))
-            K, masks, W = tuning._BatchDecoder(space)(X)
-            for i in range(40):
-                sol = decode_position(X[i], 4, 3, variant)
-                assert sol.k == K[i]
-                assert list(masks[i]) == list(sol.mask.bits)
-                assert np.allclose(W[i], sol.weights, atol=1e-12)
+        for name in ("lt", "lt_star", "lt_plus", "k_only"):
+            for n_rows, m in ((4, 3), (1, 3), (4, 1), (1, 2)):
+                space = SolutionSpace(n_rows=n_rows, m=m, variant=VARIANTS[name])
+                bounds = space.bounds()
+                if bounds.dim == 0:
+                    continue
+                # reach a little past the box, as a mutated position may not
+                X = rng.uniform(bounds.lower - 0.5, bounds.upper + 0.5, size=(40, bounds.dim))
+                K, masks, W = tuning._BatchDecoder(space)(X)
+                for i in range(40):
+                    sol = ref.scalar_decode(X[i], n_rows, m, VARIANTS[name])
+                    assert sol.k == K[i]
+                    assert list(masks[i]) == list(sol.mask.bits)
+                    assert np.array_equal(W[i], sol.weights)
+
+    def test_degenerate_dimensions_are_pinned(self):
+        # one weight row leaves only k = 1, one feature only the mask (1,)
+        assert SolutionSpace(n_rows=1, m=2, variant=VARIANTS["k_only"]).bounds().dim == 0
+        assert SolutionSpace(n_rows=3, m=1, variant=VARIANTS["lt_plus"]).bounds().dim == 1
+        sol = decode_position(np.zeros(0), 1, 1, VARIANTS["lt_plus"])
+        assert (sol.k, sol.mask.bits, sol.weights.tolist()) == (1, (1,), [[1.0]])
+
+    def test_mask_exact_at_the_feature_limit(self):
+        m = 52
+        for v in (2 ** m - 1, 2 ** m - 3):
+            sol = decode_position(np.array([1.0, float(v)]), 2, m, VARIANTS["lt_plus"])
+            assert sol.mask_int == v
 
 
 class TestObjectives:
@@ -123,6 +146,13 @@ class TestObjectives:
         obj = tuning.lt_objectives(train, np.array([0.0]), 10.0, sol)
         assert obj.tolist() == pytest.approx([5.0, 1.0, 0.5], abs=ATOL)
 
+    def test_k_beyond_the_training_set_rejected(self):
+        train = self.ds.subset([0, 1, 2])
+        with pytest.raises(BoundsError):
+            tuning.lt_objectives(train, self.ds.matrix[3], 22.0, self.full_sol(4, 2, k=4))
+        with pytest.raises(BoundsError):
+            tuning.gt_objectives(self.ds, self.full_sol(6, 2, k=6))
+
     def test_lt_domination_ordering(self):
         a = np.array([1.0, 0.1, 0.05])
         b = np.array([2.0, 0.2, 0.10])
@@ -131,19 +161,9 @@ class TestObjectives:
     def test_gt_matches_stepwise_composition(self):
         sol = self.full_sol(train_n=self.ds.n - 1, m=2, k=3)
         got = tuning.gt_objectives(self.ds, sol)
-        records = []
-        for i in range(self.ds.n):
-            train, row, actual = self.ds.loocv_fold(i)
-            neighbors = abe.retrieve(train, row, sol.k)
-            adapted = [abe.adapt_effort(row, train.matrix[nb.index],
-                                        float(train.effort_vec[nb.index]),
-                                        sol.weights[nb.rank - 1], sol.mask,
-                                        train.categorical_mask)
-                       for nb in neighbors]
-            pred = max(abe.owm_aggregate(adapted), abe.EPS_EFFORT)
-            records.append(metrics.PredictionRecord(actual, pred))
-        suite = metrics.aggregate(records, metrics.random_guess_baseline(self.ds.efforts()))
-        assert got.tolist() == pytest.approx([-suite.sa, suite.mbre, suite.mibre], abs=1e-12)
+        baseline = metrics.random_guess_baseline(self.ds.efforts())
+        want = ref.gt_objectives(self.ds, sol, baseline)
+        assert got.tolist() == pytest.approx(want.tolist(), abs=1e-12)
 
     def test_gt_unused_weight_rows_inert(self):
         base = self.full_sol(train_n=self.ds.n - 1, m=2, k=2)
@@ -163,25 +183,24 @@ class TestObjectives:
         assert obj.tolist() == pytest.approx([-1.0, 0.0, 0.0], abs=ATOL)
 
     def test_batched_problems_match_reference(self):
-        variant = VariantConfig()
         train = self.ds.subset([0, 1, 2, 4, 5])
         target = self.ds.matrix[3]
-        lp = LocalProblem(train, target, 22.0, variant)
+        lp = LocalProblem(train, target, 22.0, VARIANTS["lt"])
         rng = np.random.default_rng(1)
         X = rng.uniform(lp.bounds.lower, lp.bounds.upper, size=(25, lp.bounds.dim))
         batch = lp.evaluate_batch(X)
         for i in range(25):
-            sol = lp.decode(X[i])
-            ref = tuning.lt_objectives(train, target, 22.0, sol)
-            assert np.allclose(batch[i], ref, atol=1e-9), (batch[i], ref)
+            sol = ref.scalar_decode(X[i], train.n, train.m, VARIANTS["lt"])
+            want = ref.lt_objectives(train, target, 22.0, sol)
+            assert np.allclose(batch[i], want, atol=1e-9), (batch[i], want)
 
-        gp = GlobalProblem(self.ds, VariantConfig(mode="global"))
+        gp = GlobalProblem(self.ds, VARIANTS["gt"])
         Xg = rng.uniform(gp.bounds.lower, gp.bounds.upper, size=(10, gp.bounds.dim))
         batch = gp.evaluate_batch(Xg)
         for i in range(10):
-            sol = gp.decode(Xg[i])
-            ref = tuning.gt_objectives(self.ds, sol, gp.baseline)
-            assert np.allclose(batch[i], ref, atol=1e-9)
+            sol = ref.scalar_decode(Xg[i], self.ds.n - 1, self.ds.m, VARIANTS["gt"])
+            want = ref.gt_objectives(self.ds, sol, gp.baseline)
+            assert np.allclose(batch[i], want, atol=1e-9)
 
 
 class TestSelectFromFront:
@@ -211,32 +230,32 @@ class TestRunners:
 
     def test_lt_on_identical_projects_is_perfect(self):
         ds = numeric_std([[1.0, 1.0]] * 3 + [[1.0, 1.0]], [7, 7, 7, 7])
-        res = tuning.run_lt(ds, tuning.variant_lt(), self.small_cfg())
+        res = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg())
         assert np.allclose(res.predictions, 7.0, atol=ATOL)
 
     def test_gt_on_identical_projects_is_perfect(self):
         ds = numeric_std([[1.0, 1.0]] * 4, [7, 7, 7, 7])
-        res = tuning.run_gt(ds, tuning.variant_gt(), self.small_cfg())
+        res = tuning.run_gt(ds, VARIANTS["gt"], self.small_cfg())
         assert np.allclose(res.predictions, 7.0, atol=ATOL)
 
     def test_lt_fixed_seed_reproducible(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7]],
                          [10, 30, 80, 46, 64])
-        r1 = tuning.run_lt(ds, tuning.variant_lt(), self.small_cfg(seed=11))
-        r2 = tuning.run_lt(ds, tuning.variant_lt(), self.small_cfg(seed=11))
+        r1 = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(seed=11))
+        r2 = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(seed=11))
         assert np.array_equal(r1.predictions, r2.predictions)
 
     def test_lt_parallel_folds_match_serial(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7]],
                          [10, 30, 80, 46, 64])
-        ser = tuning.run_lt(ds, tuning.variant_lt(), self.small_cfg(seed=4), threads=1)
-        par = tuning.run_lt(ds, tuning.variant_lt(), self.small_cfg(seed=4), threads=2)
+        ser = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(seed=4), threads=1)
+        par = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(seed=4), threads=2)
         assert np.array_equal(ser.predictions, par.predictions)
 
     def test_gt_solution_reapplied_matches_predictions(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7]],
                          [10, 30, 80, 46, 64])
-        res = tuning.run_gt(ds, tuning.variant_gt(), self.small_cfg(seed=5))
+        res = tuning.run_gt(ds, VARIANTS["gt"], self.small_cfg(seed=5))
         sol = res.solutions[0]
         for i in range(ds.n):
             train, row, _ = ds.loocv_fold(i)
@@ -246,9 +265,9 @@ class TestRunners:
     def test_variant_flags_respected(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7]],
                          [10, 30, 80, 46, 64])
-        star = tuning.run_lt(ds, tuning.variant_lt_star(), self.small_cfg())
+        star = tuning.run_lt(ds, VARIANTS["lt_star"], self.small_cfg())
         assert all(s.mask.bits == (1, 1) for s in star.solutions)
-        plus = tuning.run_lt(ds, tuning.variant_lt_plus(), self.small_cfg())
+        plus = tuning.run_lt(ds, VARIANTS["lt_plus"], self.small_cfg())
         for s in plus.solutions:
             assert np.allclose(s.weights, 0.5, atol=ATOL)
             assert np.allclose(s.weights.sum(axis=1), 1.0, atol=ATOL)
@@ -256,20 +275,20 @@ class TestRunners:
     def test_row_sums_of_optimized_solutions(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7]],
                          [10, 30, 80, 46, 64])
-        res = tuning.run_lt(ds, tuning.variant_lt(), self.small_cfg(seed=2))
+        res = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(seed=2))
         for sol in res.solutions:
             assert np.allclose(sol.weights.sum(axis=1), 1.0, atol=1e-9)
 
     def test_lt_honest_mode_runs(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7], [3, 3]],
                          [10, 30, 80, 46, 64, 40])
-        res = tuning.run_lt(ds, tuning.variant_lt("local_honest"), self.small_cfg())
+        res = tuning.run_lt(ds, replace(VARIANTS["lt"], mode="local_honest"), self.small_cfg())
         assert res.mode == "local_honest"
         assert all(s.k <= ds.n - 2 for s in res.solutions)
 
     def test_k_histogram_varies_on_albrecht(self):
         ds = load_bundled("albrecht")
-        res = tuning.run_lt(ds, tuning.variant_k_only(),
+        res = tuning.run_lt(ds, VARIANTS["k_only"],
                             mopso.MopsoConfig(pop_size=30, max_iter=20, seed=1))
         assert len({s.k for s in res.solutions}) > 1
 
