@@ -92,8 +92,16 @@ def owm_weights(k: int) -> np.ndarray:
     """Ordered-weighted-mean weights: nearest gets 2**(k-1)/(2**k - 1)."""
     if k < 1:
         raise BoundsError("k must be >= 1")
-    exponents = np.arange(k - 1, -1, -1, dtype=float)
-    return np.power(2.0, exponents) / (2.0 ** k - 1.0)
+    return _owm_matrix(np.array([k]), k)[0]
+
+
+def _owm_matrix(K: np.ndarray, kmax: int) -> np.ndarray:
+    """Ordered-weighted-mean weights, one row per entry of K, zero past
+    each k."""
+    ranks = np.arange(kmax)[None, :]
+    exps = K[:, None] - 1.0 - ranks
+    denom = np.power(2.0, K.astype(float))[:, None] - 1.0
+    return np.where(ranks < K[:, None], np.power(2.0, exps) / denom, 0.0)
 
 
 def owm_aggregate(adapted_efforts_by_rank: Sequence[float]) -> float:
@@ -130,19 +138,32 @@ def predict_abe0(train: StandardizedDataset, target_row: np.ndarray, k: int) -> 
     return mean_aggregate([float(train.effort_vec[nb.index]) for nb in neighbors])
 
 
+class _FoldContext:
+    """One target's analogies in rank order: their efforts and adaptation
+    diffs (target minus analogy, 0 for categoricals)."""
+
+    def __init__(self, train: StandardizedDataset, target_row: np.ndarray):
+        order = neighbor_order(train, target_row)
+        self.efforts = train.effort_vec[order]
+        diffs = target_row[None, :] - train.matrix[order]
+        diffs[:, train.categorical_mask] = 0.0
+        self.diffs = diffs
+
+    def predict_batch(self, K, masks, W, kmax: int) -> np.ndarray:
+        """Adapted predictions for decoded solutions (K, masks, W) of shapes
+        (p,), (p, m) and (p, rows, m), with kmax = max(K) <= rows."""
+        wv = W[:, :kmax, :] * masks[:, None, :]
+        adj = np.einsum("pkm,km->pk", wv, self.diffs[:kmax]) / self.diffs.shape[1]
+        adapted = self.efforts[None, :kmax] + adj
+        owm = _owm_matrix(K, kmax)
+        return np.maximum((owm * adapted).sum(axis=1), EPS_EFFORT)
+
+
 def predict_adapted(train: StandardizedDataset, target_row: np.ndarray, sol) -> float:
     """Adapt each of the k nearest analogies with its rank's weight row, then
     aggregate with the ordered weighted mean.  Result is floored at EPS_EFFORT."""
-    neighbors = retrieve(train, target_row, sol.k)
-    adapted = [
-        adapt_effort(
-            target_row,
-            train.matrix[nb.index],
-            float(train.effort_vec[nb.index]),
-            sol.weights[nb.rank - 1],
-            sol.mask,
-            train.categorical_mask,
-        )
-        for nb in neighbors
-    ]
-    return max(owm_aggregate(adapted), EPS_EFFORT)
+    if not 1 <= sol.k <= train.n:
+        raise BoundsError(f"k={sol.k} out of range 1..{train.n}")
+    ctx = _FoldContext(train, target_row)
+    return float(ctx.predict_batch(np.array([sol.k]), sol.mask.as_array()[None, :],
+                                   sol.weights[None, :, :], sol.k)[0])

@@ -105,10 +105,9 @@ def cmd_tune(args) -> int:
         else:
             print(f"  solution[{i}]: k={sol['k']}")
     efforts = ds.efforts()
-    baseline = metrics.random_guess_baseline(efforts)
     suite = metrics.aggregate(
         [metrics.PredictionRecord(a, p) for a, p in zip(efforts, result.predictions)],
-        baseline)
+        harness._baseline(efforts, cfg))
     print(f"  SA={100 * suite.sa:.1f} MAE={suite.mae:.4g} MBRE={100 * suite.mbre:.1f} "
           f"MIBRE={100 * suite.mibre:.1f} LSD={suite.lsd:.4g}")
     return 0

@@ -97,10 +97,16 @@ def random_guess_baseline(efforts: Sequence[float], mode="exact", runs: int = 10
         return RandomGuessBaseline(mae_p0=float(off.mean()), sp0=sd, mode="exact")
     if mode == "sampled":
         rng = np.random.default_rng(seed)
-        # one run = guess every project once from the other n-1
-        offsets = rng.integers(1, n, size=(runs, n))
-        guess_idx = (np.arange(n)[None, :] + offsets) % n
-        errs = np.abs(e[None, :] - e[guess_idx]).ravel()
+        # one run = guess every project once from the other n-1; built in
+        # place so only one (runs, n) array is alive at a time
+        idx = rng.integers(1, n, size=(runs, n))
+        idx += np.arange(n)
+        idx %= n
+        errs = e[idx]
+        del idx
+        errs -= e
+        np.abs(errs, out=errs)
+        errs = errs.ravel()
         return RandomGuessBaseline(
             mae_p0=float(errs.mean()),
             sp0=float(np.std(errs, ddof=1)),

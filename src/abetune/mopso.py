@@ -12,15 +12,17 @@ whose reach shrinks with iteration count.
 `run` steps the whole swarm at once, one row per particle, through the
 operators below: `leader_share`, `swarm_draws`, `step_velocity`,
 `step_position`, `mutate` and `update_pbests`.  Every stochastic draw comes
-from a per-particle substream derived from the run seed, so results are
-bit-identical no matter how fitness evaluations are scheduled.
+from one generator seeded by the run seed, in whole-swarm blocks whose order
+is fixed per step: the leader picks, R1, R2, then (while mutating) the
+mutation's selection mask, directions and steps, then the pbest coins.  Every
+yes/no draw is a uniform compared with its probability.  A run is a pure
+function of its seed, however fitness evaluations are scheduled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -67,7 +69,7 @@ class MopsoConfig:
     mutation_exponent: float = 5.0
     archive_capacity: int = 100
     leader_fraction: float = 0.10
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
     classical_mutation: bool = False  # textbook non-uniform decay instead of the printed rule
 
     def __post_init__(self):
@@ -128,55 +130,47 @@ def _non_dominated_mask(f: np.ndarray) -> np.ndarray:
 
 
 class Archive:
-    """Bounded store of mutually non-dominated (position, fitness) pairs."""
+    """Bounded store of mutually non-dominated solutions: `positions` and
+    `fitnesses` hold one row per entry."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise BoundsError("archive capacity must be >= 1")
         self.capacity = capacity
-        self.positions: list[np.ndarray] = []
+        self.positions = np.zeros((0, 0))
         self.fitnesses = np.zeros((0, 0))
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.fitnesses)
 
-    def update(self, positions: Sequence[np.ndarray], fitnesses) -> "Archive":
-        """Merge candidates, drop dominated entries, then prune the most
+    def update(self, positions, fitnesses) -> "Archive":
+        """Merge candidate rows, drop dominated entries, then prune the most
         crowded entries until back under capacity."""
-        new_f = np.atleast_2d(np.asarray(fitnesses, dtype=float))
-        if len(self.positions) == 0:
-            pool_pos = list(positions)
-            pool_fit = new_f
-        else:
-            pool_pos = self.positions + list(positions)
-            pool_fit = np.vstack([self.fitnesses, new_f])
+        pool_pos = np.atleast_2d(np.asarray(positions, dtype=float))
+        pool_fit = np.atleast_2d(np.asarray(fitnesses, dtype=float))
+        if len(self):
+            pool_pos = np.vstack([self.positions, pool_pos])
+            pool_fit = np.vstack([self.fitnesses, pool_fit])
         keep = _non_dominated_mask(pool_fit)
-        self.positions = [pool_pos[i] for i in np.flatnonzero(keep)]
-        self.fitnesses = pool_fit[keep]
-        excess = len(self.positions) - self.capacity
+        excess = int(keep.sum()) - self.capacity
         if excess > 0:
-            cd = crowding_distances(self.fitnesses)
-            drop = set(np.argsort(cd, kind="stable")[:excess].tolist())
-            keep_idx = [i for i in range(len(self.positions)) if i not in drop]
-            self.positions = [self.positions[i] for i in keep_idx]
-            self.fitnesses = self.fitnesses[keep_idx]
+            kept = np.flatnonzero(keep)
+            cd = crowding_distances(pool_fit[kept])
+            keep[kept[np.argsort(cd, kind="stable")[:excess]]] = False
+        self.positions = pool_pos[keep]
+        self.fitnesses = pool_fit[keep]
         return self
 
     def crowding(self) -> np.ndarray:
         return crowding_distances(self.fitnesses)
 
 
-def swarm_draws(rngs, n_leaders: int, d: int):
-    """One step's draws, each particle from its own stream and in this order:
-    its leader's index within the leader share, then its R1 and R2 rows."""
-    pop = len(rngs)
-    pick = np.empty(pop, dtype=int)
-    R1 = np.empty((pop, d))
-    R2 = np.empty((pop, d))
-    for j, rng in enumerate(rngs):
-        pick[j] = rng.integers(0, n_leaders)
-        R1[j] = rng.random(d)
-        R2[j] = rng.random(d)
+def swarm_draws(rng, pop: int, n_leaders: int, d: int):
+    """One step's velocity draws, in this order: each particle's leader
+    index within the leader share, then the (pop, d) R1 and R2 blocks."""
+    pick = rng.integers(0, n_leaders, size=pop)
+    R1 = rng.random((pop, d))
+    R2 = rng.random((pop, d))
     return pick, R1, R2
 
 
@@ -219,36 +213,35 @@ def _mutation_delta(t: int, max_iter: int, y: np.ndarray, r: np.ndarray, b: floa
     return y * (1.0 - r * (t / max_iter) ** b)
 
 
-def mutate(position, t: int, cfg: MopsoConfig, bounds: Bounds, rng) -> np.ndarray:
-    """Non-uniform mutation: each dimension, with probability 1/D, jumps
-    toward the upper or lower bound by an iteration-shrinking step."""
-    d = len(position)
-    selected = np.flatnonzero(rng.random(d) < 1.0 / d)
-    x = position.copy()
-    if len(selected) == 0:
-        return x
-    direction = rng.integers(0, 2, size=len(selected))  # 0 -> toward UB, 1 -> toward LB
-    r = rng.random(len(selected))
-    headroom = np.where(direction == 0,
-                        bounds.upper[selected] - x[selected],
-                        x[selected] - bounds.lower[selected])
-    delta = _mutation_delta(t, cfg.max_iter, headroom, r,
+def mutate(X, t: int, cfg: MopsoConfig, bounds: Bounds, rng) -> np.ndarray:
+    """Non-uniform mutation of a (pop, d) swarm: each coordinate, with
+    probability 1/d, jumps toward the upper or lower bound by an
+    iteration-shrinking step.  Draws the (pop, d) selection block, then one
+    direction per selected coordinate, then one step, in row-major order."""
+    pop, d = X.shape
+    rows, cols = np.nonzero(rng.random((pop, d)) < 1.0 / d)
+    X = X.copy()
+    if len(rows) == 0:
+        return X
+    up = rng.random(len(rows)) < 0.5  # toward UB, else toward LB
+    r = rng.random(len(rows))
+    lo, hi = bounds.lower[cols], bounds.upper[cols]
+    x = X[rows, cols]
+    delta = _mutation_delta(t, cfg.max_iter, np.where(up, hi - x, x - lo), r,
                             cfg.mutation_exponent, cfg.classical_mutation)
-    x[selected] += np.where(direction == 0, delta, -delta)
-    x[selected] = np.clip(x[selected], bounds.lower[selected], bounds.upper[selected])
-    return x
+    X[rows, cols] = np.clip(x + np.where(up, delta, -delta), lo, hi)
+    return X
 
 
-def update_pbests(PB, PBF, X, F, rngs) -> None:
+def update_pbests(PB, PBF, X, F, rng) -> None:
     """Per particle, the dominating side of (current, pbest) becomes the
-    pbest; on mutual non-dominance the particle's own coin decides.  Updates
-    PB and PBF in place."""
-    cur_dom = dominates(F, PBF)
-    pb_dom = dominates(PBF, F)
-    for j, rng in enumerate(rngs):
-        if cur_dom[j] or (not pb_dom[j] and rng.integers(0, 2)):
-            PB[j] = X[j]
-            PBF[j] = F[j]
+    pbest; on mutual non-dominance a coin decides.  One (pop,) block of
+    coins is drawn whether or not a particle needs its coin.  Updates PB
+    and PBF in place."""
+    coin = rng.random(len(F)) < 0.5
+    take = dominates(F, PBF) | (coin & ~dominates(PBF, F))
+    PB[take] = X[take]
+    PBF[take] = F[take]
 
 
 def leader_share(cds: np.ndarray, fraction: float) -> np.ndarray:
@@ -277,36 +270,33 @@ def run(problem, cfg: MopsoConfig) -> Archive:
     bounds: Bounds = problem.bounds
     d = bounds.dim
     pop = cfg.pop_size
-    rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(j,)))
-            for j in range(pop)]
+    rng = np.random.default_rng(cfg.seed)
 
     lb, ub = bounds.lower, bounds.upper
-    X = np.stack([lb + rngs[j].random(d) * (ub - lb) for j in range(pop)])
+    X = lb + rng.random((pop, d)) * (ub - lb)
     V = np.zeros_like(X)
     F = np.asarray(problem.evaluate_batch(X), dtype=float)
     _check_finite(F, t=-1)
     PB = X.copy()
     PBF = F.copy()
 
-    archive = Archive(cfg.archive_capacity)
-    archive.update([X[j].copy() for j in range(pop)], F)
+    archive = Archive(cfg.archive_capacity).update(X, F)
 
     w_start, w_end = cfg.inertia
     T = cfg.max_iter
     for t in range(T):
         w_t = w_start if T == 1 else w_start + (w_end - w_start) * (t / (T - 1))
         leaders = leader_share(archive.crowding(), cfg.leader_fraction)
-        pick, R1, R2 = swarm_draws(rngs, len(leaders), d)
-        G = np.stack([archive.positions[int(leaders[i])] for i in pick])
+        pick, R1, R2 = swarm_draws(rng, pop, len(leaders), d)
+        G = archive.positions[leaders[pick]]
         step_velocity(V, X, PB, G, R1, R2, w_t, cfg.c1, cfg.c2, bounds.v_max)
         X, V = step_position(X, V, bounds)
         if t < T * cfg.mutation_fraction:
-            for j in range(pop):
-                X[j] = mutate(X[j], t, cfg, bounds, rngs[j])
+            X = mutate(X, t, cfg, bounds, rng)
 
         F = np.asarray(problem.evaluate_batch(X), dtype=float)
         _check_finite(F, t)
-        archive.update([X[j].copy() for j in range(pop)], F)
-        update_pbests(PB, PBF, X, F, rngs)
+        archive.update(X, F)
+        update_pbests(PB, PBF, X, F, rng)
 
     return archive

@@ -245,32 +245,6 @@ class _BatchDecoder:
         return K, masks, W
 
 
-def _owm_matrix(K: np.ndarray, kmax: int) -> np.ndarray:
-    """Per-particle ordered-weighted-mean weights, zero past each k."""
-    ranks = np.arange(kmax)[None, :]
-    exps = K[:, None] - 1.0 - ranks
-    denom = np.power(2.0, K.astype(float))[:, None] - 1.0
-    return np.where(ranks < K[:, None], np.power(2.0, exps) / denom, 0.0)
-
-
-class _FoldContext:
-    """Per-fold precomputation: rank order, efforts and adaptation diffs."""
-
-    def __init__(self, train: StandardizedDataset, target_row: np.ndarray):
-        order = abe.neighbor_order(train, target_row)
-        self.efforts = train.effort_vec[order]
-        diffs = target_row[None, :] - train.matrix[order]
-        diffs[:, train.categorical_mask] = 0.0
-        self.diffs = diffs
-
-    def predict_batch(self, K, masks, W, kmax: int) -> np.ndarray:
-        wv = W[:, :kmax, :] * masks[:, None, :]
-        adj = np.einsum("pkm,km->pk", wv, self.diffs[:kmax]) / self.diffs.shape[1]
-        adapted = self.efforts[None, :kmax] + adj
-        owm = _owm_matrix(K, kmax)
-        return np.maximum((owm * adapted).sum(axis=1), abe.EPS_EFFORT)
-
-
 class LocalProblem:
     """Single held-out project scored on (AE, BRE, IBRE) with its actual."""
 
@@ -279,7 +253,7 @@ class LocalProblem:
         self.space = SolutionSpace(n_rows=train.n, m=train.m, variant=variant)
         self.bounds = self.space.bounds()
         self.decoder = _BatchDecoder(self.space)
-        self.ctx = _FoldContext(train, target_row)
+        self.ctx = abe._FoldContext(train, target_row)
         self.actual = float(target_actual)
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
@@ -308,7 +282,7 @@ class GlobalProblem:
         self.decoder = _BatchDecoder(self.space)
         self.actuals = ds.efforts().copy()
         self.baseline = baseline or metrics.random_guess_baseline(self.actuals)
-        ctxs = [_FoldContext(*ds.loocv_fold(i)[:2]) for i in range(ds.n)]
+        ctxs = [abe._FoldContext(*ds.loocv_fold(i)[:2]) for i in range(ds.n)]
         self.efforts = np.stack([c.efforts for c in ctxs])  # (n, n-1)
         self.diffs = np.stack([c.diffs for c in ctxs])      # (n, n-1, m)
 
@@ -316,7 +290,7 @@ class GlobalProblem:
         wv = W[:, :kmax, :] * masks[:, None, :]
         adj = np.einsum("pkm,fkm->pfk", wv, self.diffs[:, :kmax, :]) / self.diffs.shape[2]
         adapted = self.efforts[None, :, :kmax] + adj
-        owm = _owm_matrix(K, kmax)
+        owm = abe._owm_matrix(K, kmax)
         return np.maximum(np.einsum("pfk,pk->pf", adapted, owm), abe.EPS_EFFORT)
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
@@ -349,8 +323,10 @@ class TuningResult:
     mode: str
 
 
-def _fold_seed(base_seed: int, index: int) -> int:
-    return (int(base_seed) ^ index) & 0xFFFFFFFFFFFFFFFF
+def _fold_seed(base_seed: int, index: int) -> np.random.SeedSequence:
+    """The swarm seed of fold `index`: a child of the base seed's sequence,
+    distinct for every (base seed, fold) pair."""
+    return np.random.SeedSequence(int(base_seed), spawn_key=(index,))
 
 
 def _front(problem, cfg: mopso.MopsoConfig) -> list:
@@ -385,8 +361,9 @@ def _replace_seed(cfg: mopso.MopsoConfig, seed: int) -> mopso.MopsoConfig:
 
 def run_lt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
            threads: int = 1) -> TuningResult:
-    """One optimizer run per held-out project; fold seeds derive from the
-    base seed by XOR with the project index, so fold order is immaterial."""
+    """One optimizer run per held-out project, each seeded by `_fold_seed`
+    from the base seed and the project index, so fold order is immaterial.
+    The held-out project is predicted by `abe.predict_adapted`."""
     if variant.mode not in ("local_oracle", "local_honest"):
         raise BoundsError("run_lt requires a local mode")
     results = [None] * ds.n
@@ -410,15 +387,14 @@ def run_lt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConf
 def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
            threads: int = 1) -> TuningResult:
     """One optimizer run per dataset; the chosen shared solution is then
-    applied to every project under leave-one-out to produce predictions."""
+    applied to every project under leave-one-out, by the arithmetic that
+    scored it, to produce predictions."""
     if variant.mode != "global":
         raise BoundsError("run_gt requires the global mode")
-    front = _front(GlobalProblem(ds, variant), cfg)
+    problem = GlobalProblem(ds, variant)
+    front = _front(problem, cfg)
     sol, _ = select_from_front(front)
-    preds = np.empty(ds.n)
-    for i in range(ds.n):
-        train, target_row, _ = ds.loocv_fold(i)
-        preds[i] = abe.predict_adapted(train, target_row, sol)
+    preds = problem.predict_all(*_solution_rows(sol, problem.space.n_rows), sol.k)[0]
     return TuningResult(predictions=preds, solutions=[sol], fronts=[front], mode="global")
 
 

@@ -254,6 +254,17 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "solution[0]" in proc.stdout and "k=" in proc.stdout
 
+    def test_tune_scores_with_the_configured_baseline(self, tmp_path):
+        path = self.write_config(tmp_path, datasets=[{"name": "nasa"}],
+                                 methods=["abe0", "lt"], baseline={"sampled": 50})
+        out = tmp_path / "out"
+        assert self.cli("run", "--config", str(path), "--out", str(out)).returncode == 0
+        sa = json.loads((out / "report.json").read_text())["results"]["nasa"]["abe0"][
+            "metrics"]["sa"]
+        proc = self.cli("tune", "--config", str(path), "--dataset", "nasa", "--method", "abe0")
+        assert proc.returncode == 0, proc.stderr
+        assert f" SA={100 * sa:.1f} " in proc.stdout
+
     def test_compare_over_prediction_files(self, tmp_path):
         path = self.write_config(tmp_path)
         out = tmp_path / "out"

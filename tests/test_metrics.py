@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from abetune import metrics
+from abetune.datasets import load_bundled
 from abetune.errors import BoundsError, UndefinedBaselineError
 from abetune.metrics import PredictionRecord as R
 
@@ -85,6 +86,16 @@ class TestBaseline:
         n_draws = 100_000 * len(efforts)
         band = 3.0 * exact.sp0 / math.sqrt(n_draws)
         assert abs(sampled.mae_p0 - exact.mae_p0) <= band * 5  # slack for correlation
+
+    def test_sampled_matches_the_direct_expression(self):
+        e = load_bundled("desharnais").efforts()
+        got = metrics.random_guess_baseline(e, mode="sampled", runs=100_000, seed=1)
+        n = len(e)
+        guess_idx = (np.arange(n)[None, :]
+                     + np.random.default_rng(1).integers(1, n, size=(100_000, n))) % n
+        errs = np.abs(e[None, :] - e[guess_idx]).ravel()
+        assert (got.mae_p0, got.sp0) == (float(errs.mean()), float(np.std(errs, ddof=1)))
+        assert (got.mae_p0, got.sp0) == (3477.793654805195, 3218.8296808804675)
 
     def test_too_few_efforts(self):
         with pytest.raises(BoundsError):

@@ -6,20 +6,36 @@ from abetune.errors import BoundsError, EvaluationError
 from abetune.mopso import Archive, Bounds, MopsoConfig
 
 
+_default_rng = np.random.default_rng
+
+
 class ScriptedRng:
-    """Deterministic stand-in replaying preset uniform/integer draws."""
+    """Deterministic stand-in replaying preset blocks of uniform draws; each
+    block must have the shape the caller asks for."""
 
-    def __init__(self, uniforms=(), integers=()):
-        self._uniforms = list(uniforms)
-        self._integers = list(integers)
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
 
-    def random(self, n=None):
-        out = self._uniforms.pop(0)
-        return np.asarray(out, dtype=float) if n is not None else float(out)
+    def random(self, size):
+        out = np.asarray(self.uniforms.pop(0), dtype=float)
+        assert out.shape == np.empty(size).shape
+        return out
 
-    def integers(self, low, high, size=None):
-        out = self._integers.pop(0)
-        return np.asarray(out) if size is not None else int(out)
+
+class RecordingRng:
+    """A real generator that logs each call's method and requested shape."""
+
+    def __init__(self, seed, log):
+        self._rng = _default_rng(seed)
+        self.log = log
+
+    def random(self, size):
+        self.log.append(("random", np.empty(size).shape))
+        return self._rng.random(size)
+
+    def integers(self, low, high, size):
+        self.log.append(("integers", np.empty(size).shape))
+        return self._rng.integers(low, high, size=size)
 
 
 class TestDominates:
@@ -59,14 +75,32 @@ def rows(*values):
 
 
 class TestDrawOrder:
-    def test_each_particle_draws_from_its_own_stream(self):
-        rngs = [np.random.default_rng(s) for s in (5, 6)]
-        pick, R1, R2 = mopso.swarm_draws(rngs, 3, 2)
-        for j, seed in enumerate((5, 6)):
-            ref = np.random.default_rng(seed)
-            assert pick[j] == ref.integers(0, 3)
-            assert R1[j].tolist() == ref.random(2).tolist()
-            assert R2[j].tolist() == ref.random(2).tolist()
+    def test_one_generator_draws_whole_swarm_blocks_in_step_order(self, monkeypatch):
+        pop, d = 6, 5
+        seeds, log = [], []
+
+        def default_rng(seed):
+            seeds.append(seed)
+            return RecordingRng(seed, log)
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+
+        class Box(BiObjective):
+            bounds = Bounds(lower=np.zeros(d), upper=np.ones(d))
+
+        mopso.run(Box(), MopsoConfig(pop_size=pop, max_iter=2, seed=4, mutation_fraction=0.5))
+        assert seeds == [4]
+        # t = 0 mutates: a selection block, then one direction and one step
+        # per selected coordinate; t = 1 does not mutate
+        velocity = [("integers", (pop,)), ("random", (pop, d)), ("random", (pop, d))]
+        n_sel = log[5][1]
+        assert len(n_sel) == 1 and 1 <= n_sel[0] <= pop * d
+        assert log == [("random", (pop, d)),
+                       *velocity,
+                       ("random", (pop, d)), ("random", n_sel), ("random", n_sel),
+                       ("random", (pop,)),
+                       *velocity,
+                       ("random", (pop,))]
 
 
 class TestVelocity:
@@ -117,17 +151,20 @@ class TestMutation:
         return MopsoConfig(pop_size=2, max_iter=100, **kw)
 
     def test_zero_headroom_at_upper_bound(self):
-        b = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
-        rng = ScriptedRng(uniforms=[[0.0], [0.5]], integers=[[0]])  # selected, toward UB
-        x = mopso.mutate(np.array([1.0]), 10, self.cfg(), b, rng)
-        assert x.tolist() == [1.0]
+        b = Bounds(lower=np.zeros(2), upper=np.ones(2))
+        # only the first coordinate of the first particle is selected, toward UB
+        rng = ScriptedRng([[[0.0, 0.9], [0.9, 0.9]], [0.0], [0.5]])
+        X = mopso.mutate(np.array([[1.0, 0.3], [0.4, 0.3]]), 10, self.cfg(), b, rng)
+        assert X.tolist() == [[1.0, 0.3], [0.4, 0.3]]
 
     def test_full_range_at_t_zero(self):
-        # delta(0, y) = y regardless of r, so an upward move lands on UB
+        # delta(0, y) = y regardless of r, so an upward move (direction
+        # draw below 0.5) lands on UB and a downward one on LB; directions
+        # follow the selected coordinates in row-major order
         b = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
-        rng = ScriptedRng(uniforms=[[0.0], [0.77]], integers=[[0]])
-        x = mopso.mutate(np.array([0.25]), 0, self.cfg(), b, rng)
-        assert x.tolist() == pytest.approx([1.0])
+        rng = ScriptedRng([[[0.0], [0.0]], [0.2, 0.8], [0.77, 0.3]])
+        X = mopso.mutate(rows(0.25, 0.6), 0, self.cfg(), b, rng)
+        assert X.ravel().tolist() == pytest.approx([1.0, 0.0])
 
     def test_delta_vanishes_at_final_iteration(self):
         y = np.array([0.8])
@@ -148,11 +185,19 @@ class TestMutation:
 
     def test_unselected_dimensions_untouched(self):
         b = Bounds(lower=np.zeros(4), upper=np.ones(4))
-        rng = ScriptedRng(uniforms=[[0.9, 0.9, 0.1, 0.9], [0.5]], integers=[[0]])
-        x0 = np.array([0.5, 0.5, 0.5, 0.5])
-        x = mopso.mutate(x0, 0, self.cfg(), b, rng)
-        assert x[0] == 0.5 and x[1] == 0.5 and x[3] == 0.5
-        assert x[2] != 0.5
+        rng = ScriptedRng([[[0.9, 0.9, 0.1, 0.9], [0.9, 0.9, 0.9, 0.9]], [0.0], [0.5]])
+        X0 = np.full((2, 4), 0.5)
+        X = mopso.mutate(X0, 0, self.cfg(), b, rng)
+        changed = X != 0.5
+        assert changed.tolist() == [[False, False, True, False], [False] * 4]
+        assert X0.tolist() == np.full((2, 4), 0.5).tolist()
+
+    def test_nothing_selected_draws_nothing_more(self):
+        b = Bounds(lower=np.zeros(2), upper=np.ones(2))
+        rng = ScriptedRng([[[0.9, 0.9], [0.5, 0.6]]])
+        X = mopso.mutate(np.full((2, 2), 0.5), 0, self.cfg(), b, rng)
+        assert X.tolist() == np.full((2, 2), 0.5).tolist()
+        assert rng.uniforms == []
 
 
 class TestArchive:
@@ -215,8 +260,7 @@ class TestLeaderSelection:
         cds = self.make_archive(20).crowding()
         share = mopso.leader_share(cds, 0.1)
         assert share.tolist() == np.argsort(-cds, kind="stable")[:2].tolist()
-        rngs = [np.random.default_rng(s) for s in range(200)]
-        pick, _, _ = mopso.swarm_draws(rngs, len(share), 1)
+        pick, _, _ = mopso.swarm_draws(np.random.default_rng(0), 200, len(share), 1)
         assert set(pick.tolist()) == {0, 1}
 
     def test_empty_archive_rejected(self):
@@ -225,39 +269,37 @@ class TestLeaderSelection:
 
 
 class TestPbest:
-    def update(self, fitness, pbest_fitness, rngs):
+    def update(self, fitness, pbest_fitness, rng):
         pop = len(fitness)
         PB = np.zeros((pop, 1))
         PBF = np.array(pbest_fitness, dtype=float)
         X = np.ones((pop, 1))
-        mopso.update_pbests(PB, PBF, X, np.array(fitness, dtype=float), rngs)
+        mopso.update_pbests(PB, PBF, X, np.array(fitness, dtype=float), rng)
         return PB, PBF
 
     def test_current_dominates(self):
-        PB, PBF = self.update([[1, 1], [3, 3]], [[2, 2], [2, 2]],
-                              [np.random.default_rng(0)] * 2)
+        PB, PBF = self.update([[1, 1], [3, 3]], [[2, 2], [2, 2]], np.random.default_rng(0))
         assert PBF.tolist() == [[1, 1], [2, 2]]
         assert PB.tolist() == [[1.0], [0.0]]
 
     def test_pbest_kept_when_dominating(self):
-        PB, PBF = self.update([[2, 2], [2, 2]], [[1, 1], [1, 2]],
-                              [np.random.default_rng(0)] * 2)
+        PB, PBF = self.update([[2, 2], [2, 2]], [[1, 1], [1, 2]], np.random.default_rng(0))
         assert PBF.tolist() == [[1, 1], [1, 2]] and PB.tolist() == [[0.0], [0.0]]
 
     def test_coin_flip_roughly_even(self):
         pop = 1000
-        rngs = [np.random.default_rng(42 + j) for j in range(pop)]
-        _, PBF = self.update([[1, 3]] * pop, [[3, 1]] * pop, rngs)
+        _, PBF = self.update([[1, 3]] * pop, [[3, 1]] * pop, np.random.default_rng(42))
         kept = sum(row == [3, 1] for row in PBF.tolist())
         assert 450 <= kept <= 550
 
-    def test_only_undecided_particles_draw_a_coin(self):
-        rngs = [np.random.default_rng(7) for _ in range(3)]
-        self.update([[1, 1], [3, 3], [1, 3]], [[2, 2], [2, 2], [3, 1]], rngs)
-        ref = np.random.default_rng(7)
-        nxt = ref.random()
-        assert rngs[0].random() == nxt and rngs[1].random() == nxt
-        assert rngs[2].random() != nxt
+    def test_coins_decide_only_undecided_particles(self):
+        # one coin per particle, heads below 0.5; the first two are decided
+        # by dominance whatever their coins say, the last two follow theirs
+        rng = ScriptedRng([[0.9, 0.1, 0.1, 0.9]])
+        PB, PBF = self.update([[1, 1], [3, 3], [1, 3], [1, 3]],
+                              [[2, 2], [2, 2], [3, 1], [3, 1]], rng)
+        assert PBF.tolist() == [[1, 1], [2, 2], [1, 3], [3, 1]]
+        assert PB.ravel().tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 class BiObjective:

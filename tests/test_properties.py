@@ -108,10 +108,8 @@ class TestEncodingProperties:
         seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
         cfg = mopso.MopsoConfig(pop_size=pop, max_iter=10, seed=seed)
         t = data.draw(st.integers(min_value=0, max_value=4))
-        rng = np.random.default_rng(seed)
-        for x in nX:
-            mx = mopso.mutate(x, t, cfg, bounds, rng)
-            assert np.all(mx >= lo) and np.all(mx <= hi)
+        mX = mopso.mutate(nX, t, cfg, bounds, np.random.default_rng(seed))
+        assert np.all(mX >= lo) and np.all(mX <= hi)
 
 
 class TestAggregationFixedPoints:

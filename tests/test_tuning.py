@@ -259,8 +259,24 @@ class TestRunners:
         sol = res.solutions[0]
         for i in range(ds.n):
             train, row, _ = ds.loocv_fold(i)
-            assert res.predictions[i] == pytest.approx(
-                abe.predict_adapted(train, row, sol), abs=0)
+            assert res.predictions[i] == pytest.approx(ref.predict(train, row, sol), rel=1e-12)
+
+    def test_lt_prediction_has_the_selected_entry_error(self):
+        ds = load_bundled("albrecht")
+        res = tuning.run_lt(ds, VARIANTS["lt"], mopso.MopsoConfig(pop_size=10, max_iter=5, seed=3))
+        for i, front in enumerate(res.fronts):
+            sol, obj = select_from_front(front)
+            assert sol is res.solutions[i]
+            actual = ds.efforts()[i]
+            assert abs(abs(actual - res.predictions[i]) - obj[0]) <= 1e-12 * max(1.0, actual)
+
+    def test_fold_streams_are_distinct(self):
+        def state(seed, fold):
+            return tuple(tuning._fold_seed(seed, fold).generate_state(4, np.uint64).tolist())
+
+        # the base seed XOR the fold index maps all three to seed 1
+        assert len({state(1, 0), state(2, 3), state(3, 2)}) == 3
+        assert len({state(seed, i) for seed in (1, 2, 3) for i in range(77)}) == 3 * 77
 
     def test_variant_flags_respected(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7]],
