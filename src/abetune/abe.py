@@ -139,24 +139,31 @@ def predict_abe0(train: StandardizedDataset, target_row: np.ndarray, k: int) -> 
 
 
 class _FoldContext:
-    """One target's analogies in rank order: their efforts and adaptation
-    diffs (target minus analogy, 0 for categoricals)."""
+    """A stack of folds, each one target's analogies in rank order: their
+    efforts (f, r) and adaptation diffs (f, r, m), target minus analogy and
+    0 for categoricals.  Built from (train, target_row) pairs that share r
+    and m; a single pair is one local fold, a leave-one-out pass is n."""
 
-    def __init__(self, train: StandardizedDataset, target_row: np.ndarray):
-        order = neighbor_order(train, target_row)
-        self.efforts = train.effort_vec[order]
-        diffs = target_row[None, :] - train.matrix[order]
-        diffs[:, train.categorical_mask] = 0.0
-        self.diffs = diffs
+    def __init__(self, folds):
+        efforts, diffs = [], []
+        for train, target_row in folds:
+            order = neighbor_order(train, target_row)
+            efforts.append(train.effort_vec[order])
+            d = target_row[None, :] - train.matrix[order]
+            d[:, train.categorical_mask] = 0.0
+            diffs.append(d)
+        self.efforts = np.stack(efforts)
+        self.diffs = np.stack(diffs)
 
     def predict_batch(self, K, masks, W, kmax: int) -> np.ndarray:
-        """Adapted predictions for decoded solutions (K, masks, W) of shapes
-        (p,), (p, m) and (p, rows, m), with kmax = max(K) <= rows."""
+        """(p, f) adapted predictions for decoded solutions (K, masks, W) of
+        shapes (p,), (p, m) and (p, rows, m), with kmax = max(K) <= rows."""
         wv = W[:, :kmax, :] * masks[:, None, :]
-        adj = np.einsum("pkm,km->pk", wv, self.diffs[:kmax]) / self.diffs.shape[1]
-        adapted = self.efforts[None, :kmax] + adj
-        owm = _owm_matrix(K, kmax)
-        return np.maximum((owm * adapted).sum(axis=1), EPS_EFFORT)
+        adapted = np.einsum("pkm,fkm->pfk", wv, self.diffs[:, :kmax, :])
+        adapted /= self.diffs.shape[2]
+        adapted += self.efforts[None, :, :kmax]
+        adapted *= _owm_matrix(K, kmax)[:, None, :]
+        return np.maximum(adapted.sum(axis=2), EPS_EFFORT)
 
 
 def predict_adapted(train: StandardizedDataset, target_row: np.ndarray, sol) -> float:
@@ -164,6 +171,6 @@ def predict_adapted(train: StandardizedDataset, target_row: np.ndarray, sol) -> 
     aggregate with the ordered weighted mean.  Result is floored at EPS_EFFORT."""
     if not 1 <= sol.k <= train.n:
         raise BoundsError(f"k={sol.k} out of range 1..{train.n}")
-    ctx = _FoldContext(train, target_row)
+    ctx = _FoldContext([(train, target_row)])
     return float(ctx.predict_batch(np.array([sol.k]), sol.mask.as_array()[None, :],
-                                   sol.weights[None, :, :], sol.k)[0])
+                                   sol.weights[None, :, :], sol.k)[0, 0])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,16 +67,12 @@ def _resolve_config(args) -> harness.ExperimentConfig:
         if not 0 <= args.seed < 2 ** 64:
             raise ConfigError("--seed must be an unsigned 64-bit integer")
         overrides["seed"] = args.seed
-        from dataclasses import replace
-
         overrides["mopso"] = replace(cfg.mopso, seed=args.seed)
     if args.mode:
         overrides["mode"] = args.mode
     if args.out:
         overrides["output_dir"] = str(args.out)
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     return cfg
 

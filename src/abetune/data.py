@@ -128,7 +128,6 @@ class StandardizedDataset:
     """
 
     specs: tuple[FeatureSpec, ...]
-    projects: tuple[Project, ...]
     name: str
     matrix: np.ndarray
     effort_vec: np.ndarray
@@ -138,7 +137,7 @@ class StandardizedDataset:
 
     @property
     def n(self) -> int:
-        return len(self.projects)
+        return self.matrix.shape[0]
 
     @property
     def m(self) -> int:
@@ -152,7 +151,6 @@ class StandardizedDataset:
         idx = np.asarray(indices, dtype=int)
         return StandardizedDataset(
             specs=self.specs,
-            projects=tuple(self.projects[i] for i in idx),
             name=self.name,
             matrix=self.matrix[idx],
             effort_vec=self.effort_vec[idx],
@@ -165,26 +163,6 @@ class StandardizedDataset:
         """Return (train view without row i, target feature row, target effort)."""
         keep = [j for j in range(self.n) if j != i]
         return self.subset(keep), self.matrix[i], float(self.effort_vec[i])
-
-    def encode_row(self, values) -> np.ndarray:
-        """Encode a raw project's input values with this dataset's scaling.
-
-        Numeric values are min-max scaled with the recorded (min, max);
-        unseen categorical labels get a fresh code that matches nothing.
-        """
-        input_specs = tuple(s for s in self.specs if s.role is Role.INPUT)
-        value_specs = tuple(s for s in self.specs if s.role is not Role.EFFORT)
-        col_of = {s.name: i for i, s in enumerate(value_specs)}
-        row = np.zeros(self.m)
-        for j, spec in enumerate(input_specs):
-            v = values[col_of[spec.name]]
-            if self.categorical_mask[j]:
-                known = self.labels[j]
-                row[j] = known.index(v) if v in known else len(known)
-            else:
-                lo, hi = self.scaling[j]
-                row[j] = (float(v) - lo) / (hi - lo) if hi > lo else 0.0
-        return row
 
 
 def _parse_cell(raw: str, spec: FeatureSpec, row: int):
@@ -302,7 +280,6 @@ def standardize(ds: Dataset) -> StandardizedDataset:
     cat_mask = np.zeros(m, dtype=bool)
     scaling = []
     labels = []
-    new_projects = [list(p.values) for p in ds.projects]
 
     for j, spec in enumerate(input_specs):
         col = col_of[spec.name]
@@ -332,16 +309,9 @@ def standardize(ds: Dataset) -> StandardizedDataset:
             matrix[:, j] = scaled
             scaling.append((lo, hi))
             labels.append(None)
-            for i in range(n):
-                new_projects[i][col] = float(scaled[i])
 
-    projects = tuple(
-        Project(values=tuple(vals), effort=p.effort)
-        for vals, p in zip(new_projects, ds.projects)
-    )
     return StandardizedDataset(
         specs=ds.specs,
-        projects=projects,
         name=ds.name,
         matrix=matrix,
         effort_vec=ds.efforts(),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,11 @@ class DatasetConfig:
         return tuple(specs)
 
 
+# The MopsoConfig fields a config may set, with their defaults: all but the
+# seed, which is the config's own.
+MOPSO_SETTINGS = {f.name: f.default for f in fields(MopsoConfig) if f.name != "seed"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     datasets: tuple
@@ -71,6 +76,8 @@ class ExperimentConfig:
         """Semantic config echo for the report; execution-only knobs
         (threads, output paths) are deliberately excluded so reports stay
         byte-identical across schedulers."""
+        mopso = {name: getattr(self.mopso, name) for name in MOPSO_SETTINGS}
+        mopso["inertia"] = list(mopso["inertia"])
         return {
             "datasets": [
                 {
@@ -83,23 +90,90 @@ class ExperimentConfig:
                 for d in self.datasets
             ],
             "methods": list(self.methods),
-            "mopso": {
-                "pop_size": self.mopso.pop_size,
-                "max_iter": self.mopso.max_iter,
-                "inertia": list(self.mopso.inertia),
-                "c1": self.mopso.c1,
-                "c2": self.mopso.c2,
-                "mutation_fraction": self.mopso.mutation_fraction,
-                "mutation_exponent": self.mopso.mutation_exponent,
-                "archive_capacity": self.mopso.archive_capacity,
-                "leader_fraction": self.mopso.leader_fraction,
-                "classical_mutation": self.mopso.classical_mutation,
-            },
+            "mopso": mopso,
             "seed": self.seed,
             "baseline": self.baseline,
             "baseline_runs": self.baseline_runs,
             "mode": self.mode,
         }
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_list(v) -> bool:
+    return isinstance(v, (list, tuple))
+
+
+def _misfit(value, default) -> str | None:
+    """What a MopsoConfig setting with this default must be, or None when
+    the value fits."""
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "true or false"
+    if isinstance(default, int):
+        return None if _is_int(value) else "an integer"
+    if isinstance(default, float):
+        return None if _is_number(value) else "a finite number"
+    if _is_list(value) and len(value) == len(default) and all(map(_is_number, value)):
+        return None
+    return f"a list of {len(default)} finite numbers"
+
+
+def _string_list(entry: dict, key: str, where: str) -> tuple:
+    value = entry.get(key, [])
+    if not _is_list(value) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{where}: {key} must be a list of strings")
+    return tuple(value)
+
+
+def _dataset_config(entry, base_dir: Path | None) -> DatasetConfig:
+    if isinstance(entry, str):
+        entry = {"name": entry}
+    if not isinstance(entry, dict):
+        raise ConfigError("dataset entries must be a name or an object")
+    for key in ("name", "path", "effort_column"):
+        if entry.get(key) is not None and not isinstance(entry[key], str):
+            raise ConfigError(f"dataset {key} must be a string, got {entry[key]!r}")
+    name = entry.get("name")
+    path = entry.get("path")
+    if not name and not path:
+        raise ConfigError("dataset entries need a name or a path")
+    if path is None and name not in datasets.BUNDLED:
+        raise ConfigError(f"unknown bundled dataset {name!r}")
+    if path is not None:
+        path = str((base_dir / path) if base_dir and not Path(path).is_absolute() else Path(path))
+        if not entry.get("effort_column"):
+            raise ConfigError(f"dataset {name or path!r}: effort_column is required with a path")
+    where = f"dataset {name or path!r}"
+    return DatasetConfig(
+        name=name or Path(path).stem,
+        path=path,
+        effort_column=entry.get("effort_column"),
+        categorical_columns=_string_list(entry, "categorical_columns", where),
+        excluded_columns=_string_list(entry, "excluded_columns", where),
+    )
+
+
+def _mopso_config(mraw, seed: int) -> MopsoConfig:
+    if not isinstance(mraw, dict):
+        raise ConfigError("mopso must be an object")
+    unknown = sorted(set(mraw) - set(MOPSO_SETTINGS))
+    if unknown:
+        raise ConfigError(f"unknown mopso settings {unknown}; choose from {sorted(MOPSO_SETTINGS)}")
+    for key, value in mraw.items():
+        expected = _misfit(value, MOPSO_SETTINGS[key])
+        if expected:
+            raise ConfigError(f"mopso {key} must be {expected}, got {value!r}")
+    values = {k: tuple(v) if _is_list(v) else v for k, v in mraw.items()}
+    try:
+        return MopsoConfig(seed=seed, **values)
+    except BoundsError as exc:
+        raise ConfigError(f"bad mopso settings: {exc}") from exc
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -109,35 +183,20 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if "seed" not in raw:
         raise ConfigError("config must set an explicit seed (no wall-clock seeding)")
     seed = raw["seed"]
-    if not isinstance(seed, int) or seed < 0 or seed >= 2 ** 64:
+    if not _is_int(seed) or seed < 0 or seed >= 2 ** 64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
 
     ds_raw = raw.get("datasets") or []
+    if not _is_list(ds_raw):
+        raise ConfigError("datasets must be a list")
     if not ds_raw:
         raise ConfigError("config needs at least one dataset")
-    ds_cfgs = []
-    for entry in ds_raw:
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        name = entry.get("name")
-        path = entry.get("path")
-        if not name and not path:
-            raise ConfigError("dataset entries need a name or a path")
-        if path is None and name not in datasets.BUNDLED:
-            raise ConfigError(f"unknown bundled dataset {name!r}")
-        if path is not None:
-            path = str((base_dir / path) if base_dir and not Path(path).is_absolute() else Path(path))
-            if not entry.get("effort_column"):
-                raise ConfigError(f"dataset {name or path!r}: effort_column is required with a path")
-        ds_cfgs.append(DatasetConfig(
-            name=name or Path(path).stem,
-            path=path,
-            effort_column=entry.get("effort_column"),
-            categorical_columns=tuple(entry.get("categorical_columns", ())),
-            excluded_columns=tuple(entry.get("excluded_columns", ())),
-        ))
+    ds_cfgs = [_dataset_config(entry, base_dir) for entry in ds_raw]
 
-    methods = tuple(raw.get("methods") or ())
+    methods = raw.get("methods") or []
+    if not _is_list(methods):
+        raise ConfigError("methods must be a list")
+    methods = tuple(methods)
     if not methods:
         raise ConfigError("config needs at least one method")
     unknown = [m for m in methods if m not in METHOD_ORDER]
@@ -146,37 +205,25 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if len(set(methods)) != len(methods):
         raise ConfigError(f"methods repeat: {list(methods)}")
 
-    mraw = raw.get("mopso", {})
-    try:
-        mopso_cfg = MopsoConfig(
-            pop_size=mraw.get("pop_size", 100),
-            max_iter=mraw.get("max_iter", 100),
-            inertia=tuple(mraw.get("inertia", (0.9, 0.4))),
-            c1=mraw.get("c1", 2.0),
-            c2=mraw.get("c2", 2.0),
-            mutation_fraction=mraw.get("mutation_fraction", 0.5),
-            mutation_exponent=mraw.get("mutation_exponent", 5.0),
-            archive_capacity=mraw.get("archive_capacity", 100),
-            leader_fraction=mraw.get("leader_fraction", 0.10),
-            classical_mutation=mraw.get("classical_mutation", False),
-            seed=seed,
-        )
-    except BoundsError as exc:
-        raise ConfigError(f"bad mopso settings: {exc}") from exc
+    mopso_cfg = _mopso_config(raw.get("mopso", {}), seed)
 
     baseline = raw.get("baseline", "exact")
     baseline_runs = 100_000
     if isinstance(baseline, dict):
-        if list(baseline) != ["sampled"]:
-            raise ConfigError('baseline must be "exact" or {"sampled": runs}')
-        baseline_runs = int(baseline["sampled"])
-        baseline = "sampled"
+        runs = baseline.get("sampled")
+        if list(baseline) != ["sampled"] or not _is_int(runs) or runs < 1:
+            raise ConfigError('baseline must be "exact" or {"sampled": runs}, runs >= 1')
+        baseline, baseline_runs = "sampled", runs
     elif baseline != "exact":
-        raise ConfigError('baseline must be "exact" or {"sampled": runs}')
+        raise ConfigError('baseline must be "exact" or {"sampled": runs}, runs >= 1')
 
     mode = raw.get("mode", "oracle")
     if mode not in ("oracle", "honest"):
         raise ConfigError('mode must be "oracle" or "honest"')
+
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError("output_dir must be a string")
 
     return ExperimentConfig(
         datasets=tuple(ds_cfgs),
@@ -186,7 +233,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         baseline=baseline,
         baseline_runs=baseline_runs,
         mode=mode,
-        output_dir=raw.get("output_dir", "out"),
+        output_dir=output_dir,
     )
 
 
@@ -231,7 +278,7 @@ def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, mode: str =
         raise ConfigError(f"unknown method {name!r}")
     variant = tuning.VARIANTS[name]
     if variant.mode == "global":
-        result = tuning.run_gt(ds, variant, cfg, threads=threads)
+        result = tuning.run_gt(ds, variant, cfg)
     else:
         if mode == "honest":
             variant = replace(variant, mode="local_honest")

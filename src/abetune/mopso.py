@@ -22,7 +22,7 @@ function of its seed, however fitness evaluations are scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import BoundsError, EvaluationError
 class Bounds:
     lower: np.ndarray
     upper: np.ndarray
-    v_max: np.ndarray | None = None  # per-dimension cap; v_min is -v_max
+    v_max: np.ndarray = field(init=False)  # a quarter of each range; v_min is -v_max
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -44,14 +44,7 @@ class Bounds:
             raise BoundsError("lower/upper must be 1-d arrays of equal length")
         if not np.all(lo < hi):
             raise BoundsError("every lower bound must be strictly below its upper bound")
-        vm = self.v_max
-        if vm is None:
-            vm = 0.25 * (hi - lo)
-        else:
-            vm = np.asarray(vm, dtype=float)
-            if vm.shape != lo.shape or not np.all(vm > 0):
-                raise BoundsError("v_max must be positive and match the box shape")
-        object.__setattr__(self, "v_max", vm)
+        object.__setattr__(self, "v_max", 0.25 * (hi - lo))
 
     @property
     def dim(self) -> int:
@@ -77,6 +70,10 @@ class MopsoConfig:
             raise BoundsError("pop_size must be >= 2")
         if self.max_iter < 1:
             raise BoundsError("max_iter must be >= 1")
+        if self.archive_capacity < 1:
+            raise BoundsError("archive_capacity must be >= 1")
+        if self.mutation_exponent < 0:
+            raise BoundsError("mutation_exponent must be >= 0")
         if not 0.0 <= self.mutation_fraction <= 1.0:
             raise BoundsError("mutation_fraction must lie in [0, 1]")
 

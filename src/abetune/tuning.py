@@ -5,12 +5,16 @@ works in a continuous box: one dimension for k, one for the integer-encoded
 mask, and one per weight cell; pinned variables (per variant, or where only
 one value is possible) are left out of the box entirely.  Local tuning runs
 one optimizer per held-out project, global tuning runs a single optimizer
-whose fitness is an internal leave-one-out pass over the whole dataset.
+whose fitness is an internal leave-one-out pass over the whole dataset.  Both
+kinds of problem decode the swarm with `SolutionSpace.decode` and predict
+through one `abe._FoldContext`: one fold for a local problem, n for a global
+one (and for the honest local mode's inner pass).  They differ only in their
+first objective: a local problem's AE, a global problem's -SA.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -129,13 +133,48 @@ class SolutionSpace:
             upper.extend([1.0] * (self.n_rows * self.m))
         return mopso.Bounds(lower=np.array(lower), upper=np.array(upper))
 
+    def decode(self, X: np.ndarray):
+        """Swarm positions, one row per particle -> (K, masks, W) with shapes
+        (p,), (p, m) and (p, rows, m)."""
+        X = np.asarray(X, dtype=float)
+        pop = X.shape[0]
+        n_rows, m = self.n_rows, self.m
+        i = 0
+        if self.free_k:
+            K = np.clip(np.floor(X[:, i] + 0.5).astype(int), 1, n_rows)
+            i += 1
+        else:
+            K = np.ones(pop, dtype=int)
+        if self.free_mask:
+            vint = np.clip(np.floor(X[:, i] + 0.5).astype(np.int64), 1, 2 ** m - 1)
+            shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
+            masks = ((vint[:, None] >> shifts[None, :]) & 1).astype(float)
+            i += 1
+        else:
+            masks = np.ones((pop, m))
+        if self.variant.optimize_weights:
+            W = X[:, i:i + n_rows * m].reshape(pop, n_rows, m).copy()
+            np.minimum(W, 1.0, out=W)
+            np.maximum(W, 0.0, out=W)
+            sums = W.sum(axis=2, keepdims=True)
+            zero = sums == 0.0
+            if zero.any():
+                np.copyto(sums, 1.0, where=zero)
+                W /= sums
+                np.copyto(W, 1.0 / m, where=zero)
+            else:
+                W /= sums
+        else:
+            W = np.full((pop, n_rows, m), 1.0 / m)
+        return K, masks, W
+
 
 def decode_position(x: np.ndarray, n_rows: int, m: int, variant: VariantConfig) -> SolutionVector:
     """Continuous position -> solution: k and v round half-up then clamp,
     weight rows clamp to [0,1] and renormalize to sum 1 (all-zero -> uniform).
     Pinned weights are uniform 1/m rows."""
-    decoder = _BatchDecoder(SolutionSpace(n_rows=n_rows, m=m, variant=variant))
-    K, masks, W = decoder(np.asarray(x, dtype=float)[None, :])
+    space = SolutionSpace(n_rows=n_rows, m=m, variant=variant)
+    K, masks, W = space.decode(np.asarray(x, dtype=float)[None, :])
     bits = tuple(masks[0].astype(int).tolist())
     return SolutionVector(k=int(K[0]), mask=abe.FeatureMask(bits=bits), weights=W[0])
 
@@ -204,111 +243,57 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 # batched evaluation
 # ---------------------------------------------------------------------------
 
-class _BatchDecoder:
-    """Swarm positions -> decoded solutions, one row per particle."""
+class _Problem:
+    """Decoded swarm positions scored against the actual efforts of a stack
+    of folds."""
 
-    def __init__(self, space: SolutionSpace):
+    def __init__(self, space: SolutionSpace, folds, actuals):
         self.space = space
+        self.bounds = space.bounds()
+        self.ctx = abe._FoldContext(folds)
+        self.actuals = np.asarray(actuals, dtype=float)
 
-    def __call__(self, X: np.ndarray):
-        """Return (K, mask_matrix, W) with shapes (p,), (p, m), (p, rows, m)."""
-        X = np.asarray(X, dtype=float)
-        pop = X.shape[0]
-        n_rows, m = self.space.n_rows, self.space.m
-        i = 0
-        if self.space.free_k:
-            K = np.clip(np.floor(X[:, i] + 0.5).astype(int), 1, n_rows)
-            i += 1
-        else:
-            K = np.ones(pop, dtype=int)
-        if self.space.free_mask:
-            vint = np.clip(np.floor(X[:, i] + 0.5).astype(np.int64), 1, 2 ** m - 1)
-            shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-            masks = ((vint[:, None] >> shifts[None, :]) & 1).astype(float)
-            i += 1
-        else:
-            masks = np.ones((pop, m))
-        if self.space.variant.optimize_weights:
-            W = X[:, i:i + n_rows * m].reshape(pop, n_rows, m).copy()
-            np.minimum(W, 1.0, out=W)
-            np.maximum(W, 0.0, out=W)
-            sums = W.sum(axis=2, keepdims=True)
-            zero = sums == 0.0
-            if zero.any():
-                np.copyto(sums, 1.0, where=zero)
-                W /= sums
-                np.copyto(W, 1.0 / m, where=zero)
-            else:
-                W /= sums
-        else:
-            W = np.full((pop, n_rows, m), 1.0 / m)
-        return K, masks, W
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        return self.score(*self.space.decode(X))
+
+    def score(self, K, masks, W) -> np.ndarray:
+        """(MAE, MBRE, MIBRE) per decoded solution over the folds; over one
+        fold these are its (AE, BRE, IBRE)."""
+        pred = self.ctx.predict_batch(K, masks, W, int(K.max()))  # (p, f)
+        act = self.actuals[None, :]
+        ae = np.abs(act - pred)
+        errors = np.stack([ae, ae / np.minimum(act, pred), ae / np.maximum(act, pred)], axis=1)
+        return errors.sum(axis=2) / pred.shape[1]  # one reduction for all three means
+
+    def decode(self, x: np.ndarray) -> SolutionVector:
+        return decode_position(x, self.space.n_rows, self.space.m, self.space.variant)
 
 
-class LocalProblem:
+class LocalProblem(_Problem):
     """Single held-out project scored on (AE, BRE, IBRE) with its actual."""
 
     def __init__(self, train: StandardizedDataset, target_row: np.ndarray,
                  target_actual: float, variant: VariantConfig):
-        self.space = SolutionSpace(n_rows=train.n, m=train.m, variant=variant)
-        self.bounds = self.space.bounds()
-        self.decoder = _BatchDecoder(self.space)
-        self.ctx = abe._FoldContext(train, target_row)
-        self.actual = float(target_actual)
-
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.score(*self.decoder(X))
-
-    def score(self, K, masks, W) -> np.ndarray:
-        """(AE, BRE, IBRE) per decoded solution."""
-        pred = self.ctx.predict_batch(K, masks, W, int(K.max()))
-        ae_v = np.abs(self.actual - pred)
-        bre_v = ae_v / np.minimum(self.actual, pred)
-        ibre_v = ae_v / np.maximum(self.actual, pred)
-        return np.stack([ae_v, bre_v, ibre_v], axis=1)
-
-    def decode(self, x: np.ndarray) -> SolutionVector:
-        return decode_position(x, self.space.n_rows, self.space.m, self.space.variant)
+        super().__init__(SolutionSpace(n_rows=train.n, m=train.m, variant=variant),
+                         [(train, target_row)], [target_actual])
 
 
-class GlobalProblem:
+class GlobalProblem(_Problem):
     """Shared solution scored on (-SA, MBRE, MIBRE) over an internal
-    leave-one-out pass; also used fold-internally by the honest local mode."""
+    leave-one-out pass, one fold per project of `ds`; also used fold-internally
+    by the honest local mode."""
 
     def __init__(self, ds: StandardizedDataset, variant: VariantConfig,
                  baseline: metrics.RandomGuessBaseline | None = None):
-        self.space = SolutionSpace(n_rows=ds.n - 1, m=ds.m, variant=variant)
-        self.bounds = self.space.bounds()
-        self.decoder = _BatchDecoder(self.space)
-        self.actuals = ds.efforts().copy()
+        super().__init__(SolutionSpace(n_rows=ds.n - 1, m=ds.m, variant=variant),
+                         (ds.loocv_fold(i)[:2] for i in range(ds.n)), ds.efforts())
         self.baseline = baseline or metrics.random_guess_baseline(self.actuals)
-        ctxs = [abe._FoldContext(*ds.loocv_fold(i)[:2]) for i in range(ds.n)]
-        self.efforts = np.stack([c.efforts for c in ctxs])  # (n, n-1)
-        self.diffs = np.stack([c.diffs for c in ctxs])      # (n, n-1, m)
-
-    def predict_all(self, K, masks, W, kmax: int) -> np.ndarray:
-        wv = W[:, :kmax, :] * masks[:, None, :]
-        adj = np.einsum("pkm,fkm->pfk", wv, self.diffs[:, :kmax, :]) / self.diffs.shape[2]
-        adapted = self.efforts[None, :, :kmax] + adj
-        owm = abe._owm_matrix(K, kmax)
-        return np.maximum(np.einsum("pfk,pk->pf", adapted, owm), abe.EPS_EFFORT)
-
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.score(*self.decoder(X))
 
     def score(self, K, masks, W) -> np.ndarray:
         """(-SA, MBRE, MIBRE) per decoded solution."""
-        pred = self.predict_all(K, masks, W, int(K.max()))  # (pop, n)
-        act = self.actuals[None, :]
-        ae_v = np.abs(act - pred)
-        mae = ae_v.mean(axis=1)
-        sa_v = _sa_for_optimization(mae, self.baseline.mae_p0)
-        mbre = (ae_v / np.minimum(act, pred)).mean(axis=1)
-        mibre = (ae_v / np.maximum(act, pred)).mean(axis=1)
-        return np.stack([-sa_v, mbre, mibre], axis=1)
-
-    def decode(self, x: np.ndarray) -> SolutionVector:
-        return decode_position(x, self.space.n_rows, self.space.m, self.space.variant)
+        obj = super().score(K, masks, W)
+        obj[:, 0] = -_sa_for_optimization(obj[:, 0], self.baseline.mae_p0)
+        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +332,10 @@ def _run_lt_fold(ds: StandardizedDataset, i: int, variant: VariantConfig,
         problem = LocalProblem(train, target_row, actual, variant)
     else:
         problem = GlobalProblem(train, variant)
-    front = _front(problem, _replace_seed(cfg, _fold_seed(cfg.seed, i)))
+    front = _front(problem, replace(cfg, seed=_fold_seed(cfg.seed, i)))
     sol, _ = select_from_front(front)
     pred = abe.predict_adapted(train, target_row, sol)
     return pred, sol, front
-
-
-def _replace_seed(cfg: mopso.MopsoConfig, seed: int) -> mopso.MopsoConfig:
-    from dataclasses import replace
-
-    return replace(cfg, seed=seed)
 
 
 def run_lt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
@@ -384,8 +363,7 @@ def run_lt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConf
                         mode=variant.mode)
 
 
-def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
-           threads: int = 1) -> TuningResult:
+def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig) -> TuningResult:
     """One optimizer run per dataset; the chosen shared solution is then
     applied to every project under leave-one-out, by the arithmetic that
     scored it, to produce predictions."""
@@ -394,7 +372,7 @@ def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConf
     problem = GlobalProblem(ds, variant)
     front = _front(problem, cfg)
     sol, _ = select_from_front(front)
-    preds = problem.predict_all(*_solution_rows(sol, problem.space.n_rows), sol.k)[0]
+    preds = problem.ctx.predict_batch(*_solution_rows(sol, problem.space.n_rows), sol.k)[0]
     return TuningResult(predictions=preds, solutions=[sol], fronts=[front], mode="global")
 
 
@@ -404,12 +382,8 @@ def best_k_abe0(ds: StandardizedDataset) -> tuple[int, np.ndarray]:
     n = ds.n
     if n < 3:
         raise BoundsError("need at least 3 projects")
-    preds = np.empty((n, n - 1))  # fold x k
-    for i in range(n):
-        train, target_row, _ = ds.loocv_fold(i)
-        order = abe.neighbor_order(train, target_row)
-        sorted_eff = train.effort_vec[order]
-        preds[i] = np.cumsum(sorted_eff) / np.arange(1, n)
+    ctx = abe._FoldContext(ds.loocv_fold(i)[:2] for i in range(n))
+    preds = np.cumsum(ctx.efforts, axis=1) / np.arange(1, n)  # fold x k
     mae_per_k = np.abs(preds - ds.efforts()[:, None]).mean(axis=0)
     best = int(np.argmin(mae_per_k))  # first minimum = smallest k
     return best + 1, preds[:, best]

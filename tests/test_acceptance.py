@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -344,7 +345,7 @@ def test_c3_brute_force_pareto_equivalence():
         nd = enumerated[mopso._non_dominated_mask(enumerated)]
 
         problem = tuning.LocalProblem(train, target_row, actual, variant)
-        fold_cfg = tuning._replace_seed(cfg, tuning._fold_seed(cfg.seed, i))
+        fold_cfg = replace(cfg, seed=tuning._fold_seed(cfg.seed, i))
         front = tuning._front(problem, fold_cfg)
         sol, _ = tuning.select_from_front(front)
         chosen_obj = tuning.lt_objectives(train, target_row, actual, sol)

@@ -222,6 +222,25 @@ class TestCli:
         assert proc.returncode == 1
         assert "validation error" in proc.stderr
 
+    @pytest.mark.parametrize("extra", [
+        {"mopso": {"pop_size": "100"}},
+        {"mopso": {"inertia": 5}},
+        {"mopso": {"pop_sise": 100}},
+        {"mopso": {"archive_capacity": 0}},
+        {"mopso": {"mutation_exponent": -1}},
+        {"baseline": {"sampled": "x"}},
+        {"baseline": {"sampled": 0}},
+        {"datasets": [{"name": "x", "path": 5, "effort_column": "effort"}]},
+        {"seed": True},
+    ], ids=["pop_size-string", "inertia-number", "unknown-setting", "archive-capacity-0",
+            "mutation-exponent-negative", "sampled-string", "sampled-0", "path-number", "seed-bool"])
+    def test_malformed_config_is_a_validation_error(self, tmp_path, extra):
+        path = self.write_config(tmp_path, **extra)
+        proc = self.cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("validation error: "), proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_run_emits_reports(self, tmp_path):
         path = self.write_config(tmp_path)
         out = tmp_path / "out"

@@ -101,7 +101,7 @@ class TestPositionCodec:
                     continue
                 # reach a little past the box, as a mutated position may not
                 X = rng.uniform(bounds.lower - 0.5, bounds.upper + 0.5, size=(40, bounds.dim))
-                K, masks, W = tuning._BatchDecoder(space)(X)
+                K, masks, W = space.decode(X)
                 for i in range(40):
                     sol = ref.scalar_decode(X[i], n_rows, m, VARIANTS[name])
                     assert sol.k == K[i]
@@ -201,6 +201,26 @@ class TestObjectives:
             sol = ref.scalar_decode(Xg[i], self.ds.n - 1, self.ds.m, VARIANTS["gt"])
             want = ref.gt_objectives(self.ds, sol, gp.baseline)
             assert np.allclose(batch[i], want, atol=1e-9)
+
+    def test_leave_one_out_stack_matches_one_fold_contexts(self):
+        # desharnais has a categorical feature, which must adapt nothing
+        ds = load_bundled("desharnais")
+        gp = GlobalProblem(ds, VARIANTS["gt"])
+        rng = np.random.default_rng(5)
+        X = rng.uniform(gp.bounds.lower, gp.bounds.upper, size=(40, gp.bounds.dim))
+        K, masks, W = gp.space.decode(X)
+        kmax = int(K.max())
+        stacked = gp.ctx.predict_batch(K, masks, W, kmax)
+        folds = [ds.loocv_fold(i) for i in range(ds.n)]
+        one_by_one = np.hstack([abe._FoldContext([(train, row)]).predict_batch(K, masks, W, kmax)
+                                for train, row, _ in folds])
+        assert stacked.shape == (40, ds.n)
+        assert np.array_equal(stacked, one_by_one)
+        for j in range(8):
+            sol = ref.scalar_decode(X[j], ds.n - 1, ds.m, VARIANTS["gt"])
+            for i in (0, ds.n // 2, ds.n - 1):
+                train, row, _ = folds[i]
+                assert stacked[j, i] == pytest.approx(ref.predict(train, row, sol), rel=1e-12)
 
 
 class TestSelectFromFront:
@@ -316,10 +336,10 @@ class TestBestK:
         assert k == 1
         assert np.allclose(preds, 7.0)
 
-    def test_hand_enumeration_on_four_projects(self):
-        ds = numeric_std([[0.0], [1.0], [2.0], [3.0]], [10, 20, 40, 80])
-        k, preds = tuning.best_k_abe0(ds)
-        # oracle: brute-force every k with the public prediction op
+    @staticmethod
+    def scan(ds):
+        """The best k and its predictions by brute force over every k with
+        the public prediction op, one fold at a time."""
         best = None
         for kk in range(1, ds.n):
             loo = []
@@ -329,8 +349,21 @@ class TestBestK:
             mae = float(np.mean(np.abs(np.array(loo) - ds.efforts())))
             if best is None or mae < best[1] - 1e-15:
                 best = (kk, mae, loo)
-        assert k == best[0]
-        assert np.allclose(preds, best[2], atol=ATOL)
+        return best[0], best[2]
+
+    def test_hand_enumeration_on_four_projects(self):
+        ds = numeric_std([[0.0], [1.0], [2.0], [3.0]], [10, 20, 40, 80])
+        k, preds = tuning.best_k_abe0(ds)
+        want_k, want_preds = self.scan(ds)
+        assert k == want_k
+        assert np.allclose(preds, want_preds, atol=ATOL)
+
+    def test_matches_a_per_fold_scan_on_a_bundled_dataset(self):
+        ds = load_bundled("kemerer")
+        k, preds = tuning.best_k_abe0(ds)
+        want_k, want_preds = self.scan(ds)
+        assert k == want_k
+        assert np.allclose(preds, want_preds, rtol=1e-12, atol=0)
 
     def test_n_three_scans_two_ks(self):
         ds = numeric_std([[0.0], [1.0], [2.0]], [10, 20, 40])
