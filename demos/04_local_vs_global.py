@@ -12,7 +12,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
-from abetune import datasets, metrics, mopso, tuning
+from abetune import datasets, harness, metrics, mopso, tuning
 
 mode = "local_honest" if "--honest" in sys.argv else "local_oracle"
 ds = datasets.load_bundled("albrecht")
@@ -26,7 +26,8 @@ def suite_of(preds):
 
 
 best_k, abe0_preds = tuning.best_k_abe0(ds)
-lt = tuning.run_lt(ds, replace(tuning.VARIANTS["lt"], mode=mode), cfg, threads=2)
+with harness.worker_map(2) as fold_map:  # the folds of local tuning on two workers
+    lt = tuning.run_lt(ds, replace(tuning.VARIANTS["lt"], mode=mode), cfg, fold_map=fold_map)
 gt = tuning.run_gt(ds, tuning.VARIANTS["gt"], cfg)
 
 print(f"dataset: {ds.name} (n={ds.n}, m={ds.m}); local mode: {mode}")

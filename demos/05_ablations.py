@@ -7,21 +7,22 @@ Each pinned space is a subset of the full one, so optimizing all three
 variables together should not be worse than pinning one.
 """
 
-from abetune import datasets, metrics, mopso, tuning
+from abetune import datasets, harness, metrics, mopso, tuning
 
 cfg = mopso.MopsoConfig(pop_size=60, max_iter=40, seed=11)
 
-for name in ("albrecht", "kemerer"):
-    ds = datasets.load_bundled(name)
-    baseline = metrics.random_guess_baseline(ds.efforts())
-    print(f"\n{name} (n={ds.n}, m={ds.m})")
-    print(f"{'variant':28s} {'SA%':>7s} {'MBRE%':>8s} {'MIBRE%':>8s}")
-    for label, name in (("full (k, mask, weights)", "lt"),
-                        ("mask pinned to all ones", "lt_star"),
-                        ("weights pinned to 1/m", "lt_plus"),
-                        ("k only", "k_only")):
-        res = tuning.run_lt(ds, tuning.VARIANTS[name], cfg, threads=2)
-        recs = [metrics.PredictionRecord(a, p)
-                for a, p in zip(ds.efforts(), res.predictions)]
-        s = metrics.aggregate(recs, baseline)
-        print(f"{label:28s} {100 * s.sa:7.1f} {100 * s.mbre:8.1f} {100 * s.mibre:8.1f}")
+with harness.worker_map(2) as fold_map:  # one pool of two workers for every fold
+    for name in ("albrecht", "kemerer"):
+        ds = datasets.load_bundled(name)
+        baseline = metrics.random_guess_baseline(ds.efforts())
+        print(f"\n{name} (n={ds.n}, m={ds.m})")
+        print(f"{'variant':28s} {'SA%':>7s} {'MBRE%':>8s} {'MIBRE%':>8s}")
+        for label, name in (("full (k, mask, weights)", "lt"),
+                            ("mask pinned to all ones", "lt_star"),
+                            ("weights pinned to 1/m", "lt_plus"),
+                            ("k only", "k_only")):
+            res = tuning.run_lt(ds, tuning.VARIANTS[name], cfg, fold_map=fold_map)
+            recs = [metrics.PredictionRecord(a, p)
+                    for a, p in zip(ds.efforts(), res.predictions)]
+            s = metrics.aggregate(recs, baseline)
+            print(f"{label:28s} {100 * s.sa:7.1f} {100 * s.mbre:8.1f} {100 * s.mibre:8.1f}")

@@ -79,7 +79,7 @@ def _resolve_config(args) -> harness.ExperimentConfig:
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    report = harness.run_experiment(cfg, threads=max(1, args.threads))
+    report = harness.run_experiment(cfg, threads=args.threads)
     written = harness.emit_report(report, cfg.output_dir)
     for path in written:
         print(path)
@@ -92,8 +92,8 @@ def cmd_tune(args) -> int:
     if not matches:
         raise ConfigError(f"dataset {args.dataset!r} not in config")
     ds = harness.load_dataset_from_config(matches[0])
-    result = harness.run_method(args.method, ds, cfg.mopso, mode=cfg.mode,
-                                threads=max(1, args.threads))
+    with harness.worker_map(args.threads) as fold_map:
+        result = harness.run_method(args.method, ds, cfg.mopso, mode=cfg.mode, fold_map=fold_map)
     print(f"dataset={ds.name} method={args.method} mode={result.mode}")
     for i, sol in enumerate(result.solutions):
         if "mask" in sol:

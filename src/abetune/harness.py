@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -262,18 +263,39 @@ def load_dataset_from_config(cfg: DatasetConfig) -> StandardizedDataset:
 # method registry
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MethodResult:
-    predictions: np.ndarray
-    solutions: list
-    mode: str
+@contextmanager
+def worker_map(threads: int):
+    """The map every LT fold of a run goes through: the builtin `map` at one
+    thread, otherwise the `map` of one pool of `threads` worker processes,
+    opened at the first fold and shut down when the block ends.  A run
+    without LT cells thus loads no multiprocessing and starts no worker."""
+    if threads <= 1:
+        yield map
+        return
+    pool = None
+
+    def pool_map(fn, items):
+        nonlocal pool
+        if pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=threads)
+        return pool.map(fn, items)
+
+    try:
+        yield pool_map
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, mode: str = "oracle",
-               threads: int = 1) -> MethodResult:
+               fold_map=map) -> tuning.TuningResult:
+    """One (dataset, method) cell with its solutions in report form.  LT
+    folds go through `fold_map`; GT and the ABE0 scan run in this process."""
     if name == "abe0":
         k, preds = tuning.best_k_abe0(ds)
-        return MethodResult(predictions=preds, solutions=[{"k": k}], mode="best_k_scan")
+        return tuning.TuningResult(predictions=preds, solutions=[{"k": k}], mode="best_k_scan")
     if name not in tuning.VARIANTS:
         raise ConfigError(f"unknown method {name!r}")
     variant = tuning.VARIANTS[name]
@@ -282,10 +304,8 @@ def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, mode: str =
     else:
         if mode == "honest":
             variant = replace(variant, mode="local_honest")
-        result = tuning.run_lt(ds, variant, cfg, threads=threads)
-    return MethodResult(predictions=result.predictions,
-                        solutions=[_solution_summary(s) for s in result.solutions],
-                        mode=result.mode)
+        result = tuning.run_lt(ds, variant, cfg, fold_map=fold_map)
+    return replace(result, solutions=[_solution_summary(s) for s in result.solutions])
 
 
 def _solution_summary(sol: tuning.SolutionVector) -> dict:
@@ -393,30 +413,32 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> EvaluationReport:
     wtl: dict = {}
     measure_tables: dict = {m: {} for m in MEASURES}
 
-    for ds_cfg in cfg.datasets:
-        ds = load_dataset_from_config(ds_cfg)
-        efforts = ds.efforts()
-        ran = {}
-        for method in cfg.methods:
-            try:
-                ran[method] = run_method(method, ds, cfg.mopso, mode=cfg.mode, threads=threads)
-            except AbetuneError as exc:
-                raise AbetuneError(f"dataset {ds.name!r}, method {method!r}: {exc}") from exc
-        suites, comparisons[ds.name], wtl[ds.name] = compare_methods(
-            efforts, {m: res.predictions for m, res in ran.items()}, _baseline(efforts, cfg))
-        results[ds.name] = {
-            method: {
-                "metrics": suites[method],
-                "actuals": [float(a) for a in efforts],
-                "predictions": [float(p) for p in res.predictions],
-                "solutions": res.solutions,
-                "mode": res.mode,
+    with worker_map(threads) as fold_map:
+        for ds_cfg in cfg.datasets:
+            ds = load_dataset_from_config(ds_cfg)
+            efforts = ds.efforts()
+            ran = {}
+            for method in cfg.methods:
+                try:
+                    ran[method] = run_method(method, ds, cfg.mopso, mode=cfg.mode,
+                                             fold_map=fold_map)
+                except AbetuneError as exc:
+                    raise AbetuneError(f"dataset {ds.name!r}, method {method!r}: {exc}") from exc
+            suites, comparisons[ds.name], wtl[ds.name] = compare_methods(
+                efforts, {m: res.predictions for m, res in ran.items()}, _baseline(efforts, cfg))
+            results[ds.name] = {
+                method: {
+                    "metrics": suites[method],
+                    "actuals": [float(a) for a in efforts],
+                    "predictions": [float(p) for p in res.predictions],
+                    "solutions": res.solutions,
+                    "mode": res.mode,
+                }
+                for method, res in ran.items()
             }
-            for method, res in ran.items()
-        }
-        for method, suite in suites.items():
-            for m in MEASURES:
-                measure_tables[m].setdefault(ds.name, {})[method] = suite[m]
+            for method, suite in suites.items():
+                for m in MEASURES:
+                    measure_tables[m].setdefault(ds.name, {})[method] = suite[m]
 
     rank_summaries = {}
     if len(cfg.methods) >= 2:

@@ -15,11 +15,12 @@ first objective: a local problem's AE, a global problem's -SA.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from . import abe, metrics, mopso
+from . import abe, metrics, mopso, stats
 from .data import StandardizedDataset
 from .errors import BoundsError
 
@@ -219,24 +220,10 @@ def select_from_front(front: Sequence[tuple]) -> tuple:
     n, n_obj = objs.shape
     ranks = np.zeros((n, n_obj))
     for j in range(n_obj):
-        ranks[:, j] = _average_ranks(objs[:, j])
+        ranks[:, j] = stats._midranks(objs[:, j])
     avg = ranks.mean(axis=1)
     order = sorted(range(n), key=lambda i: (avg[i], objs[i, 0], i))
     return front[order[0]]
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ascending ranks starting at 1; tied values share their rank mean."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +289,13 @@ class GlobalProblem(_Problem):
 
 @dataclass
 class TuningResult:
+    """One (dataset, method) cell, from the swarm to the report: a prediction
+    per project and the chosen solutions, one per project (local tuning) or
+    a single shared one (global tuning, ABE0's k scan).  `harness.run_method`
+    turns the solutions into their report form."""
+
     predictions: np.ndarray
-    solutions: list  # one per project (local) or a single shared solution (global)
-    fronts: list     # per optimizer run: list of (SolutionVector, objective vector)
+    solutions: list
     mode: str
 
 
@@ -325,42 +316,28 @@ def _front(problem, cfg: mopso.MopsoConfig) -> list:
             for pos, fit in zip(archive.positions, archive.fitnesses)]
 
 
-def _run_lt_fold(ds: StandardizedDataset, i: int, variant: VariantConfig,
-                 cfg: mopso.MopsoConfig):
+def _run_lt_fold(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
+                 i: int) -> tuple:
     train, target_row, actual = ds.loocv_fold(i)
     if variant.mode == "local_oracle":
         problem = LocalProblem(train, target_row, actual, variant)
     else:
         problem = GlobalProblem(train, variant)
-    front = _front(problem, replace(cfg, seed=_fold_seed(cfg.seed, i)))
-    sol, _ = select_from_front(front)
-    pred = abe.predict_adapted(train, target_row, sol)
-    return pred, sol, front
+    sol, _ = select_from_front(_front(problem, replace(cfg, seed=_fold_seed(cfg.seed, i))))
+    return abe.predict_adapted(train, target_row, sol), sol
 
 
 def run_lt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
-           threads: int = 1) -> TuningResult:
+           fold_map=map) -> TuningResult:
     """One optimizer run per held-out project, each seeded by `_fold_seed`
-    from the base seed and the project index, so fold order is immaterial.
-    The held-out project is predicted by `abe.predict_adapted`."""
+    from the base seed and the project index, so neither fold order nor the
+    worker a fold runs on matters.  The folds go through `fold_map`, which
+    must behave like the builtin `map` (a process pool's `map` does); the
+    held-out project is predicted by `abe.predict_adapted`."""
     if variant.mode not in ("local_oracle", "local_honest"):
         raise BoundsError("run_lt requires a local mode")
-    results = [None] * ds.n
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {i: pool.submit(_run_lt_fold, ds, i, variant, cfg) for i in range(ds.n)}
-            for i, fut in futures.items():
-                results[i] = fut.result()
-    else:
-        for i in range(ds.n):
-            results[i] = _run_lt_fold(ds, i, variant, cfg)
-    preds = np.array([r[0] for r in results])
-    return TuningResult(predictions=preds,
-                        solutions=[r[1] for r in results],
-                        fronts=[r[2] for r in results],
-                        mode=variant.mode)
+    preds, sols = zip(*fold_map(partial(_run_lt_fold, ds, variant, cfg), range(ds.n)))
+    return TuningResult(predictions=np.array(preds), solutions=list(sols), mode=variant.mode)
 
 
 def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig) -> TuningResult:
@@ -373,7 +350,7 @@ def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConf
     front = _front(problem, cfg)
     sol, _ = select_from_front(front)
     preds = problem.ctx.predict_batch(*_solution_rows(sol, problem.space.n_rows), sol.k)[0]
-    return TuningResult(predictions=preds, solutions=[sol], fronts=[front], mode="global")
+    return TuningResult(predictions=preds, solutions=[sol], mode="global")
 
 
 def best_k_abe0(ds: StandardizedDataset) -> tuple[int, np.ndarray]:

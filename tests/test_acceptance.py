@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abetune import abe, datasets, metrics, mopso, stats, tuning
+from abetune import abe, datasets, harness, metrics, mopso, stats, tuning
 from abetune.metrics import PredictionRecord as R
 
 SEEDS = (1, 2, 3)
@@ -51,26 +51,27 @@ def bench():
     albrecht and kemerer; three seeds each, default hyperparameters."""
     t0 = time.time()
     out = {}
-    for name in datasets.BENCHMARK_NAMES:
-        ds = datasets.load_bundled(name)
-        abe0_k, abe0_preds = tuning.best_k_abe0(ds)
-        cell = {"abe0_sa": _sa(ds, abe0_preds), "abe0_k": abe0_k, "lt_sa": [],
-                "gt_sa": [], "gt_k": [],
-                "lt_mbre": [], "lt_star_mbre": [], "lt_plus_mbre": []}
-        for seed in SEEDS:
-            cfg = mopso.MopsoConfig(seed=seed)
-            lt = tuning.run_lt(ds, tuning.VARIANTS["lt"], cfg, threads=THREADS)
-            cell["lt_sa"].append(_sa(ds, lt.predictions))
-            cell["lt_mbre"].append(_mbre(ds, lt.predictions))
-            gt = tuning.run_gt(ds, tuning.VARIANTS["gt"], cfg)
-            cell["gt_sa"].append(_sa(ds, gt.predictions))
-            cell["gt_k"].append(gt.solutions[0].k)
-            if name in ("albrecht", "kemerer"):
-                star = tuning.run_lt(ds, tuning.VARIANTS["lt_star"], cfg, threads=THREADS)
-                plus = tuning.run_lt(ds, tuning.VARIANTS["lt_plus"], cfg, threads=THREADS)
-                cell["lt_star_mbre"].append(_mbre(ds, star.predictions))
-                cell["lt_plus_mbre"].append(_mbre(ds, plus.predictions))
-        out[name] = cell
+    with harness.worker_map(THREADS) as fold_map:
+        for name in datasets.BENCHMARK_NAMES:
+            ds = datasets.load_bundled(name)
+            abe0_k, abe0_preds = tuning.best_k_abe0(ds)
+            cell = {"abe0_sa": _sa(ds, abe0_preds), "abe0_k": abe0_k, "lt_sa": [],
+                    "gt_sa": [], "gt_k": [],
+                    "lt_mbre": [], "lt_star_mbre": [], "lt_plus_mbre": []}
+            for seed in SEEDS:
+                cfg = mopso.MopsoConfig(seed=seed)
+                lt = tuning.run_lt(ds, tuning.VARIANTS["lt"], cfg, fold_map=fold_map)
+                cell["lt_sa"].append(_sa(ds, lt.predictions))
+                cell["lt_mbre"].append(_mbre(ds, lt.predictions))
+                gt = tuning.run_gt(ds, tuning.VARIANTS["gt"], cfg)
+                cell["gt_sa"].append(_sa(ds, gt.predictions))
+                cell["gt_k"].append(gt.solutions[0].k)
+                if name in ("albrecht", "kemerer"):
+                    star = tuning.run_lt(ds, tuning.VARIANTS["lt_star"], cfg, fold_map=fold_map)
+                    plus = tuning.run_lt(ds, tuning.VARIANTS["lt_plus"], cfg, fold_map=fold_map)
+                    cell["lt_star_mbre"].append(_mbre(ds, star.predictions))
+                    cell["lt_plus_mbre"].append(_mbre(ds, plus.predictions))
+            out[name] = cell
     _ELAPSED["bench"] = time.time() - t0
     return out
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -162,6 +163,39 @@ class TestRunExperiment:
                 assert cell["metrics"]["mbre"] == suite.mbre
 
 
+class TestWorkerPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Each pool `harness.worker_map` builds, as [worker count, tasks submitted]."""
+        built = []
+
+        class Counting(futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                built.append([max_workers, 0])
+                super().__init__(max_workers=max_workers)
+
+            def submit(self, *args, **kwargs):
+                built[-1][1] += 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Counting)
+        return built
+
+    def test_one_pool_per_run(self, pools):
+        cfg = parse_config(dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
+                                                "methods": ["lt", "lt_plus"]})
+        serial = run_experiment(cfg, threads=1)
+        assert pools == []
+        pooled = run_experiment(cfg, threads=2)
+        assert pools == [[2, 2 * (8 + 15)]]  # every fold of both LT cells of both datasets
+        assert pooled.to_json() == serial.to_json()
+
+    def test_a_run_without_lt_cells_builds_no_pool(self, pools):
+        cfg = parse_config(dict(BASE_CONFIG) | {"methods": ["abe0", "gt"]})
+        run_experiment(cfg, threads=2)
+        assert pools == []
+
+
 class TestEmission:
     def make_report(self):
         raw = dict(BASE_CONFIG) | {"datasets": [{"name": "synthetic_small"}, {"name": "nasa"}]}
@@ -272,6 +306,14 @@ class TestCli:
                         "--method", "lt_plus")
         assert proc.returncode == 0, proc.stderr
         assert "solution[0]" in proc.stdout and "k=" in proc.stdout
+
+    def test_tune_threads_do_not_change_its_output(self, tmp_path):
+        path = self.write_config(tmp_path)
+        runs = [self.cli("tune", "--config", str(path), "--dataset", "synthetic_small",
+                         "--method", "lt", "--threads", threads) for threads in ("1", "2")]
+        assert [p.returncode for p in runs] == [0, 0], runs[1].stderr
+        assert "solution[7]" in runs[0].stdout
+        assert runs[1].stdout == runs[0].stdout
 
     def test_tune_scores_with_the_configured_baseline(self, tmp_path):
         path = self.write_config(tmp_path, datasets=[{"name": "nasa"}],

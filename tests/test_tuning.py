@@ -1,3 +1,4 @@
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -231,6 +232,12 @@ class TestSelectFromFront:
         front = [("a", (1.0, 9.0)), ("b", (9.0, 1.0)), ("c", (4.0, 4.0))]
         assert select_from_front(front)[0] == "a"
 
+    def test_tied_values_share_their_mean_rank(self):
+        # midranks give b the best mean rank (5.5 / 3); ranking tied values
+        # in front order would give it to a (5 / 3)
+        front = [("a", (1.0, 1.0, 3.0)), ("b", (1.0, 2.0, 1.0)), ("c", (2.0, 1.0, 2.0))]
+        assert select_from_front(front)[0] == "b"
+
     def test_unanimous_winner(self):
         front = [("a", (2.0, 2.0)), ("b", (1.0, 1.0)), ("c", (3.0, 3.0))]
         assert select_from_front(front)[0] == "b"
@@ -268,8 +275,9 @@ class TestRunners:
     def test_lt_parallel_folds_match_serial(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7]],
                          [10, 30, 80, 46, 64])
-        ser = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(seed=4), threads=1)
-        par = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(seed=4), threads=2)
+        ser = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(seed=4), fold_map=map)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            par = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(seed=4), fold_map=pool.map)
         assert np.array_equal(ser.predictions, par.predictions)
 
     def test_gt_solution_reapplied_matches_predictions(self):
@@ -283,11 +291,16 @@ class TestRunners:
 
     def test_lt_prediction_has_the_selected_entry_error(self):
         ds = load_bundled("albrecht")
-        res = tuning.run_lt(ds, VARIANTS["lt"], mopso.MopsoConfig(pop_size=10, max_iter=5, seed=3))
-        for i, front in enumerate(res.fronts):
+        cfg = mopso.MopsoConfig(pop_size=10, max_iter=5, seed=3)
+        res = tuning.run_lt(ds, VARIANTS["lt"], cfg)
+        for i in range(ds.n):
+            train, row, actual = ds.loocv_fold(i)
+            problem = LocalProblem(train, row, actual, VARIANTS["lt"])
+            front = tuning._front(problem, replace(cfg, seed=tuning._fold_seed(cfg.seed, i)))
             sol, obj = select_from_front(front)
-            assert sol is res.solutions[i]
-            actual = ds.efforts()[i]
+            chosen = res.solutions[i]
+            assert (sol.k, sol.mask) == (chosen.k, chosen.mask)
+            assert np.array_equal(sol.weights, chosen.weights)
             assert abs(abs(actual - res.predictions[i]) - obj[0]) <= 1e-12 * max(1.0, actual)
 
     def test_fold_streams_are_distinct(self):
