@@ -7,7 +7,7 @@ Submodules:
     mopso    the multi-objective particle swarm engine
     tuning   solution encoding, local/global tuning drivers
     stats    rank-sum test, win/tie/loss tallies, rank summaries
-    datasets bundled benchmark data and schemas
+    datasets bundled benchmark tables and their column roles
     harness  experiment orchestration, reporting, CLI backend
 """
 

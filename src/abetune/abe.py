@@ -155,9 +155,10 @@ class _FoldContext:
         self.efforts = np.stack(efforts)
         self.diffs = np.stack(diffs)
 
-    def predict_batch(self, K, masks, W, kmax: int) -> np.ndarray:
+    def predict_batch(self, K, masks, W) -> np.ndarray:
         """(p, f) adapted predictions for decoded solutions (K, masks, W) of
-        shapes (p,), (p, m) and (p, rows, m), with kmax = max(K) <= rows."""
+        shapes (p,), (p, m) and (p, rows, m), with max(K) <= rows."""
+        kmax = int(K.max())
         wv = W[:, :kmax, :] * masks[:, None, :]
         adapted = np.einsum("pkm,fkm->pfk", wv, self.diffs[:, :kmax, :])
         adapted /= self.diffs.shape[2]
@@ -173,4 +174,4 @@ def predict_adapted(train: StandardizedDataset, target_row: np.ndarray, sol) -> 
         raise BoundsError(f"k={sol.k} out of range 1..{train.n}")
     ctx = _FoldContext([(train, target_row)])
     return float(ctx.predict_batch(np.array([sol.k]), sol.mask.as_array()[None, :],
-                                   sol.weights[None, :, :], sol.k)[0, 0])
+                                   sol.weights[None, :, :])[0, 0])

@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, metrics
-from .errors import AbetuneError, ConfigError, ParseError, SchemaError
+from .errors import AbetuneError, ConfigError, InsufficientDataError, ParseError, SchemaError
 
-VALIDATION_ERRORS = (ConfigError, SchemaError, ParseError)
+# Everything a config or a dataset file can be rejected for at load.
+VALIDATION_ERRORS = (ConfigError, SchemaError, ParseError, InsufficientDataError)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

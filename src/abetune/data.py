@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -165,83 +167,110 @@ class StandardizedDataset:
         return self.subset(keep), self.matrix[i], float(self.effort_vec[i])
 
 
-def _parse_cell(raw: str, spec: FeatureSpec, row: int):
+def _parse_cell(raw: str, spec: FeatureSpec, row: int, path):
     text = raw.strip()
     if text in MISSING_TOKENS:
         return math.nan if spec.kind is Kind.NUMERIC else None
     if spec.kind is Kind.CATEGORICAL:
         return text
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ParseError(
-            f"row {row}, column '{spec.name}': cannot parse {text!r} as a number",
+            f"{path}: row {row}, column '{spec.name}': {text!r} is not a finite number",
             row=row,
             column=spec.name,
-        ) from None
+        )
+    return value
 
 
-def load_dataset(path, schema=None, name: str | None = None) -> Dataset:
-    """Load a header-first CSV into a Dataset.
+def _read_rows(path) -> list[list[str]]:
+    """Every CSV record of a UTF-8 file.  A file that cannot be read, bytes
+    that are not UTF-8 and a record the csv module rejects (a field over its
+    size limit) are ParseErrors."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the file ({exc.strerror or exc})") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text ({exc.reason})", row=line) from None
+    rows: list[list[str]] = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {len(rows) + 1}: {exc}", row=len(rows) + 1) from None
+    return rows
 
-    `schema` is a sequence of FeatureSpec matching the header names (order
-    free).  Without a schema, the column named "effort" (case-insensitive)
-    becomes the effort feature and every other column is a numeric input.
+
+def load_dataset(path, effort_column: str | None = None, categorical_columns=(),
+                 excluded_columns=(), name: str | None = None) -> Dataset:
+    """Load a header-first CSV into a Dataset, one FeatureSpec per header column.
+
+    The effort column is `effort_column`, or without one the column named
+    "effort" (in any case).  Columns in `categorical_columns` are labels,
+    columns in `excluded_columns` are dropped by `preprocess`, and every
+    other column is a numeric input.  A named column missing from the header
+    is a SchemaError; an unparseable or non-finite number is a ParseError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise SchemaError(f"duplicate header names: {dupes}")
+    rows = _read_rows(path)
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise SchemaError(f"{path}: duplicate header names: {dupes}")
+    missing = [c for c in (effort_column, *categorical_columns, *excluded_columns)
+               if c is not None and c not in header]
+    if missing:
+        raise SchemaError(f"{path}: columns not in the header: {missing}")
 
-        if schema is None:
-            specs_by_name = {
-                h: FeatureSpec(h, Kind.NUMERIC, Role.EFFORT if h.lower() == "effort" else Role.INPUT)
-                for h in header
-            }
+    specs = []
+    for h in header:
+        if h == effort_column or (effort_column is None and h.lower() == "effort"):
+            specs.append(FeatureSpec(h, Kind.NUMERIC, Role.EFFORT))
         else:
-            specs_by_name = {s.name: s for s in schema}
-            unknown = [h for h in header if h not in specs_by_name]
-            if unknown:
-                raise SchemaError(f"header names not in schema: {unknown}")
-            missing = [s.name for s in schema if s.name not in header]
-            if missing:
-                raise SchemaError(f"schema features missing from header: {missing}")
-        ordered = [specs_by_name[h] for h in header]
-        if not any(s.role is Role.EFFORT for s in ordered):
-            raise SchemaError("no effort column declared")
-        effort_idx = next(i for i, s in enumerate(ordered) if s.role is Role.EFFORT)
+            specs.append(FeatureSpec(
+                h,
+                Kind.CATEGORICAL if h in categorical_columns else Kind.NUMERIC,
+                Role.EXCLUDED if h in excluded_columns else Role.INPUT,
+            ))
+    if not any(s.role is Role.EFFORT for s in specs):
+        raise SchemaError(f"{path}: no effort column declared")
+    effort_idx = next(i for i, s in enumerate(specs) if s.role is Role.EFFORT)
 
-        value_specs = tuple(s for i, s in enumerate(ordered) if i != effort_idx)
-        projects = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row {row_no}: expected {len(header)} cells, got {len(row)}", row=row_no
-                )
-            effort = _parse_cell(row[effort_idx], ordered[effort_idx], row_no)
-            if not math.isnan(effort) and effort <= 0:
-                raise ParseError(
-                    f"row {row_no}: effort must be positive, got {effort}",
-                    row=row_no,
-                    column=ordered[effort_idx].name,
-                )
-            cells = tuple(
-                _parse_cell(cell, ordered[i], row_no)
-                for i, cell in enumerate(row)
-                if i != effort_idx
+    value_specs = tuple(s for i, s in enumerate(specs) if i != effort_idx)
+    projects = []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}", row=row_no
             )
-            projects.append(Project(values=cells, effort=effort))
+        effort = _parse_cell(row[effort_idx], specs[effort_idx], row_no, path)
+        if not math.isnan(effort) and effort <= 0:
+            raise ParseError(
+                f"{path}: row {row_no}: effort must be positive, got {effort}",
+                row=row_no,
+                column=specs[effort_idx].name,
+            )
+        cells = tuple(
+            _parse_cell(cell, specs[i], row_no, path)
+            for i, cell in enumerate(row)
+            if i != effort_idx
+        )
+        projects.append(Project(values=cells, effort=effort))
 
-    return Dataset(specs=value_specs + (ordered[effort_idx],), projects=tuple(projects),
-                   name=name or str(path))
+    try:
+        return Dataset(specs=value_specs + (specs[effort_idx],), projects=tuple(projects),
+                       name=name or str(path))
+    except (SchemaError, InsufficientDataError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def preprocess(ds: Dataset) -> Dataset:
@@ -302,6 +331,9 @@ def standardize(ds: Dataset) -> StandardizedDataset:
                     f"{ds.name}: missing values in '{spec.name}'; run preprocess first"
                 )
             lo, hi = float(vals.min()), float(vals.max())
+            if not math.isfinite(hi - lo):
+                raise ParseError(f"{ds.name}: the values of '{spec.name}' span more than a "
+                                 "float can hold", column=spec.name)
             if hi > lo:
                 scaled = (vals - lo) / (hi - lo)
             else:
@@ -321,6 +353,8 @@ def standardize(ds: Dataset) -> StandardizedDataset:
     )
 
 
-def pipeline(path, schema=None, name=None) -> StandardizedDataset:
+def pipeline(path, effort_column: str | None = None, categorical_columns=(),
+             excluded_columns=(), name: str | None = None) -> StandardizedDataset:
     """load -> preprocess -> standardize, preserving surviving row order."""
-    return standardize(preprocess(load_dataset(path, schema=schema, name=name)))
+    return standardize(preprocess(load_dataset(
+        path, effort_column, categorical_columns, excluded_columns, name)))

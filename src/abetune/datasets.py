@@ -1,4 +1,4 @@
-"""Bundled benchmark datasets: schemas, loaders and provenance notes.
+"""Bundled benchmark datasets: files, column roles and provenance notes.
 
 albrecht, kemerer and nasa are transcriptions of the public PROMISE tables.
 telecom, desharnais, cocomo, china and maxwell are seeded surrogates with
@@ -6,142 +6,50 @@ the same shape and effort-distribution targets as the public originals
 (regenerable via tools/make_bundled_data.py); china is desk-scale (60 rows
 standing in for the original 499).  synthetic_small is a fixed 8x4 instance
 used by the brute-force equivalence tests.
+
+Effort units: months for albrecht, kemerer, nasa, telecom and cocomo;
+hours for desharnais, china, maxwell and synthetic_small.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .data import Dataset, FeatureSpec, Kind, Role, StandardizedDataset, load_dataset, pipeline
+from .data import Dataset, StandardizedDataset, load_dataset, preprocess, standardize
+from .errors import ConfigError
 
-
-def _spec(name, kind=Kind.NUMERIC, role=Role.INPUT) -> FeatureSpec:
-    return FeatureSpec(name=name, kind=kind, role=role)
-
-
-def _schema(columns: list[str], effort: str, categorical=(), excluded=()) -> tuple:
-    specs = []
-    for c in columns:
-        if c == effort:
-            specs.append(_spec(c, Kind.NUMERIC, Role.EFFORT))
-        elif c in excluded:
-            kind = Kind.CATEGORICAL if c in categorical else Kind.NUMERIC
-            specs.append(_spec(c, kind, Role.EXCLUDED))
-        elif c in categorical:
-            specs.append(_spec(c, Kind.CATEGORICAL, Role.INPUT))
-        else:
-            specs.append(_spec(c))
-    return tuple(specs)
-
-
+# Each table's file and the load_dataset column roles.  The effort column is
+# the one named "Effort" unless named here; every other column not named here
+# is a numeric input.
 BUNDLED = {
-    "albrecht": {
-        "file": "albrecht.csv",
-        "unit": "months",
-        "surrogate": False,
-        "schema": _schema(
-            ["Input", "Output", "Inquiry", "File", "FPAdj", "RawFPcounts", "AdjFP", "Effort"],
-            effort="Effort",
-        ),
-    },
-    "kemerer": {
-        "file": "kemerer.csv",
-        "unit": "months",
-        "surrogate": False,
-        "schema": _schema(
-            ["ID", "Language", "Hardware", "Duration", "KSLOC", "AdjFP", "RAWFP", "EffortMM"],
-            effort="EffortMM",
-            categorical=("Language", "Hardware"),
-            excluded=("ID",),
-        ),
-    },
-    "nasa": {
-        "file": "nasa.csv",
-        "unit": "months",
-        "surrogate": False,
-        "schema": _schema(["KLOC", "ME", "Effort"], effort="Effort"),
-    },
-    "telecom": {
-        "file": "telecom.csv",
-        "unit": "months",
-        "surrogate": True,
-        "schema": _schema(["Changes", "Files", "Effort"], effort="Effort"),
-    },
-    "desharnais": {
-        "file": "desharnais.csv",
-        "unit": "hours",
-        "surrogate": True,
-        "schema": _schema(
-            ["Project", "TeamExp", "ManagerExp", "YearEnd", "Length", "Transactions",
-             "Entities", "PointsNonAdjust", "Adjustment", "PointsAjust", "Language", "Effort"],
-            effort="Effort",
-            categorical=("Language",),
-            excluded=("Project",),
-        ),
-    },
-    "cocomo": {
-        "file": "cocomo.csv",
-        "unit": "months",
-        "surrogate": True,
-        "schema": _schema(
-            ["rely", "data", "cplx", "time", "stor", "virt", "turn", "acap", "aexp",
-             "pcap", "vexp", "lexp", "modp", "tool", "sced", "loc", "Effort"],
-            effort="Effort",
-        ),
-    },
-    "china": {
-        "file": "china.csv",
-        "unit": "hours",
-        "surrogate": True,
-        "schema": _schema(
-            ["ID", "AFP", "Input", "Output", "Enquiry", "File", "Interface", "Added",
-             "Changed", "PDR_AFP", "Resource", "Duration", "Effort"],
-            effort="Effort",
-            excluded=("ID", "Duration"),  # duration is known only after the fact
-        ),
-    },
-    "maxwell": {
-        "file": "maxwell.csv",
-        "unit": "hours",
-        "surrogate": True,
-        "schema": _schema(
-            ["App", "Har", "Nlan"] + [f"T{t:02d}" for t in range(1, 16)]
-            + ["Duration", "Size", "Effort"],
-            effort="Effort",
-            categorical=("App", "Har"),
-            excluded=("Duration",),
-        ),
-    },
-    "synthetic_small": {
-        "file": "synthetic_small.csv",
-        "unit": "hours",
-        "surrogate": True,
-        "schema": _schema(["f1", "f2", "f3", "f4", "Effort"], effort="Effort"),
-    },
+    "albrecht": {"file": "albrecht.csv"},
+    "kemerer": {"file": "kemerer.csv", "effort_column": "EffortMM",
+                "categorical_columns": ("Language", "Hardware"), "excluded_columns": ("ID",)},
+    "nasa": {"file": "nasa.csv"},
+    "telecom": {"file": "telecom.csv"},
+    "desharnais": {"file": "desharnais.csv", "categorical_columns": ("Language",),
+                   "excluded_columns": ("Project",)},
+    "cocomo": {"file": "cocomo.csv"},
+    # duration is known only after the fact
+    "china": {"file": "china.csv", "excluded_columns": ("ID", "Duration")},
+    "maxwell": {"file": "maxwell.csv", "categorical_columns": ("App", "Har"),
+                "excluded_columns": ("Duration",)},
+    "synthetic_small": {"file": "synthetic_small.csv"},
 }
 
 BENCHMARK_NAMES = ["albrecht", "kemerer", "nasa", "telecom", "desharnais",
                    "cocomo", "china", "maxwell"]
 
 
-def bundled_path(name: str):
-    if name not in BUNDLED:
-        raise KeyError(f"no bundled dataset named {name!r}; have {sorted(BUNDLED)}")
-    return resources.files("abetune").joinpath("data").joinpath(BUNDLED[name]["file"])
-
-
 def load_bundled_raw(name: str) -> Dataset:
-    info = BUNDLED[name] if name in BUNDLED else None
-    if info is None:
-        raise KeyError(f"no bundled dataset named {name!r}")
-    with resources.as_file(bundled_path(name)) as path:
-        return load_dataset(path, schema=info["schema"], name=name)
+    if name not in BUNDLED:
+        raise ConfigError(f"no bundled dataset named {name!r}; have {sorted(BUNDLED)}")
+    roles = dict(BUNDLED[name])
+    table = resources.files("abetune").joinpath("data", roles.pop("file"))
+    with resources.as_file(table) as path:
+        return load_dataset(path, name=name, **roles)
 
 
 def load_bundled(name: str) -> StandardizedDataset:
     """load -> preprocess -> standardize for a bundled dataset."""
-    info = BUNDLED[name] if name in BUNDLED else None
-    if info is None:
-        raise KeyError(f"no bundled dataset named {name!r}")
-    with resources.as_file(bundled_path(name)) as path:
-        return pipeline(path, schema=info["schema"], name=name)
+    return standardize(preprocess(load_bundled_raw(name)))

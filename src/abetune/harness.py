@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datasets, metrics, stats, tuning
-from .data import FeatureSpec, Kind, Role, StandardizedDataset, pipeline
+from .data import StandardizedDataset, pipeline
 from .errors import AbetuneError, BoundsError, ConfigError
 from .mopso import MopsoConfig
 
@@ -44,17 +44,6 @@ class DatasetConfig:
     effort_column: str | None = None
     categorical_columns: tuple = ()
     excluded_columns: tuple = ()
-
-    def schema_for(self, header: list[str]) -> tuple:
-        specs = []
-        for col in header:
-            if col == self.effort_column:
-                specs.append(FeatureSpec(col, Kind.NUMERIC, Role.EFFORT))
-            else:
-                kind = Kind.CATEGORICAL if col in self.categorical_columns else Kind.NUMERIC
-                role = Role.EXCLUDED if col in self.excluded_columns else Role.INPUT
-                specs.append(FeatureSpec(col, kind, role))
-        return tuple(specs)
 
 
 # The MopsoConfig fields a config may set, with their defaults: all but the
@@ -250,13 +239,8 @@ def load_config(path) -> ExperimentConfig:
 def load_dataset_from_config(cfg: DatasetConfig) -> StandardizedDataset:
     if cfg.path is None:
         return datasets.load_bundled(cfg.name)
-    import csv as _csv
-
-    with open(cfg.path, newline="", encoding="utf-8") as fh:
-        header = [h.strip() for h in next(_csv.reader(fh))]
-    if cfg.effort_column not in header:
-        raise ConfigError(f"dataset {cfg.name!r}: effort column {cfg.effort_column!r} not in header")
-    return pipeline(cfg.path, schema=cfg.schema_for(header), name=cfg.name)
+    return pipeline(cfg.path, cfg.effort_column, cfg.categorical_columns,
+                    cfg.excluded_columns, name=cfg.name)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +397,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> EvaluationReport:
     wtl: dict = {}
     measure_tables: dict = {m: {} for m in MEASURES}
 
+    loaded = [load_dataset_from_config(d) for d in cfg.datasets]  # fail before any tuning
     with worker_map(threads) as fold_map:
-        for ds_cfg in cfg.datasets:
-            ds = load_dataset_from_config(ds_cfg)
+        for ds in loaded:
             efforts = ds.efforts()
             ran = {}
             for method in cfg.methods:
@@ -508,7 +492,7 @@ def comparison_line(dataset: str, comp: dict) -> str:
     return ",".join(row + [comp["outcomes"].get(e, "") for e in MEASURES])
 
 
-def emit_report(report: EvaluationReport, out_dir, formats=("csv", "markdown", "json")) -> list:
+def emit_report(report: EvaluationReport, out_dir) -> list:
     """Write the report files; returns the list of paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -517,65 +501,62 @@ def emit_report(report: EvaluationReport, out_dir, formats=("csv", "markdown", "
     ds_names = list(report.results)
     methods = list(next(iter(report.results.values()))) if ds_names else []
 
-    if "json" in formats:
-        path = out / "report.json"
-        path.write_text(report.to_json(), encoding="utf-8")
-        written.append(path)
+    path = out / "report.json"
+    path.write_text(report.to_json(), encoding="utf-8")
+    written.append(path)
 
-    if "csv" in formats:
-        header = ["dataset"] + [f"{m}_{e}" for m in methods for e in MEASURES]
-        lines = [",".join(header)]
-        for d in ds_names:
-            row = [d]
-            for m in methods:
-                for e in MEASURES:
-                    row.append(_human_value(e, report.results[d][m]["metrics"][e]))
-            lines.append(",".join(row))
-        path = out / "metrics.csv"
+    header = ["dataset"] + [f"{m}_{e}" for m in methods for e in MEASURES]
+    lines = [",".join(header)]
+    for d in ds_names:
+        row = [d]
+        for m in methods:
+            for e in MEASURES:
+                row.append(_human_value(e, report.results[d][m]["metrics"][e]))
+        lines.append(",".join(row))
+    path = out / "metrics.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    written.append(path)
+
+    lines = [COMPARISON_HEADER]
+    for d in ds_names:
+        lines.extend(comparison_line(d, comp) for comp in report.comparisons[d])
+    path = out / "comparisons.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    written.append(path)
+
+    lines = ["dataset,method,measure,win,tie,loss"]
+    for d in ds_names:
+        for m, per_measure in report.win_tie_loss[d].items():
+            for e, t in per_measure.items():
+                lines.append(f"{d},{m},{e},{t['win']},{t['tie']},{t['loss']}")
+    path = out / "win_tie_loss.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    written.append(path)
+
+    lines = ["dataset,method,project_index,actual,predicted"]
+    for d in ds_names:
+        for m in methods:
+            cell = report.results[d][m]
+            for i, (a, p) in enumerate(zip(cell["actuals"], cell["predictions"])):
+                lines.append(f"{d},{m},{i},{a!r},{p!r}")
+    path = out / "predictions.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    written.append(path)
+
+    if report.rank_summaries:
+        lines = ["measure,method,mean_rank,rank_sd"]
+        for e, summaries in report.rank_summaries.items():
+            for s in summaries:
+                lines.append(f"{e},{s['method']},{_fmt(s['mean_rank'])},{_fmt(s['rank_sd'])}")
+        path = out / "ranks.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
 
-        lines = [COMPARISON_HEADER]
-        for d in ds_names:
-            lines.extend(comparison_line(d, comp) for comp in report.comparisons[d])
-        path = out / "comparisons.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+    written.extend(_emit_k_histograms(report, out))
 
-        lines = ["dataset,method,measure,win,tie,loss"]
-        for d in ds_names:
-            for m, per_measure in report.win_tie_loss[d].items():
-                for e, t in per_measure.items():
-                    lines.append(f"{d},{m},{e},{t['win']},{t['tie']},{t['loss']}")
-        path = out / "win_tie_loss.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
-
-        lines = ["dataset,method,project_index,actual,predicted"]
-        for d in ds_names:
-            for m in methods:
-                cell = report.results[d][m]
-                for i, (a, p) in enumerate(zip(cell["actuals"], cell["predictions"])):
-                    lines.append(f"{d},{m},{i},{a!r},{p!r}")
-        path = out / "predictions.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
-
-        if report.rank_summaries:
-            lines = ["measure,method,mean_rank,rank_sd"]
-            for e, summaries in report.rank_summaries.items():
-                for s in summaries:
-                    lines.append(f"{e},{s['method']},{_fmt(s['mean_rank'])},{_fmt(s['rank_sd'])}")
-            path = out / "ranks.csv"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(path)
-
-        written.extend(_emit_k_histograms(report, out))
-
-    if "markdown" in formats:
-        path = out / "metrics.md"
-        path.write_text(_markdown_metrics(report, ds_names, methods), encoding="utf-8")
-        written.append(path)
+    path = out / "metrics.md"
+    path.write_text(_markdown_metrics(report, ds_names, methods), encoding="utf-8")
+    written.append(path)
 
     return written
 

@@ -246,7 +246,7 @@ class _Problem:
     def score(self, K, masks, W) -> np.ndarray:
         """(MAE, MBRE, MIBRE) per decoded solution over the folds; over one
         fold these are its (AE, BRE, IBRE)."""
-        pred = self.ctx.predict_batch(K, masks, W, int(K.max()))  # (p, f)
+        pred = self.ctx.predict_batch(K, masks, W)  # (p, f)
         act = self.actuals[None, :]
         ae = np.abs(act - pred)
         errors = np.stack([ae, ae / np.minimum(act, pred), ae / np.maximum(act, pred)], axis=1)
@@ -349,7 +349,7 @@ def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConf
     problem = GlobalProblem(ds, variant)
     front = _front(problem, cfg)
     sol, _ = select_from_front(front)
-    preds = problem.ctx.predict_batch(*_solution_rows(sol, problem.space.n_rows), sol.k)[0]
+    preds = problem.ctx.predict_batch(*_solution_rows(sol, problem.space.n_rows))[0]
     return TuningResult(predictions=preds, solutions=[sol], mode="global")
 
 

@@ -5,8 +5,9 @@ from concurrent import futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abetune import abe, harness, metrics
+from abetune import abe, cli, harness, metrics
 from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
 from abetune.errors import AbetuneError, ConfigError
 from abetune.harness import EvaluationReport, emit_report, parse_config, run_experiment
@@ -70,6 +71,45 @@ class TestConfig:
         raw = dict(BASE_CONFIG) | {"datasets": [{"name": "x", "path": str(csv)}]}
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+DATASET_ENTRY = st.fixed_dictionaries({}, optional={
+    key: st.sampled_from(["albrecht", "x.csv", "e"]) | JSON
+    for key in ("name", "path", "effort_column", "categorical_columns", "excluded_columns")})
+FIELDS = {
+    "datasets": st.lists(st.sampled_from(["kemerer", "isbsg"]) | DATASET_ENTRY | JSON,
+                         max_size=3) | JSON,
+    "methods": st.lists(st.sampled_from(harness.METHOD_ORDER) | JSON, max_size=3) | JSON,
+    "mopso": st.fixed_dictionaries({}, optional={
+        key: st.integers(-2, 200) | st.floats(-1, 3) | st.lists(st.floats(), max_size=3) | JSON
+        for key in harness.MOPSO_SETTINGS}) | JSON,
+    "seed": st.integers() | JSON,
+    "baseline": st.dictionaries(st.sampled_from(["sampled", "x"]), st.integers(-1, 9) | JSON,
+                                max_size=2) | st.just("exact") | JSON,
+    "mode": st.sampled_from(["oracle", "honest"]) | JSON,
+    "output_dir": st.text(max_size=6) | JSON,
+}
+# A valid config with a field dropped or up to two fields overwritten, or any
+# JSON value.
+FIELD = st.sampled_from(list(FIELDS)).flatmap(lambda k: FIELDS[k].map(lambda v: (k, v)))
+CONFIGS = st.builds(
+    lambda dropped, changed: {k: v for k, v in BASE_CONFIG.items() if k not in dropped} | changed,
+    st.sets(st.sampled_from(list(BASE_CONFIG)), max_size=1),
+    st.lists(FIELD, max_size=2).map(dict)) | JSON
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(CONFIGS)
+def test_parse_config_raises_only_typed_errors(raw):
+    try:
+        parse_config(raw)
+    except AbetuneError:
+        pass
 
 
 class TestRunLoocv:
@@ -273,6 +313,29 @@ class TestCli:
         proc = self.cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("validation error: "), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content,roles,where", [
+        (b"", {}, "empty file"),
+        (b"size,effort\n1,10\n2,20\n\xe9,30\n", {}, "line 4: not UTF-8"),
+        (b"size,effort\n1,10\n" + b"2" * 131_073 + b",20\n3,30\n", {}, "row 3: field larger"),
+        (b"size,effort\n1,10\ninf,20\n3,30\n", {}, "row 3, column 'size'"),
+        (b"size,effort\n1,10\n2,inf\n3,30\n", {}, "row 3, column 'effort'"),
+        (b"size,id,effort\n1,1,10\n2,2,20\n3,3,30\n", {"excluded_columns": ["ID"]}, "['ID']"),
+        (b"size,effort\n1,10\n2,20\n", {}, "need at least 3 projects"),
+    ], ids=["empty", "not-utf8", "oversize-field", "inf-input", "inf-effort", "unknown-column",
+            "two-rows"])
+    def test_malformed_dataset_file_is_a_validation_error(self, tmp_path, capsys, monkeypatch,
+                                                           content, roles, where):
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(content)
+        path = self.write_config(tmp_path, datasets=["synthetic_small", {
+            "name": "bad", "path": str(csv), "effort_column": "effort", **roles}])
+        monkeypatch.setattr(harness, "run_method", lambda *a, **k: pytest.fail("tuned a cell"))
+        for verb in ("validate", "run"):
+            assert cli.main([verb, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"validation error: {csv}: ") and where in err, err
         assert not (tmp_path / "out").exists()
 
     def test_run_emits_reports(self, tmp_path):

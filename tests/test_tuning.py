@@ -210,10 +210,9 @@ class TestObjectives:
         rng = np.random.default_rng(5)
         X = rng.uniform(gp.bounds.lower, gp.bounds.upper, size=(40, gp.bounds.dim))
         K, masks, W = gp.space.decode(X)
-        kmax = int(K.max())
-        stacked = gp.ctx.predict_batch(K, masks, W, kmax)
+        stacked = gp.ctx.predict_batch(K, masks, W)
         folds = [ds.loocv_fold(i) for i in range(ds.n)]
-        one_by_one = np.hstack([abe._FoldContext([(train, row)]).predict_batch(K, masks, W, kmax)
+        one_by_one = np.hstack([abe._FoldContext([(train, row)]).predict_batch(K, masks, W)
                                 for train, row, _ in folds])
         assert stacked.shape == (40, ds.n)
         assert np.array_equal(stacked, one_by_one)
