@@ -22,10 +22,9 @@ for k in (1, 2, 3, 5, 8, 13, 21, 23):
     print(f" {k:3d}   {mae:9.2f}   {100 * (1 - mae / baseline.mae_p0):6.1f}")
 
 best_k, preds = tuning.best_k_abe0(ds)
-records = [metrics.PredictionRecord(a, p) for a, p in zip(efforts, preds)]
-suite = metrics.aggregate(records, baseline)
+suite = metrics.aggregate(efforts, preds, baseline)
 print(f"\nbest k = {best_k}")
-print(f"SA    = {100 * suite.sa:.1f}%")
-print(f"MAE   = {suite.mae:.2f} months")
-print(f"MBRE  = {100 * suite.mbre:.1f}%   MIBRE = {100 * suite.mibre:.1f}%")
-print(f"LSD   = {suite.lsd:.3f}   effect size vs guessing = {suite.effect_size:.2f}")
+print(f"SA    = {100 * suite['sa']:.1f}%")
+print(f"MAE   = {suite['mae']:.2f} months")
+print(f"MBRE  = {100 * suite['mbre']:.1f}%   MIBRE = {100 * suite['mibre']:.1f}%")
+print(f"LSD   = {suite['lsd']:.3f}   effect size vs guessing = {suite['effect_size']:.2f}")

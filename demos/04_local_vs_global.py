@@ -20,11 +20,6 @@ baseline = metrics.random_guess_baseline(ds.efforts())
 cfg = mopso.MopsoConfig(pop_size=60, max_iter=40, seed=7)
 
 
-def suite_of(preds):
-    recs = [metrics.PredictionRecord(a, p) for a, p in zip(ds.efforts(), preds)]
-    return metrics.aggregate(recs, baseline)
-
-
 best_k, abe0_preds = tuning.best_k_abe0(ds)
 with harness.worker_map(2) as fold_map:  # the folds of local tuning on two workers
     lt = tuning.run_lt(ds, replace(tuning.VARIANTS["lt"], mode=mode), cfg, fold_map=fold_map)
@@ -35,9 +30,9 @@ print(f"\n{'method':22s} {'SA%':>7s} {'MBRE%':>8s} {'MIBRE%':>8s} {'LSD':>7s}")
 for label, preds in ((f"baseline (k={best_k})", abe0_preds),
                      ("local tuning", lt.predictions),
                      ("global tuning", gt.predictions)):
-    s = suite_of(preds)
-    print(f"{label:22s} {100 * s.sa:7.1f} {100 * s.mbre:8.1f} "
-          f"{100 * s.mibre:8.1f} {s.lsd:7.3f}")
+    s = metrics.aggregate(ds.efforts(), preds, baseline)
+    print(f"{label:22s} {100 * s['sa']:7.1f} {100 * s['mbre']:8.1f} "
+          f"{100 * s['mibre']:8.1f} {s['lsd']:7.3f}")
 
 counts = Counter(sol.k for sol in lt.solutions)
 print("\nper-project analogy counts chosen by local tuning:")

@@ -22,7 +22,6 @@ with harness.worker_map(2) as fold_map:  # one pool of two workers for every fol
                             ("weights pinned to 1/m", "lt_plus"),
                             ("k only", "k_only")):
             res = tuning.run_lt(ds, tuning.VARIANTS[name], cfg, fold_map=fold_map)
-            recs = [metrics.PredictionRecord(a, p)
-                    for a, p in zip(ds.efforts(), res.predictions)]
-            s = metrics.aggregate(recs, baseline)
-            print(f"{label:28s} {100 * s.sa:7.1f} {100 * s.mbre:8.1f} {100 * s.mibre:8.1f}")
+            s = metrics.aggregate(ds.efforts(), res.predictions, baseline)
+            print(f"{label:28s} {100 * s['sa']:7.1f} {100 * s['mbre']:8.1f} "
+                  f"{100 * s['mibre']:8.1f}")

@@ -24,24 +24,24 @@ with harness.worker_map(2) as fold_map:  # one pool of two workers for every fol
         errors = {m: np.abs(ds.efforts() - p) for m, p in preds.items()}
         suites = {}
         for m, p in preds.items():
-            s = metrics.aggregate([metrics.PredictionRecord(a, q)
-                                   for a, q in zip(ds.efforts(), p)], baseline)
-            suites[m] = {"sa": s.sa, "mbre": s.mbre, "mibre": s.mibre,
-                         "lsd": s.lsd, "mae": s.mae}
+            s = metrics.aggregate(ds.efforts(), p, baseline)
+            suites[m] = {e: s[e] for e in measure_tables}
             for e in measure_tables:
-                measure_tables[e].setdefault(name, {})[m] = suites[m][e]
+                measure_tables[e].setdefault(name, {})[m] = s[e]
 
         tallies, comparisons = stats.win_tie_loss(errors, suites)
         print(f"\n=== {name} ===")
         for c in comparisons:
-            verdict = "differ" if c.p_value < 0.05 else "same at 95%"
-            print(f"  {c.method_a} vs {c.method_b}: rank-sum p={c.p_value:.4f} ({verdict})")
+            verdict = "differ" if c["p_value"] < 0.05 else "same at 95%"
+            print(f"  {c['method_a']} vs {c['method_b']}: rank-sum p={c['p_value']:.4f} "
+                  f"({verdict})")
         print("  tallies on MAE: " + "  ".join(
-            f"{m}: {t['mae'].win}w/{t['mae'].tie}t/{t['mae'].loss}l"
+            f"{m}: {t['mae']['win']}w/{t['mae']['tie']}t/{t['mae']['loss']}l"
             for m, t in tallies.items()))
 
 print("\ncross-dataset mean ranks (lower is better):")
 for measure in ("mae", "mbre"):
-    summaries = stats.rank_methods(measure_tables[measure], measure)
-    row = "  ".join(f"{s.method}={s.mean_rank:.1f}(sd {s.rank_sd:.2f})" for s in summaries)
+    summaries = stats.rank_methods(measure_tables[measure])
+    row = "  ".join(f"{s['method']}={s['mean_rank']:.1f}(sd {s['rank_sd']:.2f})"
+                    for s in summaries)
     print(f"  {measure}: {row}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -103,12 +104,34 @@ def cmd_tune(args) -> int:
         else:
             print(f"  solution[{i}]: k={sol['k']}")
     efforts = ds.efforts()
-    suite = metrics.aggregate(
-        [metrics.PredictionRecord(a, p) for a, p in zip(efforts, result.predictions)],
-        harness._baseline(efforts, cfg))
-    print(f"  SA={100 * suite.sa:.1f} MAE={suite.mae:.4g} MBRE={100 * suite.mbre:.1f} "
-          f"MIBRE={100 * suite.mibre:.1f} LSD={suite.lsd:.4g}")
+    suite = metrics.aggregate(efforts, result.predictions, harness._baseline(efforts, cfg))
+    print(f"  SA={100 * suite['sa']:.1f} MAE={suite['mae']:.4g} MBRE={100 * suite['mbre']:.1f} "
+          f"MIBRE={100 * suite['mibre']:.1f} LSD={suite['lsd']:.4g}")
     return 0
+
+
+# The numbers of a predictions row: column, parser, check, what it must be.
+PREDICTION_NUMBERS = (
+    ("project_index", int, lambda v: True, "an integer"),
+    ("actual", float, lambda v: math.isfinite(v) and v > 0, "a finite positive number"),
+    ("predicted", float, math.isfinite, "a finite number"),
+)
+
+
+def _prediction_numbers(path: Path, row_no: int, row: dict) -> tuple:
+    """(project_index, actual, predicted) of the row ending on line
+    `row_no`, or a ParseError that names the file, row and column."""
+    values = []
+    for column, parse, check, want in PREDICTION_NUMBERS:
+        try:
+            value = parse(row[column])
+        except (TypeError, ValueError):  # not a number, or a missing cell
+            value = None
+        if value is None or not check(value):
+            raise ParseError(f"{path}: row {row_no}, column '{column}': {row[column]!r} "
+                             f"is not {want}", row=row_no, column=column)
+        values.append(value)
+    return tuple(values)
 
 
 def _read_predictions(path: Path) -> dict:
@@ -121,8 +144,7 @@ def _read_predictions(path: Path) -> dict:
             raise SchemaError(f"{path}: predictions file needs columns {sorted(required)}")
         for row in reader:
             key = (row["dataset"], row["method"])
-            groups.setdefault(key, []).append(
-                (int(row["project_index"]), float(row["actual"]), float(row["predicted"])))
+            groups.setdefault(key, []).append(_prediction_numbers(path, reader.line_num, row))
     return {k: [(a, p) for _, a, p in sorted(v)] for k, v in groups.items()}
 
 

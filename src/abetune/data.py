@@ -28,6 +28,12 @@ MISSING_TOKENS = ("", "?")
 MAX_INPUT_FEATURES = 52
 MIN_PROJECTS = 3
 
+# The efforts a dataset may hold.  Within this range the squared pairwise
+# differences of the random-guess baseline's SD, the BRE ratios (at most
+# 1e200) and ABE0's cumulative sums all stay far inside the float range;
+# outside it, an effort either cannot be divided by or overflows a score.
+EFFORT_RANGE = (1e-100, 1e100)
+
 
 class Kind(enum.Enum):
     NUMERIC = "numeric"
@@ -215,7 +221,8 @@ def load_dataset(path, effort_column: str | None = None, categorical_columns=(),
     "effort" (in any case).  Columns in `categorical_columns` are labels,
     columns in `excluded_columns` are dropped by `preprocess`, and every
     other column is a numeric input.  A named column missing from the header
-    is a SchemaError; an unparseable or non-finite number is a ParseError.
+    is a SchemaError; an unparseable or non-finite number, and an effort
+    outside EFFORT_RANGE, is a ParseError.
     """
     rows = _read_rows(path)
     if not rows:
@@ -253,9 +260,10 @@ def load_dataset(path, effort_column: str | None = None, categorical_columns=(),
                 f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}", row=row_no
             )
         effort = _parse_cell(row[effort_idx], specs[effort_idx], row_no, path)
-        if not math.isnan(effort) and effort <= 0:
+        if not (math.isnan(effort) or EFFORT_RANGE[0] <= effort <= EFFORT_RANGE[1]):
             raise ParseError(
-                f"{path}: row {row_no}: effort must be positive, got {effort}",
+                f"{path}: row {row_no}: effort must lie in [{EFFORT_RANGE[0]:g}, "
+                f"{EFFORT_RANGE[1]:g}], got {effort}",
                 row=row_no,
                 column=specs[effort_idx].name,
             )

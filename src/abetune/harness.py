@@ -306,54 +306,9 @@ def _solution_summary(sol: tuning.SolutionVector) -> dict:
 # report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvaluationReport:
-    engine_version: str
-    config: dict
-    results: dict       # dataset -> method -> cell dict
-    comparisons: dict   # dataset -> list of comparison dicts
-    win_tie_loss: dict  # dataset -> method -> measure -> {win,tie,loss}
-    rank_summaries: dict  # measure -> list of {method, mean_rank, rank_sd}
-
-    def to_json(self) -> str:
-        payload = {
-            "engine_version": self.engine_version,
-            "config": self.config,
-            "results": self.results,
-            "comparisons": self.comparisons,
-            "win_tie_loss": self.win_tie_loss,
-            "rank_summaries": self.rank_summaries,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvaluationReport":
-        payload = json.loads(text)
-        return cls(
-            engine_version=payload["engine_version"],
-            config=payload["config"],
-            results=payload["results"],
-            comparisons=payload["comparisons"],
-            win_tie_loss=payload["win_tie_loss"],
-            rank_summaries=payload["rank_summaries"],
-        )
-
-
-def _suite_dict(suite: metrics.MetricSuite) -> dict:
-    return {
-        "mae": suite.mae,
-        "sa": suite.sa,
-        "mbre": suite.mbre,
-        "mibre": suite.mibre,
-        "lsd": suite.lsd,
-        "effect_size": suite.effect_size,
-        "n": suite.n,
-    }
-
-
-def _compute_suite(actuals, preds, baseline) -> metrics.MetricSuite:
-    records = [metrics.PredictionRecord(a, p) for a, p in zip(actuals, preds)]
-    return metrics.aggregate(records, baseline)
+def report_json(report: dict) -> str:
+    """The machine-format report: sorted keys, no whitespace, one line."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _baseline(efforts, cfg: ExperimentConfig) -> metrics.RandomGuessBaseline:
@@ -365,33 +320,20 @@ def _baseline(efforts, cfg: ExperimentConfig) -> metrics.RandomGuessBaseline:
 
 def compare_methods(actuals, predictions: dict, baseline) -> tuple[dict, list, dict]:
     """Score each method's predictions of one dataset against its actuals:
-    per method the metric suite in report form, then, with two or more
-    methods, the pairwise comparisons and the win/tie/loss tallies."""
-    suites = {m: _suite_dict(_compute_suite(actuals, p, baseline))
-              for m, p in predictions.items()}
+    per method the metric suite, then, with two or more methods, the
+    pairwise comparisons and the win/tie/loss tallies, all in report form."""
+    suites = {m: metrics.aggregate(actuals, p, baseline) for m, p in predictions.items()}
     if len(predictions) < 2:
         return suites, [], {}
     errors = {m: np.abs(actuals - p) for m, p in predictions.items()}
     measures = {m: {e: s[e] for e in MEASURES} for m, s in suites.items()}
-    tallies, comps = stats.win_tie_loss(errors, measures)
-    comparisons = [
-        {
-            "method_a": c.method_a,
-            "method_b": c.method_b,
-            "p_value": c.p_value,
-            "outcomes": dict(c.outcomes),
-        }
-        for c in comps
-    ]
-    wtl = {
-        m: {e: {"win": t.win, "tie": t.tie, "loss": t.loss} for e, t in tallies[m].items()}
-        for m in tallies
-    }
+    wtl, comparisons = stats.win_tie_loss(errors, measures)
     return suites, comparisons, wtl
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> EvaluationReport:
-    """Evaluate every (dataset, method) cell and assemble the full report."""
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
+    """Evaluate every (dataset, method) cell and assemble the full report,
+    as the dict that `report_json` serializes."""
     results: dict = {}
     comparisons: dict = {}
     wtl: dict = {}
@@ -426,41 +368,36 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> EvaluationReport:
 
     rank_summaries = {}
     if len(cfg.methods) >= 2:
-        for m in MEASURES:
-            table = measure_tables[m]
-            summaries = stats.rank_methods(table, measure=m,
-                                           higher_is_better=(m in stats.HIGHER_IS_BETTER))
-            rank_summaries[m] = [
-                {"method": s.method, "mean_rank": s.mean_rank, "rank_sd": s.rank_sd}
-                for s in summaries
-            ]
+        rank_summaries = {m: stats.rank_methods(measure_tables[m],
+                                                higher_is_better=(m in stats.HIGHER_IS_BETTER))
+                          for m in MEASURES}
 
-    report = EvaluationReport(
-        engine_version=__version__,
-        config=cfg.echo(),
-        results=results,
-        comparisons=comparisons,
-        win_tie_loss=wtl,
-        rank_summaries=rank_summaries,
-    )
+    report = {
+        "engine_version": __version__,
+        "config": cfg.echo(),
+        "results": results,
+        "comparisons": comparisons,
+        "win_tie_loss": wtl,
+        "rank_summaries": rank_summaries,
+    }
     _verify_report(report, cfg)
     return report
 
 
-def _verify_report(report: EvaluationReport, cfg: ExperimentConfig) -> None:
+def _verify_report(report: dict, cfg: ExperimentConfig) -> None:
     """Recompute every metric suite from the stored prediction pairs and
     insist on exact agreement before anything is emitted.  The cells of a
     dataset must carry the same actuals, so its baseline is computed once."""
-    for ds_name, cells in report.results.items():
+    for ds_name, cells in report["results"].items():
         actuals = next(iter(cells.values()))["actuals"]
         baseline = _baseline(np.array(actuals), cfg)
         for method, cell in cells.items():
             if cell["actuals"] != actuals:
                 raise AbetuneError(f"report self-check failed: {ds_name}/{method}: "
                                    "actuals differ from the dataset's other cells")
-            suite = _compute_suite(np.array(actuals), np.array(cell["predictions"]), baseline)
+            suite = metrics.aggregate(actuals, cell["predictions"], baseline)
             stored = cell["metrics"]
-            for key, val in _suite_dict(suite).items():
+            for key, val in suite.items():
                 prev = stored[key]
                 same = (prev == val) or (isinstance(prev, float) and isinstance(val, float)
                                          and math.isnan(prev) and math.isnan(val))
@@ -492,17 +429,17 @@ def comparison_line(dataset: str, comp: dict) -> str:
     return ",".join(row + [comp["outcomes"].get(e, "") for e in MEASURES])
 
 
-def emit_report(report: EvaluationReport, out_dir) -> list:
+def emit_report(report: dict, out_dir) -> list:
     """Write the report files; returns the list of paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    ds_names = list(report.results)
-    methods = list(next(iter(report.results.values()))) if ds_names else []
+    ds_names = list(report["results"])
+    methods = list(next(iter(report["results"].values()))) if ds_names else []
 
     path = out / "report.json"
-    path.write_text(report.to_json(), encoding="utf-8")
+    path.write_text(report_json(report), encoding="utf-8")
     written.append(path)
 
     header = ["dataset"] + [f"{m}_{e}" for m in methods for e in MEASURES]
@@ -511,7 +448,7 @@ def emit_report(report: EvaluationReport, out_dir) -> list:
         row = [d]
         for m in methods:
             for e in MEASURES:
-                row.append(_human_value(e, report.results[d][m]["metrics"][e]))
+                row.append(_human_value(e, report["results"][d][m]["metrics"][e]))
         lines.append(",".join(row))
     path = out / "metrics.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -519,14 +456,14 @@ def emit_report(report: EvaluationReport, out_dir) -> list:
 
     lines = [COMPARISON_HEADER]
     for d in ds_names:
-        lines.extend(comparison_line(d, comp) for comp in report.comparisons[d])
+        lines.extend(comparison_line(d, comp) for comp in report["comparisons"][d])
     path = out / "comparisons.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(path)
 
     lines = ["dataset,method,measure,win,tie,loss"]
     for d in ds_names:
-        for m, per_measure in report.win_tie_loss[d].items():
+        for m, per_measure in report["win_tie_loss"][d].items():
             for e, t in per_measure.items():
                 lines.append(f"{d},{m},{e},{t['win']},{t['tie']},{t['loss']}")
     path = out / "win_tie_loss.csv"
@@ -536,16 +473,16 @@ def emit_report(report: EvaluationReport, out_dir) -> list:
     lines = ["dataset,method,project_index,actual,predicted"]
     for d in ds_names:
         for m in methods:
-            cell = report.results[d][m]
+            cell = report["results"][d][m]
             for i, (a, p) in enumerate(zip(cell["actuals"], cell["predictions"])):
                 lines.append(f"{d},{m},{i},{a!r},{p!r}")
     path = out / "predictions.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(path)
 
-    if report.rank_summaries:
+    if report["rank_summaries"]:
         lines = ["measure,method,mean_rank,rank_sd"]
-        for e, summaries in report.rank_summaries.items():
+        for e, summaries in report["rank_summaries"].items():
             for s in summaries:
                 lines.append(f"{e},{s['method']},{_fmt(s['mean_rank'])},{_fmt(s['rank_sd'])}")
         path = out / "ranks.csv"
@@ -561,10 +498,10 @@ def emit_report(report: EvaluationReport, out_dir) -> list:
     return written
 
 
-def _emit_k_histograms(report: EvaluationReport, out: Path) -> list:
+def _emit_k_histograms(report: dict, out: Path) -> list:
     """Gnuplot-style 'k count' files for methods with per-project solutions."""
     written = []
-    for d, cells in report.results.items():
+    for d, cells in report["results"].items():
         for m, cell in cells.items():
             sols = cell["solutions"]
             if len(sols) < 2 or not all("k" in s for s in sols):
@@ -579,7 +516,7 @@ def _emit_k_histograms(report: EvaluationReport, out: Path) -> list:
     return written
 
 
-def _markdown_metrics(report: EvaluationReport, ds_names, methods) -> str:
+def _markdown_metrics(report: dict, ds_names, methods) -> str:
     header = "| dataset | " + " | ".join(
         f"{DISPLAY_NAMES.get(m, m)} {e.upper()}" for m in methods for e in MEASURES) + " |"
     sep = "|" + "---|" * (1 + len(methods) * len(MEASURES))
@@ -588,9 +525,9 @@ def _markdown_metrics(report: EvaluationReport, ds_names, methods) -> str:
         row = [d]
         for m in methods:
             for e in MEASURES:
-                row.append(_human_value(e, report.results[d][m]["metrics"][e]))
+                row.append(_human_value(e, report["results"][d][m]["metrics"][e]))
         lines.append("| " + " | ".join(row) + " |")
-    mode_note = report.config.get("mode", "oracle")
+    mode_note = report["config"].get("mode", "oracle")
     lines.append("")
     lines.append(f"SA shown as a percentage. Local tuning objective mode: {mode_note}.")
     return "\n".join(lines) + "\n"

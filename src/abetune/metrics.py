@@ -6,6 +6,11 @@ Standardized accuracy compares a model's mean absolute error against random
 guessing (sampling another project's effort).  Predictions are floored at a
 tiny epsilon before any ratio or log measure so that aggressive adaptations
 cannot produce division by zero, while still being penalized hard.
+
+One array kernel, `error_means`, computes the mean errors (MAE, MBRE,
+MIBRE): the tuning problems call it for the swarm's objectives over a stack
+of folds, and `aggregate` for the suite that `report.json` stores, which is
+a plain dict.
 """
 
 from __future__ import annotations
@@ -21,27 +26,6 @@ from .errors import BoundsError, UndefinedBaselineError
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    actual: float
-    predicted: float
-
-    def __post_init__(self):
-        if not self.actual > 0:
-            raise BoundsError(f"actual effort must be positive, got {self.actual}")
-
-
-@dataclass(frozen=True)
-class MetricSuite:
-    mae: float
-    sa: float
-    mbre: float
-    mibre: float
-    lsd: float
-    effect_size: float
-    n: int
-
-
-@dataclass(frozen=True)
 class RandomGuessBaseline:
     """Expected MAE of guessing another project's effort, plus the spread
     (sample SD) of the individual guess errors."""
@@ -51,32 +35,34 @@ class RandomGuessBaseline:
     mode: str  # "exact" or "sampled(runs,seed)"
 
 
-def _clamp(predicted: float) -> float:
-    return max(float(predicted), EPS_EFFORT)
+def error_means(actuals, predictions) -> np.ndarray:
+    """(MAE, MBRE, MIBRE) over the last axis: predictions of shape (..., n)
+    against n actuals (or actuals that broadcast) give shape (..., 3).
+
+    AE uses the raw prediction; BRE and IBRE use it floored at EPS_EFFORT.
+    Each mean is a sum over the contiguous last axis divided by its length,
+    so the swarm's objectives and the report's suite are the same numbers.
+    """
+    a = np.asarray(actuals, dtype=float)
+    p = np.asarray(predictions, dtype=float)
+    floored = np.maximum(p, EPS_EFFORT)
+    ae = np.abs(a - p)
+    d = np.abs(a - floored)
+    errors = np.stack([ae, d / np.minimum(a, floored), d / np.maximum(a, floored)], axis=-2)
+    return errors.sum(axis=-1) / p.shape[-1]
 
 
-def ae(r: PredictionRecord) -> float:
-    return abs(r.actual - r.predicted)
-
-
-def bre(r: PredictionRecord) -> float:
-    p = _clamp(r.predicted)
-    return abs(r.actual - p) / min(r.actual, p)
-
-
-def ibre(r: PredictionRecord) -> float:
-    p = _clamp(r.predicted)
-    return abs(r.actual - p) / max(r.actual, p)
-
-
-def lsd(records: Sequence[PredictionRecord]) -> float:
+def lsd(actuals, predictions) -> float:
     """Logarithmic standard deviation of the log residuals, with the
-    half-variance correction added to each residual."""
-    if len(records) < 2:
-        raise BoundsError("LSD needs at least 2 records")
-    lam = np.array([math.log(r.actual) - math.log(_clamp(r.predicted)) for r in records])
+    half-variance correction added to each residual.  Predictions are
+    floored at EPS_EFFORT; each log is taken with `math.log`."""
+    if len(actuals) < 2:
+        raise BoundsError("LSD needs at least 2 projects")
+    floored = np.maximum(np.asarray(predictions, dtype=float), EPS_EFFORT)
+    lam = np.array([math.log(a) - math.log(p)
+                    for a, p in zip(np.asarray(actuals, dtype=float).tolist(), floored.tolist())])
     s2 = float(np.var(lam, ddof=1))
-    return float(np.sqrt(np.sum((lam + s2 / 2.0) ** 2) / (len(records) - 1)))
+    return float(np.sqrt(np.sum((lam + s2 / 2.0) ** 2) / (len(lam) - 1)))
 
 
 def random_guess_baseline(efforts: Sequence[float], mode="exact", runs: int = 100_000,
@@ -139,24 +125,28 @@ def effect_size(mae: float, baseline_mae: float, baseline_sd: float, signed: boo
     return delta if signed else abs(delta)
 
 
-def aggregate(records: Sequence[PredictionRecord],
-              baseline: RandomGuessBaseline | None = None) -> MetricSuite:
-    """Mean AE/BRE/IBRE plus LSD, and SA/effect size when a baseline is given.
+def aggregate(actuals, predictions, baseline: RandomGuessBaseline | None = None) -> dict:
+    """The metric suite of one method's predictions, as `report.json` stores
+    it: MAE/MBRE/MIBRE from `error_means`, LSD, and SA and effect size when a
+    baseline is given.
 
-    LSD needs two records and SA needs a baseline; absent either, the field
+    LSD needs two projects and SA needs a baseline; absent either, the field
     is NaN rather than an error so partial suites stay usable.
     """
-    if len(records) == 0:
-        raise BoundsError("cannot aggregate zero records")
-    mae = float(np.mean([ae(r) for r in records]))
-    mbre = float(np.mean([bre(r) for r in records]))
-    mibre = float(np.mean([ibre(r) for r in records]))
-    lsd_val = lsd(records) if len(records) >= 2 else math.nan
+    a = np.asarray(actuals, dtype=float)
+    p = np.asarray(predictions, dtype=float)
+    if a.ndim != 1 or a.shape != p.shape:
+        raise BoundsError(f"actuals {a.shape} and predictions {p.shape} must be aligned vectors")
+    if len(a) == 0:
+        raise BoundsError("cannot aggregate zero projects")
+    if not (a > 0).all():
+        raise BoundsError(f"actual effort must be positive, got {a[~(a > 0)][0]}")
+    mae, mbre, mibre = error_means(a, p).tolist()
     if baseline is not None and (mae == 0 or baseline.mae_p0 > 0):
         sa_val = sa(mae, baseline)
         delta = effect_size(mae, baseline.mae_p0, baseline.sp0) if baseline.sp0 > 0 else math.nan
     else:
         sa_val = math.nan
         delta = math.nan
-    return MetricSuite(mae=mae, sa=sa_val, mbre=mbre, mibre=mibre, lsd=lsd_val,
-                       effect_size=delta, n=len(records))
+    return {"mae": mae, "sa": sa_val, "mbre": mbre, "mibre": mibre,
+            "lsd": lsd(a, p) if len(a) >= 2 else math.nan, "effect_size": delta, "n": len(a)}

@@ -5,13 +5,13 @@ for pooled samples of up to 16 values (midranks for ties) and otherwise
 uses the normal approximation with tie and continuity corrections.  Method
 tournaments gate every pairwise comparison on that test over absolute
 errors: insignificant pairs tie, significant pairs win/lose on the measure
-at hand.
+at hand.  Tallies, comparisons and rank summaries come back as the plain
+dicts that `report.json` stores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -25,21 +25,8 @@ SIGNIFICANCE = 0.05       # fixed two-sided level (95% confidence)
 # Lower is better for every measure except standardized accuracy.
 HIGHER_IS_BETTER = frozenset({"sa"})
 
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    method_a: str
-    method_b: str
-    p_value: float
-    outcomes: Mapping[str, str]  # measure -> "win"/"tie"/"loss" from method_a's view
-
-
-@dataclass(frozen=True)
-class RankSummary:
-    method: str
-    measure: str
-    mean_rank: float
-    rank_sd: float
+# A pair's outcome from the other method's view.
+_REVERSED = {"win": "loss", "tie": "tie", "loss": "win"}
 
 
 def _midranks(pooled: np.ndarray) -> np.ndarray:
@@ -106,13 +93,6 @@ def wilcoxon_rank_sum(sample_a: Sequence[float], sample_b: Sequence[float]) -> f
     return _approx_p(ranks, len(a), observed)
 
 
-@dataclass
-class Tally:
-    win: int = 0
-    tie: int = 0
-    loss: int = 0
-
-
 def better(measure: str, value_a: float, value_b: float) -> bool:
     """True when value_a beats value_b on this measure."""
     if measure.lower() in HIGHER_IS_BETTER:
@@ -121,13 +101,16 @@ def better(measure: str, value_a: float, value_b: float) -> bool:
 
 
 def win_tie_loss(errors_by_method: Mapping[str, Sequence[float]],
-                 measures: Mapping[str, Mapping[str, float]]):
-    """Pairwise tournament over all methods.
+                 measures: Mapping[str, Mapping[str, float]]) -> tuple[dict, list]:
+    """Pairwise tournament over all methods, in the form `report.json`
+    stores it.
 
     Every unordered pair is compared once per measure: if the rank-sum test
     on the two absolute-error samples cannot tell them apart, both tie;
-    otherwise the measure value decides who wins.  Returns
-    (tallies, comparisons) with tallies[method][measure] a Tally.
+    otherwise the measure value decides who wins.  Returns (tallies,
+    comparisons): tallies[method][measure] is {"win", "tie", "loss"} counts,
+    and each comparison is {"method_a", "method_b", "p_value", "outcomes"}
+    with outcomes[measure] "win", "tie" or "loss" from method_a's view.
     """
     methods = list(errors_by_method)
     if len(methods) < 2:
@@ -136,33 +119,29 @@ def win_tie_loss(errors_by_method: Mapping[str, Sequence[float]],
     if len(lengths) != 1:
         raise BoundsError("absolute-error sequences must be aligned")
     measure_names = list(next(iter(measures.values())))
-    tallies = {m: {e: Tally() for e in measure_names} for m in methods}
+    tallies = {m: {e: {"win": 0, "tie": 0, "loss": 0} for e in measure_names} for m in methods}
     comparisons = []
     for a, b in combinations(methods, 2):
         p = wilcoxon_rank_sum(errors_by_method[a], errors_by_method[b])
         outcomes = {}
         for e in measure_names:
             if p >= SIGNIFICANCE:
-                tallies[a][e].tie += 1
-                tallies[b][e].tie += 1
                 outcomes[e] = "tie"
             elif better(e, measures[a][e], measures[b][e]):
-                tallies[a][e].win += 1
-                tallies[b][e].loss += 1
                 outcomes[e] = "win"
             else:
-                tallies[b][e].win += 1
-                tallies[a][e].loss += 1
                 outcomes[e] = "loss"
-        comparisons.append(ComparisonResult(method_a=a, method_b=b, p_value=p,
-                                            outcomes=outcomes))
+            tallies[a][e][outcomes[e]] += 1
+            tallies[b][e][_REVERSED[outcomes[e]]] += 1
+        comparisons.append({"method_a": a, "method_b": b, "p_value": p, "outcomes": outcomes})
     return tallies, comparisons
 
 
 def rank_methods(measure_table: Mapping[str, Mapping[str, float]],
-                 measure: str = "value", higher_is_better: bool = False) -> list[RankSummary]:
+                 higher_is_better: bool = False) -> list[dict]:
     """Rank methods per dataset (1 = best, average ranks on ties) and report
-    each method's mean rank and the sample SD of its ranks across datasets.
+    each method's mean rank and the sample SD of its ranks across datasets,
+    as {"method", "mean_rank", "rank_sd"} per method.
 
     `measure_table` maps dataset -> method -> value; every cell must exist.
     """
@@ -186,6 +165,5 @@ def rank_methods(measure_table: Mapping[str, Mapping[str, float]],
     for m in methods:
         arr = np.array(ranks[m])
         sd = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
-        out.append(RankSummary(method=m, measure=measure,
-                               mean_rank=float(arr.mean()), rank_sd=sd))
+        out.append({"method": m, "mean_rank": float(arr.mean()), "rank_sd": sd})
     return out

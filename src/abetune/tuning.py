@@ -246,11 +246,7 @@ class _Problem:
     def score(self, K, masks, W) -> np.ndarray:
         """(MAE, MBRE, MIBRE) per decoded solution over the folds; over one
         fold these are its (AE, BRE, IBRE)."""
-        pred = self.ctx.predict_batch(K, masks, W)  # (p, f)
-        act = self.actuals[None, :]
-        ae = np.abs(act - pred)
-        errors = np.stack([ae, ae / np.minimum(act, pred), ae / np.maximum(act, pred)], axis=1)
-        return errors.sum(axis=2) / pred.shape[1]  # one reduction for all three means
+        return metrics.error_means(self.actuals, self.ctx.predict_batch(K, masks, W))
 
     def decode(self, x: np.ndarray) -> SolutionVector:
         return decode_position(x, self.space.n_rows, self.space.m, self.space.variant)

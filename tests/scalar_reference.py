@@ -1,15 +1,17 @@
 """Scalar reference implementations the tests compare the batched code with.
 
 Each function here works one solution or one project at a time with plain
-Python arithmetic and the public single-value operations of `abe` and
-`metrics`, independently of the batched decode and scoring in `tuning`.
+Python arithmetic and the public single-value operations of `abe`,
+independently of the batched decode and scoring in `tuning`.  The error
+measures are computed here with `math` alone; nothing is imported from
+`abetune.metrics`, whose array kernel they check.
 """
 
 import math
 
 import numpy as np
 
-from abetune import abe, metrics
+from abetune import abe
 from abetune.errors import AbetuneError
 from abetune.tuning import SolutionSpace, SolutionVector, decode_mask
 
@@ -59,22 +61,35 @@ def predict(train, target_row, sol: SolutionVector) -> float:
     return max(abe.owm_aggregate(adapted), abe.EPS_EFFORT)
 
 
+def errors(actual: float, predicted: float) -> tuple:
+    """(AE, BRE, IBRE) of one prediction: AE on the raw prediction, BRE and
+    IBRE on the prediction floored at EPS_EFFORT."""
+    p = max(float(predicted), abe.EPS_EFFORT)
+    ae = abs(actual - predicted)
+    d = abs(actual - p)
+    return ae, d / min(actual, p), d / max(actual, p)
+
+
+def error_means(actuals, predictions) -> tuple:
+    """(MAE, MBRE, MIBRE), each a correctly rounded sum over the projects
+    divided by their count."""
+    per_project = [errors(float(a), float(p)) for a, p in zip(actuals, predictions)]
+    return tuple(math.fsum(col) / len(per_project) for col in zip(*per_project))
+
+
 def lt_objectives(train, target_row, actual: float, sol: SolutionVector) -> np.ndarray:
     """(AE, BRE, IBRE) of the single prediction."""
-    rec = metrics.PredictionRecord(actual=actual, predicted=predict(train, target_row, sol))
-    return np.array([metrics.ae(rec), metrics.bre(rec), metrics.ibre(rec)])
+    return np.array(errors(actual, predict(train, target_row, sol)))
 
 
 def gt_objectives(ds, sol: SolutionVector, baseline) -> np.ndarray:
     """(-SA, MBRE, MIBRE) over a leave-one-out pass, the SA baseline floored
     at EPS_EFFORT as the optimizer's fitness does."""
-    records = []
-    for i in range(ds.n):
-        train, row, actual = ds.loocv_fold(i)
-        records.append(metrics.PredictionRecord(actual, predict(train, row, sol)))
-    suite = metrics.aggregate(records)
-    sa = 1.0 - suite.mae / max(baseline.mae_p0, abe.EPS_EFFORT)
-    return np.array([-sa, suite.mbre, suite.mibre])
+    folds = [ds.loocv_fold(i) for i in range(ds.n)]
+    mae, mbre, mibre = error_means([actual for _, _, actual in folds],
+                                   [predict(train, row, sol) for train, row, _ in folds])
+    sa = 1.0 - mae / max(baseline.mae_p0, abe.EPS_EFFORT)
+    return np.array([-sa, mbre, mibre])
 
 
 def run_loocv(ds, predictor) -> list[tuple[float, float]]:

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from abetune import abe, datasets, harness, metrics, mopso, stats, tuning
-from abetune.metrics import PredictionRecord as R
 
 SEEDS = (1, 2, 3)
 THREADS = max(1, min(4, os.cpu_count() or 1))
@@ -36,13 +35,11 @@ def _line(criterion: str, ok: bool, detail: str) -> None:
 
 def _sa(ds, preds) -> float:
     base = metrics.random_guess_baseline(ds.efforts())
-    recs = [R(a, p) for a, p in zip(ds.efforts(), preds)]
-    return 100.0 * metrics.aggregate(recs, base).sa
+    return 100.0 * metrics.aggregate(ds.efforts(), preds, base)["sa"]
 
 
 def _mbre(ds, preds) -> float:
-    recs = [R(a, p) for a, p in zip(ds.efforts(), preds)]
-    return 100.0 * metrics.aggregate(recs).mbre
+    return 100.0 * metrics.aggregate(ds.efforts(), preds)["mbre"]
 
 
 @pytest.fixture(scope="module")
@@ -170,20 +167,23 @@ def test_c1_metric_unit_exactness():
             failures.append(f"{label}: got {got!r}, wanted {want!r}")
 
     # metrics
-    chk("ae identity", metrics.ae(R(100, 100)), 0)
-    chk("ae under", metrics.ae(R(100, 80)), 20)
-    chk("ae over", metrics.ae(R(80, 100)), 20)
-    chk("bre(10,5)", metrics.bre(R(10, 5)), 1.0)
-    chk("ibre(10,5)", metrics.ibre(R(10, 5)), 0.5)
-    chk("bre(5,10)", metrics.bre(R(5, 10)), 1.0)
-    chk("ibre(5,10)", metrics.ibre(R(5, 10)), 0.5)
-    chk("bre exact", metrics.bre(R(10, 10)), 0.0)
-    suite = metrics.aggregate([R(10, 5)])
-    chk("aggregate single", [suite.mbre, suite.mibre, suite.mae], [1.0, 0.5, 5.0])
+    def errors(actual, predicted):  # (AE, BRE, IBRE) of one prediction
+        return metrics.error_means([actual], [predicted])
+
+    chk("ae identity", errors(100, 100)[0], 0)
+    chk("ae under", errors(100, 80)[0], 20)
+    chk("ae over", errors(80, 100)[0], 20)
+    chk("bre(10,5)", errors(10, 5)[1], 1.0)
+    chk("ibre(10,5)", errors(10, 5)[2], 0.5)
+    chk("bre(5,10)", errors(5, 10)[1], 1.0)
+    chk("ibre(5,10)", errors(5, 10)[2], 0.5)
+    chk("bre exact", errors(10, 10)[1], 0.0)
+    suite = metrics.aggregate([10], [5])
+    chk("aggregate single", [suite["mbre"], suite["mibre"], suite["mae"]], [1.0, 0.5, 5.0])
     chk("aggregate mbre midpoint",
-        metrics.aggregate([R(10, 5), R(10, 10)]).mbre, 0.5)
-    exact_suite = metrics.aggregate([R(10, 10), R(4, 4)])
-    chk("aggregate exact", [exact_suite.mae, exact_suite.mbre, exact_suite.mibre],
+        metrics.aggregate([10, 10], [5, 10])["mbre"], 0.5)
+    exact_suite = metrics.aggregate([10, 4], [10, 4])
+    chk("aggregate exact", [exact_suite["mae"], exact_suite["mbre"], exact_suite["mibre"]],
         [0.0, 0.0, 0.0])
     chk("baseline enumeration", metrics.random_guess_baseline([1, 2, 3]).mae_p0, 4 / 3)
     chk("baseline zero spread", metrics.random_guess_baseline([5, 5, 5]).mae_p0, 0.0)
@@ -197,14 +197,13 @@ def test_c1_metric_unit_exactness():
     chk("effect none", metrics.effect_size(100, 100, 100), 0.0)
     chk("effect medium", metrics.effect_size(50, 100, 100), 0.5)
     chk("effect large", metrics.effect_size(20, 100, 100), 0.8)
-    chk("lsd zero", metrics.lsd([R(10, 10), R(4, 4)]), 0.0)
+    chk("lsd zero", metrics.lsd([10, 4], [10, 4]), 0.0)
     lam = [0.1, -0.1]
-    recs = [R(1.0, math.exp(-x)) for x in lam]
-    chk("lsd hand formula", metrics.lsd(recs),
+    chk("lsd hand formula", metrics.lsd([1.0, 1.0], [math.exp(-x) for x in lam]),
         math.sqrt((0.11 ** 2 + 0.09 ** 2) / 1.0), eps=1e-6)
     c = 0.37
     chk("lsd constant residual",
-        metrics.lsd([R(1.0, math.exp(-c))] * 2), c * math.sqrt(2.0))
+        metrics.lsd([1.0, 1.0], [math.exp(-c)] * 2), c * math.sqrt(2.0))
 
     # abe core
     no_cat = np.zeros(2, dtype=bool)
@@ -496,8 +495,8 @@ def test_c7_wilcoxon_correctness():
               for i, m in enumerate(methods)}
     measures = {m: {"mae": float(np.mean(errors[m]))} for m in methods}
     tallies, _ = stats.win_tie_loss(errors, measures)
-    total_wins = sum(tallies[m]["mae"].win for m in methods)
-    total_losses = sum(tallies[m]["mae"].loss for m in methods)
+    total_wins = sum(tallies[m]["mae"]["win"] for m in methods)
+    total_losses = sum(tallies[m]["mae"]["loss"] for m in methods)
     ok = abs(p1 - 0.1) < 1e-12 and p2 == 1.0 and total_wins == total_losses
     _line("criterion 7", ok,
           f"exact p={p1}, identical p={p2}, wins {total_wins} == losses {total_losses}")

@@ -2,12 +2,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import abetune
 from abetune import harness
 from abetune.data import (
-    MAX_INPUT_FEATURES, Dataset, FeatureSpec, Kind, Project, Role,
+    EFFORT_RANGE, MAX_INPUT_FEATURES, Dataset, FeatureSpec, Kind, Project, Role,
     load_dataset, pipeline, preprocess, standardize,
 )
 from abetune.datasets import BUNDLED, load_bundled, load_bundled_raw
@@ -57,6 +57,19 @@ class TestLoad:
         path = write(tmp_path, "a,effort\n1,10\n2,0\n3,30\n")
         with pytest.raises(ParseError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("effort", ["1e-320", "9.99e-101", "1.001e100", "1e308"])
+    def test_effort_outside_the_range_rejected(self, tmp_path, effort):
+        path = write(tmp_path, f"a,effort\n1,10\n2,{effort}\n3,30\n")
+        with pytest.raises(ParseError, match="effort must lie in") as err:
+            load_dataset(path)
+        assert (err.value.row, err.value.column) == (3, "effort")
+        assert str(path) in str(err.value)
+
+    def test_efforts_at_the_range_edges_load(self, tmp_path):
+        low, high = EFFORT_RANGE
+        path = write(tmp_path, f"a,effort\n1,{low!r}\n2,{high!r}\n3,30\n")
+        assert load_dataset(path).efforts().tolist() == [low, high, 30.0]
 
     def test_feature_limit_enforced_at_load(self, tmp_path):
         def csv(m):
@@ -301,6 +314,8 @@ def dataset_files(draw):
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(dataset_files())
+@example((b"a,effort\n1,1e-320\n2,20\n3,30\n", {}))
+@example((b"a,effort\n1,1e308\n2,1.5e308\n3,1.7e308\n", {}))
 def test_loaders_raise_only_typed_errors(tmp_path_factory, case):
     content, roles = case
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
@@ -311,4 +326,5 @@ def test_loaders_raise_only_typed_errors(tmp_path_factory, case):
     except AbetuneError:
         return
     assert np.isfinite(std.matrix).all()
-    assert np.isfinite(std.efforts()).all() and (std.efforts() > 0).all()
+    low, high = EFFORT_RANGE
+    assert ((low <= std.efforts()) & (std.efforts() <= high)).all()

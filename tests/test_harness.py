@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import warnings
 from concurrent import futures
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from abetune import abe, cli, harness, metrics
 from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
 from abetune.errors import AbetuneError, ConfigError
-from abetune.harness import EvaluationReport, emit_report, parse_config, run_experiment
+from abetune.harness import emit_report, parse_config, report_json, run_experiment
 from scalar_reference import run_loocv
 
 BASE_CONFIG = {
@@ -149,10 +151,10 @@ class TestRunExperiment:
     def test_report_shape_and_counts(self):
         cfg = parse_config(dict(BASE_CONFIG))
         report = run_experiment(cfg)
-        assert set(report.results) == {"synthetic_small"}
-        cells = report.results["synthetic_small"]
+        assert set(report["results"]) == {"synthetic_small"}
+        cells = report["results"]["synthetic_small"]
         assert set(cells) == {"abe0", "lt"}
-        assert len(report.comparisons["synthetic_small"]) == 1
+        assert len(report["comparisons"]["synthetic_small"]) == 1
         suite = cells["abe0"]["metrics"]
         assert set(suite) == {"mae", "sa", "mbre", "mibre", "lsd", "effect_size", "n"}
 
@@ -160,24 +162,17 @@ class TestRunExperiment:
         cfg = parse_config(dict(BASE_CONFIG))
         r1 = run_experiment(cfg)
         r2 = run_experiment(cfg)
-        assert r1.to_json() == r2.to_json()
+        assert report_json(r1) == report_json(r2)
 
     def test_zero_methods_cannot_reach_runner(self):
         with pytest.raises(ConfigError):
             parse_config(dict(BASE_CONFIG) | {"methods": []})
 
-    def test_json_roundtrip(self):
-        cfg = parse_config(dict(BASE_CONFIG))
-        report = run_experiment(cfg)
-        back = EvaluationReport.from_json(report.to_json())
-        assert back.to_json() == report.to_json()
-        assert back.results == report.results
-
     def test_self_check_rejects_a_perturbed_metric(self):
         cfg = parse_config(dict(BASE_CONFIG))
         report = run_experiment(cfg)
         harness._verify_report(report, cfg)
-        cell = report.results["synthetic_small"]["lt"]
+        cell = report["results"]["synthetic_small"]["lt"]
         cell["metrics"]["mbre"] = cell["metrics"]["mbre"] * (1 + 1e-12)
         with pytest.raises(AbetuneError, match="synthetic_small/lt/mbre"):
             harness._verify_report(report, cfg)
@@ -185,22 +180,39 @@ class TestRunExperiment:
     def test_self_check_rejects_cells_with_different_actuals(self):
         cfg = parse_config(dict(BASE_CONFIG) | {"baseline": {"sampled": 1000}})
         report = run_experiment(cfg)
-        report.results["synthetic_small"]["lt"]["actuals"][0] += 1.0
+        report["results"]["synthetic_small"]["lt"]["actuals"][0] += 1.0
         with pytest.raises(AbetuneError, match="actuals differ"):
             harness._verify_report(report, cfg)
 
     def test_metrics_recomputable_from_predictions(self):
         cfg = parse_config(dict(BASE_CONFIG))
         report = run_experiment(cfg)
-        for cells in report.results.values():
+        for cells in report["results"].values():
             for cell in cells.values():
                 actuals = np.array(cell["actuals"])
                 preds = np.array(cell["predictions"])
                 base = metrics.random_guess_baseline(actuals)
-                recs = [metrics.PredictionRecord(a, p) for a, p in zip(actuals, preds)]
-                suite = metrics.aggregate(recs, base)
-                assert cell["metrics"]["sa"] == suite.sa
-                assert cell["metrics"]["mbre"] == suite.mbre
+                suite = metrics.aggregate(actuals, preds, base)
+                assert cell["metrics"]["sa"] == suite["sa"]
+                assert cell["metrics"]["mbre"] == suite["mbre"]
+
+
+@pytest.mark.parametrize("efforts", [
+    [1e-100, 3e-100, 2e-100, 7e-100, 5e-100],
+    [1e100, 3e99, 2e99, 7e99, 5e99],
+    [1e-100, 1e100, 2e-100, 3e99, 5.0],
+], ids=["lower-edge", "upper-edge", "both-edges"])
+def test_efforts_at_the_range_edges_are_tuned_and_scored(tmp_path, efforts):
+    csv = tmp_path / "edge.csv"
+    csv.write_text("size,effort\n" + "".join(f"{i},{e!r}\n" for i, e in enumerate(efforts)))
+    cfg = parse_config(dict(BASE_CONFIG) | {
+        "datasets": [{"name": "edge", "path": str(csv), "effort_column": "effort"}],
+        "methods": ["abe0", "lt", "gt"], "mopso": {"pop_size": 4, "max_iter": 3}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow or division by zero
+        report = run_experiment(cfg)
+    for method, cell in report["results"]["edge"].items():
+        assert all(math.isfinite(v) for v in cell["metrics"].values()), (method, cell["metrics"])
 
 
 class TestWorkerPool:
@@ -228,7 +240,7 @@ class TestWorkerPool:
         assert pools == []
         pooled = run_experiment(cfg, threads=2)
         assert pools == [[2, 2 * (8 + 15)]]  # every fold of both LT cells of both datasets
-        assert pooled.to_json() == serial.to_json()
+        assert report_json(pooled) == report_json(serial)
 
     def test_a_run_without_lt_cells_builds_no_pool(self, pools):
         cfg = parse_config(dict(BASE_CONFIG) | {"methods": ["abe0", "gt"]})
@@ -252,7 +264,7 @@ class TestEmission:
         report = self.make_report()
         emit_report(report, tmp_path)
         text = (tmp_path / "metrics.md").read_text()
-        sa = report.results["nasa"]["abe0"]["metrics"]["sa"]
+        sa = report["results"]["nasa"]["abe0"]["metrics"]["sa"]
         assert f"{100 * sa:.1f}" in text
 
     def test_predictions_file_full_precision(self, tmp_path):
@@ -261,7 +273,7 @@ class TestEmission:
         lines = (tmp_path / "predictions.csv").read_text().strip().splitlines()[1:]
         first = lines[0].split(",")
         stored = float(first[4])
-        assert stored == report.results["synthetic_small"]["abe0"]["predictions"][0]
+        assert stored == report["results"]["synthetic_small"]["abe0"]["predictions"][0]
 
     def test_k_histogram_written_for_local_methods(self, tmp_path):
         report = self.make_report()
@@ -323,8 +335,11 @@ class TestCli:
         (b"size,effort\n1,10\n2,inf\n3,30\n", {}, "row 3, column 'effort'"),
         (b"size,id,effort\n1,1,10\n2,2,20\n3,3,30\n", {"excluded_columns": ["ID"]}, "['ID']"),
         (b"size,effort\n1,10\n2,20\n", {}, "need at least 3 projects"),
+        (b"a,effort\n1,1e-320\n2,20\n3,30\n4,40\n", {}, "row 2: effort must lie in"),
+        (b"a,effort\n1,1e308\n2,1.5e308\n3,1.7e308\n4,1.2e308\n", {},
+         "row 2: effort must lie in"),
     ], ids=["empty", "not-utf8", "oversize-field", "inf-input", "inf-effort", "unknown-column",
-            "two-rows"])
+            "two-rows", "effort-too-small", "effort-too-large"])
     def test_malformed_dataset_file_is_a_validation_error(self, tmp_path, capsys, monkeypatch,
                                                            content, roles, where):
         csv = tmp_path / "bad.csv"
@@ -398,6 +413,30 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "cmp" / "comparisons.csv").exists()
         assert "abe0 vs lt" in proc.stdout
+
+    @pytest.mark.parametrize("column,cell", [
+        ("project_index", "1.5"),
+        ("actual", "many"),
+        ("actual", "inf"),
+        ("actual", "0"),
+        ("actual", "-4"),
+        ("predicted", "x1"),
+        ("predicted", "inf"),
+        ("predicted", "nan"),
+    ], ids=["index-not-integer", "actual-not-numeric", "actual-inf", "actual-zero",
+            "actual-negative", "predicted-not-numeric", "predicted-inf", "predicted-nan"])
+    def test_compare_rejects_a_malformed_predictions_file(self, tmp_path, capsys, column, cell):
+        header = ["dataset", "method", "project_index", "actual", "predicted"]
+        rows = [["d", m, str(i), str(10.0 * (i + 1)), str(9.0 * (i + 1) + j)]
+                for j, m in enumerate(("abe0", "lt")) for i in range(4)]
+        rows[5][header.index(column)] = cell  # line 7 of the file
+        path = tmp_path / "predictions.csv"
+        path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+        assert cli.main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {path}: row 7, column '{column}': "
+                              f"{cell!r} is not "), err
+        assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("mode,rows", [("oracle", 6), ("honest", 3)])
     def test_degenerate_boxes_run_every_method(self, tmp_path, mode, rows):

@@ -3,64 +3,108 @@ import math
 import numpy as np
 import pytest
 
-from abetune import metrics
+from abetune import abe, metrics
 from abetune.datasets import load_bundled
 from abetune.errors import BoundsError, UndefinedBaselineError
-from abetune.metrics import PredictionRecord as R
+
+import scalar_reference as ref
 
 ATOL = 1e-9
 
 
+def ae(actual, predicted):
+    return metrics.error_means([actual], [predicted])[0]
+
+
+def bre(actual, predicted):
+    return metrics.error_means([actual], [predicted])[1]
+
+
+def ibre(actual, predicted):
+    return metrics.error_means([actual], [predicted])[2]
+
+
 class TestPointwise:
     def test_ae(self):
-        assert metrics.ae(R(100, 100)) == 0
-        assert metrics.ae(R(100, 80)) == 20
-        assert metrics.ae(R(80, 100)) == 20
+        assert ae(100, 100) == 0
+        assert ae(100, 80) == 20
+        assert ae(80, 100) == 20
 
     def test_bre_ibre(self):
-        assert metrics.bre(R(10, 5)) == pytest.approx(1.0, abs=ATOL)
-        assert metrics.ibre(R(10, 5)) == pytest.approx(0.5, abs=ATOL)
-        assert metrics.bre(R(5, 10)) == pytest.approx(1.0, abs=ATOL)
-        assert metrics.ibre(R(5, 10)) == pytest.approx(0.5, abs=ATOL)
-        assert metrics.bre(R(10, 10)) == 0
-        assert metrics.ibre(R(10, 10)) == 0
+        assert bre(10, 5) == pytest.approx(1.0, abs=ATOL)
+        assert ibre(10, 5) == pytest.approx(0.5, abs=ATOL)
+        assert bre(5, 10) == pytest.approx(1.0, abs=ATOL)
+        assert ibre(5, 10) == pytest.approx(0.5, abs=ATOL)
+        assert bre(10, 10) == 0
+        assert ibre(10, 10) == 0
 
     def test_nonpositive_prediction_clamped(self):
-        r = R(10, -3.0)
-        assert metrics.bre(r) == pytest.approx((10 - 1e-6) / 1e-6)
-        assert metrics.ibre(r) == pytest.approx((10 - 1e-6) / 10)
+        assert bre(10, -3.0) == pytest.approx((10 - 1e-6) / 1e-6)
+        assert ibre(10, -3.0) == pytest.approx((10 - 1e-6) / 10)
 
     def test_actual_must_be_positive(self):
-        with pytest.raises(BoundsError):
-            R(0, 5)
+        for actual in (0.0, -2.0, math.nan):
+            with pytest.raises(BoundsError, match="actual effort must be positive"):
+                metrics.aggregate([10.0, actual], [5.0, 5.0])
+
+
+class TestKernel:
+    def test_matches_the_scalar_reference(self):
+        # predictions below, at and just above the floor, negative ones, and
+        # ordinary ones, against actuals spanning several magnitudes
+        rng = np.random.default_rng(8)
+        eps = abe.EPS_EFFORT
+        for n in (1, 2, 3, 7, 8, 9, 100, 129, 700):
+            actuals = np.exp(rng.uniform(-3, 9, n))
+            preds = actuals * rng.uniform(0.2, 3.0, n)
+            special = rng.choice([-50.0, -eps, 0.0, eps / 2, eps, 2 * eps], n)
+            preds = np.where(rng.random(n) < 0.3, special, preds)
+            want = ref.error_means(actuals, preds)
+            got = metrics.error_means(actuals, preds)
+            assert got.shape == (3,)
+            assert got.tolist() == pytest.approx(want, rel=1e-13, abs=0)
+            suite = metrics.aggregate(actuals, preds)
+            assert [suite["mae"], suite["mbre"], suite["mibre"]] == got.tolist()
+            assert suite["n"] == n
+
+    def test_rows_are_scored_independently(self):
+        rng = np.random.default_rng(3)
+        actuals = rng.uniform(1, 50, 6)
+        preds = rng.uniform(-1, 60, (4, 6))
+        batch = metrics.error_means(actuals, preds)
+        assert batch.shape == (4, 3)
+        for row, p in zip(batch, preds):
+            assert row.tolist() == metrics.error_means(actuals, p).tolist()
 
 
 class TestAggregate:
     def test_single_record(self):
-        s = metrics.aggregate([R(10, 5)])
-        assert s.mbre == pytest.approx(1.0, abs=ATOL)
-        assert s.mibre == pytest.approx(0.5, abs=ATOL)
-        assert s.mae == pytest.approx(5.0, abs=ATOL)
-        assert math.isnan(s.lsd) and math.isnan(s.sa)
+        s = metrics.aggregate([10], [5])
+        assert s["mbre"] == pytest.approx(1.0, abs=ATOL)
+        assert s["mibre"] == pytest.approx(0.5, abs=ATOL)
+        assert s["mae"] == pytest.approx(5.0, abs=ATOL)
+        assert math.isnan(s["lsd"]) and math.isnan(s["sa"])
 
     def test_mbre_midpoint(self):
-        s = metrics.aggregate([R(10, 5), R(10, 10)])
-        assert s.mbre == pytest.approx(0.5, abs=ATOL)
+        s = metrics.aggregate([10, 10], [5, 10])
+        assert s["mbre"] == pytest.approx(0.5, abs=ATOL)
 
     def test_all_exact(self):
-        s = metrics.aggregate([R(10, 10), R(7, 7), R(3, 3)])
-        assert s.mae == 0 and s.mbre == 0 and s.mibre == 0
+        s = metrics.aggregate([10, 7, 3], [10, 7, 3])
+        assert s["mae"] == 0 and s["mbre"] == 0 and s["mibre"] == 0
 
     def test_empty_errors(self):
         with pytest.raises(BoundsError):
-            metrics.aggregate([])
+            metrics.aggregate([], [])
+
+    def test_misaligned_rejected(self):
+        with pytest.raises(BoundsError):
+            metrics.aggregate([10, 20], [10])
 
     def test_ibre_never_exceeds_bre(self):
         rng = np.random.default_rng(5)
-        recs = [R(float(a), float(p))
-                for a, p in zip(rng.uniform(1, 100, 50), rng.uniform(-5, 100, 50))]
-        s = metrics.aggregate(recs)
-        assert s.mibre <= s.mbre + ATOL
+        s = metrics.aggregate(rng.uniform(1, 100, 50), rng.uniform(-5, 100, 50))
+        assert s["mibre"] <= s["mbre"] + ATOL
 
 
 class TestBaseline:
@@ -138,31 +182,30 @@ class TestSaAndEffectSize:
         preds = efforts * rng.uniform(0.5, 1.5, 12)
         for c in (1.0, 7.3, 1200.0):
             b = metrics.random_guess_baseline(efforts * c)
-            recs = [R(a * c, p * c) for a, p in zip(efforts, preds)]
-            s = metrics.aggregate(recs, b)
+            s = metrics.aggregate(efforts * c, preds * c, b)
             if c == 1.0:
-                ref = s.sa
-            assert s.sa == pytest.approx(ref, abs=1e-12)
+                first = s["sa"]
+            assert s["sa"] == pytest.approx(first, abs=1e-12)
 
 
 class TestLsd:
-    def residual_records(self, lams):
+    def residuals(self, lams):
         # actual fixed at 1; predicted = exp(-lambda) so ln(a) - ln(p) = lambda
-        return [R(1.0, math.exp(-lam)) for lam in lams]
+        return [1.0] * len(lams), [math.exp(-lam) for lam in lams]
 
     def test_all_exact(self):
-        assert metrics.lsd([R(10, 10), R(4, 4)]) == 0
+        assert metrics.lsd([10, 4], [10, 4]) == 0
 
     def test_hand_formula(self):
-        got = metrics.lsd(self.residual_records([0.1, -0.1]))
+        got = metrics.lsd(*self.residuals([0.1, -0.1]))
         expected = math.sqrt((0.11 ** 2 + (-0.09) ** 2) / 1.0)
         assert got == pytest.approx(expected, abs=1e-6)
 
     def test_constant_residual_closed_form(self):
         c = 0.37
-        got = metrics.lsd(self.residual_records([c, c]))
+        got = metrics.lsd(*self.residuals([c, c]))
         assert got == pytest.approx(abs(c) * math.sqrt(2.0), abs=1e-9)
 
     def test_needs_two_records(self):
         with pytest.raises(BoundsError):
-            metrics.lsd([R(5, 5)])
+            metrics.lsd([5], [5])

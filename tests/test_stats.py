@@ -56,15 +56,15 @@ class TestWinTieLoss:
         errors = {"A": [0.0] * 10, "B": [100.0] * 10}
         measures = {"A": {"mae": 0.0}, "B": {"mae": 100.0}}
         tallies, comps = stats.win_tie_loss(errors, measures)
-        assert tallies["A"]["mae"].win == 1 and tallies["A"]["mae"].loss == 0
-        assert tallies["B"]["mae"].loss == 1 and tallies["B"]["mae"].win == 0
-        assert comps[0].outcomes["mae"] == "win"
+        assert tallies["A"]["mae"]["win"] == 1 and tallies["A"]["mae"]["loss"] == 0
+        assert tallies["B"]["mae"]["loss"] == 1 and tallies["B"]["mae"]["win"] == 0
+        assert comps[0]["outcomes"]["mae"] == "win"
 
     def test_identical_distributions_tie(self):
         errors = {"A": [1.0, 2.0, 3.0], "B": [1.0, 2.0, 3.0]}
         measures = {"A": {"mae": 2.0}, "B": {"mae": 2.0}}
         tallies, _ = stats.win_tie_loss(errors, measures)
-        assert tallies["A"]["mae"].tie == 1 and tallies["B"]["mae"].tie == 1
+        assert tallies["A"]["mae"]["tie"] == 1 and tallies["B"]["mae"]["tie"] == 1
 
     def test_three_method_total_order(self):
         errors = {
@@ -74,14 +74,14 @@ class TestWinTieLoss:
         }
         measures = {m: {"mae": float(np.mean(errors[m]))} for m in errors}
         tallies, _ = stats.win_tie_loss(errors, measures)
-        assert tallies["best"]["mae"].win == 2 and tallies["best"]["mae"].loss == 0
-        assert tallies["worst"]["mae"].loss == 2
+        assert tallies["best"]["mae"]["win"] == 2 and tallies["best"]["mae"]["loss"] == 0
+        assert tallies["worst"]["mae"]["loss"] == 2
 
     def test_sa_direction_is_higher_better(self):
         errors = {"A": [0.0] * 12, "B": [100.0] * 12}
         measures = {"A": {"sa": 0.9}, "B": {"sa": 0.1}}
         tallies, _ = stats.win_tie_loss(errors, measures)
-        assert tallies["A"]["sa"].win == 1
+        assert tallies["A"]["sa"]["win"] == 1
 
     def test_increment_conservation(self):
         rng = np.random.default_rng(9)
@@ -91,12 +91,12 @@ class TestWinTieLoss:
                     for m in methods}
         tallies, _ = stats.win_tie_loss(errors, measures)
         for e in ("mae", "sa"):
-            total_w = sum(tallies[m][e].win for m in methods)
-            total_l = sum(tallies[m][e].loss for m in methods)
+            total_w = sum(tallies[m][e]["win"] for m in methods)
+            total_l = sum(tallies[m][e]["loss"] for m in methods)
             assert total_w == total_l
             for m in methods:
                 t = tallies[m][e]
-                assert t.win + t.tie + t.loss == len(methods) - 1
+                assert t["win"] + t["tie"] + t["loss"] == len(methods) - 1
 
     def test_misaligned_lengths_rejected(self):
         with pytest.raises(BoundsError):
@@ -107,9 +107,9 @@ class TestWinTieLoss:
 class TestRankMethods:
     def test_constant_winner(self):
         table = {f"d{i}": {"A": 1.0, "B": 2.0} for i in range(5)}
-        out = {s.method: s for s in stats.rank_methods(table, "mbre")}
-        assert out["A"].mean_rank == 1.0 and out["A"].rank_sd == 0.0
-        assert out["B"].mean_rank == 2.0
+        out = {s["method"]: s for s in stats.rank_methods(table)}
+        assert out["A"]["mean_rank"] == 1.0 and out["A"]["rank_sd"] == 0.0
+        assert out["B"]["mean_rank"] == 2.0
 
     def test_alternating_ranks(self):
         table = {
@@ -118,21 +118,21 @@ class TestRankMethods:
             "d3": {"A": 1.0, "B": 2.0},
             "d4": {"A": 2.0, "B": 1.0},
         }
-        out = {s.method: s for s in stats.rank_methods(table, "mbre")}
-        assert out["A"].mean_rank == pytest.approx(1.5)
-        assert out["A"].rank_sd == pytest.approx(0.5773502691896257)
+        out = {s["method"]: s for s in stats.rank_methods(table)}
+        assert out["A"]["mean_rank"] == pytest.approx(1.5)
+        assert out["A"]["rank_sd"] == pytest.approx(0.5773502691896257)
 
     def test_tie_shares_rank(self):
         table = {"d1": {"A": 3.0, "B": 3.0, "C": 9.0}}
-        out = {s.method: s for s in stats.rank_methods(table, "mae")}
-        assert out["A"].mean_rank == 1.5 and out["B"].mean_rank == 1.5
-        assert out["C"].mean_rank == 3.0
+        out = {s["method"]: s for s in stats.rank_methods(table)}
+        assert out["A"]["mean_rank"] == 1.5 and out["B"]["mean_rank"] == 1.5
+        assert out["C"]["mean_rank"] == 3.0
 
     def test_higher_better_direction(self):
         table = {"d1": {"A": 0.9, "B": 0.2}}
-        out = {s.method: s for s in stats.rank_methods(table, "sa", higher_is_better=True)}
-        assert out["A"].mean_rank == 1.0
+        out = {s["method"]: s for s in stats.rank_methods(table, higher_is_better=True)}
+        assert out["A"]["mean_rank"] == 1.0
 
     def test_missing_cell_rejected(self):
         with pytest.raises(BoundsError):
-            stats.rank_methods({"d1": {"A": 1.0, "B": 2.0}, "d2": {"A": 1.0}}, "mae")
+            stats.rank_methods({"d1": {"A": 1.0, "B": 2.0}, "d2": {"A": 1.0}})
