@@ -34,10 +34,10 @@ for label, preds in ((f"baseline (k={best_k})", abe0_preds),
     print(f"{label:22s} {100 * s['sa']:7.1f} {100 * s['mbre']:8.1f} "
           f"{100 * s['mibre']:8.1f} {s['lsd']:7.3f}")
 
-counts = Counter(sol.k for sol in lt.solutions)
+counts = Counter(sol["k"] for sol in lt.solutions)
 print("\nper-project analogy counts chosen by local tuning:")
 for k in sorted(counts):
     print(f"  k={k:2d}  " + "#" * counts[k])
 
-shared = gt.solutions[0]
-print(f"\nglobal solution: k={shared.k}, mask={''.join(map(str, shared.mask.bits))}")
+shared = gt.solutions[0]  # the dict report.json stores
+print(f"\nglobal solution: k={shared['k']}, mask={''.join(map(str, shared['mask']))}")

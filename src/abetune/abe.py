@@ -27,22 +27,6 @@ class Neighbor:
     rank: int  # 1 = nearest
 
 
-@dataclass(frozen=True)
-class FeatureMask:
-    """Binary feature-participation flags; at least one bit must be set."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        if len(self.bits) == 0 or not any(self.bits):
-            raise BoundsError("feature mask must have at least one bit set")
-        if any(b not in (0, 1) for b in self.bits):
-            raise BoundsError("feature mask bits must be 0 or 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=float)
-
-
 def distance(row_a: np.ndarray, row_b: np.ndarray, cat_mask: np.ndarray):
     """Euclidean distance over input features; categoricals mismatch as 1.
     A matrix argument gives one distance per row; two rows give a float."""
@@ -119,17 +103,18 @@ def adapt_effort(
     analogy_row: np.ndarray,
     analogy_effort: float,
     weights_row: Sequence[float],
-    mask: FeatureMask,
+    mask: Sequence[int],
     cat_mask: np.ndarray,
 ) -> float:
-    """Adjust an analogy's effort by its weighted masked feature differences.
+    """Adjust an analogy's effort by its weighted masked feature differences;
+    `mask` holds one 0/1 bit per feature.
 
     The divisor is the total number of input features, not the masked count.
     """
     d = adaptation_diff(target_row, analogy_row, cat_mask)
     w = np.asarray(weights_row, dtype=float)
     m = len(d)
-    return float(analogy_effort + (w * mask.as_array() * d).sum() / m)
+    return float(analogy_effort + (w * np.asarray(mask, dtype=float) * d).sum() / m)
 
 
 def predict_abe0(train: StandardizedDataset, target_row: np.ndarray, k: int) -> float:
@@ -167,11 +152,21 @@ class _FoldContext:
         return np.maximum(adapted.sum(axis=2), EPS_EFFORT)
 
 
-def predict_adapted(train: StandardizedDataset, target_row: np.ndarray, sol) -> float:
+def solution_rows(sol: dict, n_rows: int):
+    """A solution in report form ({"k", "mask", "weights_used", ...}) as the
+    one-row decoded batch (K, masks, W) of a problem that retrieves up to
+    n_rows analogies."""
+    k = sol["k"]
+    if not 1 <= k <= n_rows:
+        raise BoundsError(f"k={k} out of range 1..{n_rows}")
+    W = np.array([sol["weights_used"]], dtype=float)
+    if W.shape != (1, k, len(sol["mask"])):
+        raise BoundsError(f"weights_used must be k={k} rows of {len(sol['mask'])} weights")
+    return np.array([k]), np.array([sol["mask"]], dtype=float), W
+
+
+def predict_adapted(train: StandardizedDataset, target_row: np.ndarray, sol: dict) -> float:
     """Adapt each of the k nearest analogies with its rank's weight row, then
     aggregate with the ordered weighted mean.  Result is floored at EPS_EFFORT."""
-    if not 1 <= sol.k <= train.n:
-        raise BoundsError(f"k={sol.k} out of range 1..{train.n}")
-    ctx = _FoldContext([(train, target_row)])
-    return float(ctx.predict_batch(np.array([sol.k]), sol.mask.as_array()[None, :],
-                                   sol.weights[None, :, :])[0, 0])
+    rows = solution_rows(sol, train.n)
+    return float(_FoldContext([(train, target_row)]).predict_batch(*rows)[0, 0])

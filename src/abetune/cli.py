@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import replace
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, metrics
+from . import data, harness, metrics
 from .errors import AbetuneError, ConfigError, InsufficientDataError, ParseError, SchemaError
 
 # Everything a config or a dataset file can be rejected for at load.
@@ -119,54 +118,61 @@ PREDICTION_NUMBERS = (
 
 
 def _prediction_numbers(path: Path, row_no: int, row: dict) -> tuple:
-    """(project_index, actual, predicted) of the row ending on line
-    `row_no`, or a ParseError that names the file, row and column."""
+    """(project_index, actual, predicted) of record `row_no`, or a
+    ParseError that names the file, row and column."""
     values = []
     for column, parse, check, want in PREDICTION_NUMBERS:
         try:
-            value = parse(row[column])
+            value = parse(row.get(column))
         except (TypeError, ValueError):  # not a number, or a missing cell
             value = None
         if value is None or not check(value):
-            raise ParseError(f"{path}: row {row_no}, column '{column}': {row[column]!r} "
+            raise ParseError(f"{path}: row {row_no}, column '{column}': {row.get(column)!r} "
                              f"is not {want}", row=row_no, column=column)
         values.append(value)
     return tuple(values)
 
 
 def _read_predictions(path: Path) -> dict:
-    """-> {(dataset, method): list[(actual, predicted)] in index order}"""
+    """-> {(dataset, method): {project_index: (actual, predicted)}}; an index
+    that repeats within a (dataset, method) is a SchemaError."""
+    header, *records = data._read_rows(path) or [[]]
+    required = {"dataset", "method", "project_index", "actual", "predicted"}
+    if not required.issubset(header):
+        raise SchemaError(f"{path}: predictions file needs columns {sorted(required)}")
     groups: dict = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"dataset", "method", "project_index", "actual", "predicted"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise SchemaError(f"{path}: predictions file needs columns {sorted(required)}")
-        for row in reader:
-            key = (row["dataset"], row["method"])
-            groups.setdefault(key, []).append(_prediction_numbers(path, reader.line_num, row))
-    return {k: [(a, p) for _, a, p in sorted(v)] for k, v in groups.items()}
+    for row_no, row in enumerate((dict(zip(header, r)) for r in records), start=2):
+        if not row:  # a blank line
+            continue
+        index, actual, predicted = _prediction_numbers(path, row_no, row)
+        group = groups.setdefault((row.get("dataset"), row.get("method")), {})
+        if index in group:
+            raise SchemaError(f"{path}: row {row_no}: project_index {index} repeats")
+        group[index] = (actual, predicted)
+    return groups
 
 
 def cmd_compare(args) -> int:
     groups: dict = {}
     for path in args.predictions:
-        for key, pairs in _read_predictions(path).items():
-            groups[key] = pairs
+        for key, rows in _read_predictions(path).items():
+            if groups.setdefault(key, rows) != rows:
+                raise SchemaError(f"{path}: the rows of {key} differ from an earlier file's")
     by_dataset: dict = {}
-    for (ds_name, method), pairs in groups.items():
-        by_dataset.setdefault(ds_name, {})[method] = pairs
+    for (ds_name, method), rows in groups.items():
+        by_dataset.setdefault(ds_name, {})[method] = rows
 
     lines = [harness.COMPARISON_HEADER]
     for ds_name, per_method in sorted(by_dataset.items()):
         if len(per_method) < 2:
             print(f"{ds_name}: needs at least two methods to compare", file=sys.stderr)
             continue
-        actual_lists = {tuple(a for a, _ in pairs) for pairs in per_method.values()}
-        if len(actual_lists) != 1:
-            raise SchemaError(f"{ds_name}: prediction files disagree on the actual efforts")
-        actuals = np.array(actual_lists.pop())
-        preds = {m: np.array([p for _, p in pairs]) for m, pairs in per_method.items()}
+        pairs = {m: sorted(rows.items()) for m, rows in per_method.items()}
+        indexed = {tuple((i, a) for i, (a, _) in p) for p in pairs.values()}
+        if len(indexed) != 1:
+            raise SchemaError(f"{ds_name}: methods disagree on the project indices or actuals")
+        actuals = np.array([a for _, a in indexed.pop()])
+        preds = {m: np.array([p for _, (_, p) in rows]) for m, rows in pairs.items()}
         _, comps, _ = harness.compare_methods(
             actuals, preds, metrics.random_guess_baseline(actuals))
         for c in comps:

@@ -284,22 +284,10 @@ def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, mode: str =
         raise ConfigError(f"unknown method {name!r}")
     variant = tuning.VARIANTS[name]
     if variant.mode == "global":
-        result = tuning.run_gt(ds, variant, cfg)
-    else:
-        if mode == "honest":
-            variant = replace(variant, mode="local_honest")
-        result = tuning.run_lt(ds, variant, cfg, fold_map=fold_map)
-    return replace(result, solutions=[_solution_summary(s) for s in result.solutions])
-
-
-def _solution_summary(sol: tuning.SolutionVector) -> dict:
-    return {
-        "k": sol.k,
-        "v": sol.mask_int,
-        "mask": list(sol.mask.bits),
-        "n_rows": int(sol.weights.shape[0]),
-        "weights_used": [list(map(float, row)) for row in sol.weights[: sol.k]],
-    }
+        return tuning.run_gt(ds, variant, cfg)
+    if mode == "honest":
+        variant = replace(variant, mode="local_honest")
+    return tuning.run_lt(ds, variant, cfg, fold_map=fold_map)
 
 
 # ---------------------------------------------------------------------------

@@ -113,16 +113,12 @@ def sa(mae: float, baseline: RandomGuessBaseline) -> float:
     return 1.0 - mae / baseline.mae_p0
 
 
-def effect_size(mae: float, baseline_mae: float, baseline_sd: float, signed: bool = False) -> float:
-    """Improvement over a baseline in units of the baseline's SD.
-
-    Reported as a magnitude by default; the raw signed value (negative when
-    better than the baseline) is available with signed=True.
-    """
+def effect_size(mae: float, baseline_mae: float, baseline_sd: float) -> float:
+    """Size of the difference from a baseline in units of the baseline's SD,
+    as a magnitude."""
     if baseline_sd <= 0:
         raise UndefinedBaselineError("baseline SD must be positive")
-    delta = (mae - baseline_mae) / baseline_sd
-    return delta if signed else abs(delta)
+    return abs((mae - baseline_mae) / baseline_sd)
 
 
 def aggregate(actuals, predictions, baseline: RandomGuessBaseline | None = None) -> dict:

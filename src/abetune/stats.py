@@ -107,10 +107,12 @@ def win_tie_loss(errors_by_method: Mapping[str, Sequence[float]],
 
     Every unordered pair is compared once per measure: if the rank-sum test
     on the two absolute-error samples cannot tell them apart, both tie;
-    otherwise the measure value decides who wins.  Returns (tallies,
-    comparisons): tallies[method][measure] is {"win", "tie", "loss"} counts,
-    and each comparison is {"method_a", "method_b", "p_value", "outcomes"}
-    with outcomes[measure] "win", "tie" or "loss" from method_a's view.
+    otherwise the measure value decides who wins, unless it is NaN on either
+    side (an SA without a baseline), which decides nothing: both tie.
+    Returns (tallies, comparisons): tallies[method][measure] is {"win",
+    "tie", "loss"} counts, and each comparison is {"method_a", "method_b",
+    "p_value", "outcomes"} with outcomes[measure] "win", "tie" or "loss"
+    from method_a's view.
     """
     methods = list(errors_by_method)
     if len(methods) < 2:
@@ -125,7 +127,7 @@ def win_tie_loss(errors_by_method: Mapping[str, Sequence[float]],
         p = wilcoxon_rank_sum(errors_by_method[a], errors_by_method[b])
         outcomes = {}
         for e in measure_names:
-            if p >= SIGNIFICANCE:
+            if p >= SIGNIFICANCE or math.isnan(measures[a][e]) or math.isnan(measures[b][e]):
                 outcomes[e] = "tie"
             elif better(e, measures[a][e], measures[b][e]):
                 outcomes[e] = "win"
@@ -139,7 +141,8 @@ def win_tie_loss(errors_by_method: Mapping[str, Sequence[float]],
 
 def rank_methods(measure_table: Mapping[str, Mapping[str, float]],
                  higher_is_better: bool = False) -> list[dict]:
-    """Rank methods per dataset (1 = best, average ranks on ties) and report
+    """Rank methods per dataset (1 = best, average ranks on ties, NaN cells
+    sharing the midrank after every defined value) and report
     each method's mean rank and the sample SD of its ranks across datasets,
     as {"method", "mean_rank", "rank_sd"} per method.
 
@@ -159,6 +162,9 @@ def rank_methods(measure_table: Mapping[str, Mapping[str, float]],
         if higher_is_better:
             vals = -vals
         r = _midranks(vals)
+        undefined = np.isnan(vals)  # sorted last, so they hold the last ranks
+        if undefined.any():
+            r[undefined] = r[undefined].mean()
         for m, rv in zip(methods, r):
             ranks[m].append(float(rv))
     out = []

@@ -1,6 +1,7 @@
 """Solution encoding and the local/global tuning drivers.
 
-A tuned solution is the triple (k, feature mask, weight matrix).  The swarm
+A tuned solution is the triple (k, feature mask, weight matrix), carried
+from decode to `report.json` as one dict (see `decode_position`).  The swarm
 works in a continuous box: one dimension for k, one for the integer-encoded
 mask, and one per weight cell; pinned variables (per variant, or where only
 one value is possible) are left out of the box entirely.  Local tuning runs
@@ -23,38 +24,6 @@ import numpy as np
 from . import abe, metrics, mopso, stats
 from .data import StandardizedDataset
 from .errors import BoundsError
-
-
-@dataclass(frozen=True)
-class SolutionVector:
-    """Decision triple: analogy count, feature mask, rank-by-feature weights.
-
-    `weights` has one row per retrievable rank; only rows 1..k are consumed.
-    Decoded solutions always carry rows summing to 1: optimized rows are
-    clamped and normalized, and variants that pin the weights use the
-    equal-weight row 1/m, the point every constant row decodes to.
-    """
-
-    k: int
-    mask: abe.FeatureMask
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if self.k < 1:
-            raise BoundsError(f"k must be >= 1, got {self.k}")
-        if w.ndim != 2 or w.shape[1] != len(self.mask.bits):
-            raise BoundsError("weights must be (rows, m) with m matching the mask")
-        if w.shape[0] < self.k:
-            raise BoundsError(f"need at least k={self.k} weight rows, got {w.shape[0]}")
-
-    @property
-    def mask_int(self) -> int:
-        v = 0
-        for b in self.mask.bits:
-            v = (v << 1) | int(b)
-        return v
 
 
 @dataclass(frozen=True)
@@ -91,14 +60,6 @@ VARIANTS = {
     "gt_plus": VariantConfig(optimize_weights=False, mode="global"),
     "k_only": VariantConfig(optimize_features=False, optimize_weights=False),
 }
-
-
-def decode_mask(v: int, m: int) -> abe.FeatureMask:
-    """m-bit big-endian expansion of v; the leftmost bit is feature 0."""
-    if not 1 <= v <= 2 ** m - 1:
-        raise BoundsError(f"v={v} outside 1..2^{m}-1")
-    bits = tuple((v >> (m - 1 - j)) & 1 for j in range(m))
-    return abe.FeatureMask(bits=bits)
 
 
 @dataclass(frozen=True)
@@ -170,42 +131,32 @@ class SolutionSpace:
         return K, masks, W
 
 
-def decode_position(x: np.ndarray, n_rows: int, m: int, variant: VariantConfig) -> SolutionVector:
-    """Continuous position -> solution: k and v round half-up then clamp,
-    weight rows clamp to [0,1] and renormalize to sum 1 (all-zero -> uniform).
-    Pinned weights are uniform 1/m rows."""
+def decode_position(x: np.ndarray, n_rows: int, m: int, variant: VariantConfig) -> dict:
+    """Continuous position -> solution in report form: k and v round half-up
+    then clamp, weight rows clamp to [0,1] and renormalize to sum 1 (all-zero
+    -> uniform); pinned weights are uniform 1/m rows.  `mask` holds the
+    decoded bits, `v` their big-endian value and `weights_used` the k rows a
+    prediction reads; `abe.solution_rows` turns the dict back into arrays."""
     space = SolutionSpace(n_rows=n_rows, m=m, variant=variant)
     K, masks, W = space.decode(np.asarray(x, dtype=float)[None, :])
-    bits = tuple(masks[0].astype(int).tolist())
-    return SolutionVector(k=int(K[0]), mask=abe.FeatureMask(bits=bits), weights=W[0])
-
-
-def _solution_rows(sol: SolutionVector, n_rows: int):
-    """A solution as a one-row decoded batch (K, masks, W) for a problem
-    that retrieves up to n_rows analogies."""
-    if sol.k > n_rows:
-        raise BoundsError(f"k={sol.k} out of range 1..{n_rows}")
-    return np.array([sol.k]), sol.mask.as_array()[None, :], sol.weights[None, :, :]
+    k = int(K[0])
+    bits = masks[0].astype(int).tolist()
+    return {"k": k, "v": int("".join(map(str, bits)), 2), "mask": bits, "n_rows": n_rows,
+            "weights_used": W[0, :k].tolist()}
 
 
 def lt_objectives(train: StandardizedDataset, target_row: np.ndarray, target_actual: float,
-                  sol: SolutionVector) -> np.ndarray:
+                  sol: dict) -> np.ndarray:
     """(AE, BRE, IBRE) of the single adapted prediction, all minimized."""
     problem = LocalProblem(train, target_row, target_actual, VARIANTS["lt"])
-    return problem.score(*_solution_rows(sol, problem.space.n_rows))[0]
+    return problem.score(*abe.solution_rows(sol, problem.space.n_rows))[0]
 
 
-def _sa_for_optimization(mae, mae_p0: float):
-    """SA with the degenerate zero baseline floored so fitness stays finite;
-    a perfect predictor still scores exactly 1."""
-    return 1.0 - mae / max(mae_p0, abe.EPS_EFFORT)
-
-
-def gt_objectives(ds: StandardizedDataset, sol: SolutionVector,
+def gt_objectives(ds: StandardizedDataset, sol: dict,
                   baseline: metrics.RandomGuessBaseline | None = None) -> np.ndarray:
     """(-SA, MBRE, MIBRE) from an internal leave-one-out pass over `ds`."""
     problem = GlobalProblem(ds, VARIANTS["gt"], baseline)
-    return problem.score(*_solution_rows(sol, problem.space.n_rows))[0]
+    return problem.score(*abe.solution_rows(sol, problem.space.n_rows))[0]
 
 
 def select_from_front(front: Sequence[tuple]) -> tuple:
@@ -248,7 +199,7 @@ class _Problem:
         fold these are its (AE, BRE, IBRE)."""
         return metrics.error_means(self.actuals, self.ctx.predict_batch(K, masks, W))
 
-    def decode(self, x: np.ndarray) -> SolutionVector:
+    def decode(self, x: np.ndarray) -> dict:
         return decode_position(x, self.space.n_rows, self.space.m, self.space.variant)
 
 
@@ -273,9 +224,11 @@ class GlobalProblem(_Problem):
         self.baseline = baseline or metrics.random_guess_baseline(self.actuals)
 
     def score(self, K, masks, W) -> np.ndarray:
-        """(-SA, MBRE, MIBRE) per decoded solution."""
+        """(-SA, MBRE, MIBRE) per decoded solution.  SA's baseline is floored
+        at EPS_EFFORT so fitness stays finite on a dataset of equal efforts; a
+        perfect predictor still scores exactly 1."""
         obj = super().score(K, masks, W)
-        obj[:, 0] = -_sa_for_optimization(obj[:, 0], self.baseline.mae_p0)
+        obj[:, 0] = -(1.0 - obj[:, 0] / max(self.baseline.mae_p0, abe.EPS_EFFORT))
         return obj
 
 
@@ -286,9 +239,8 @@ class GlobalProblem(_Problem):
 @dataclass
 class TuningResult:
     """One (dataset, method) cell, from the swarm to the report: a prediction
-    per project and the chosen solutions, one per project (local tuning) or
-    a single shared one (global tuning, ABE0's k scan).  `harness.run_method`
-    turns the solutions into their report form."""
+    per project and the chosen solutions in report form, one per project
+    (local tuning) or a single shared one (global tuning, ABE0's k scan)."""
 
     predictions: np.ndarray
     solutions: list
@@ -345,7 +297,7 @@ def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConf
     problem = GlobalProblem(ds, variant)
     front = _front(problem, cfg)
     sol, _ = select_from_front(front)
-    preds = problem.ctx.predict_batch(*_solution_rows(sol, problem.space.n_rows))[0]
+    preds = problem.ctx.predict_batch(*abe.solution_rows(sol, problem.space.n_rows))[0]
     return TuningResult(predictions=preds, solutions=[sol], mode="global")
 
 

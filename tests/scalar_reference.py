@@ -2,7 +2,9 @@
 
 Each function here works one solution or one project at a time with plain
 Python arithmetic and the public single-value operations of `abe`,
-independently of the batched decode and scoring in `tuning`.  The error
+independently of the batched decode and scoring in `tuning`.  Solutions are
+the report-form dicts the program carries ({"k", "v", "mask", "n_rows",
+"weights_used"}); the bit expansion of a mask value is done here.  The error
 measures are computed here with `math` alone; nothing is imported from
 `abetune.metrics`, whose array kernel they check.
 """
@@ -13,51 +15,72 @@ import numpy as np
 
 from abetune import abe
 from abetune.errors import AbetuneError
-from abetune.tuning import SolutionSpace, SolutionVector, decode_mask
+from abetune.tuning import SolutionSpace
 
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def scalar_decode(x, n_rows: int, m: int, variant) -> SolutionVector:
-    """Position -> solution, one dimension at a time in box order."""
+def mask_bits(v: int, m: int) -> list:
+    """m-bit big-endian expansion of v; the leftmost bit is feature 0."""
+    return [(v >> (m - 1 - j)) & 1 for j in range(m)]
+
+
+def solution(k: int, bits, weights) -> dict:
+    """The report form of (k, mask bits, weight rows): `v` folds the bits
+    big-endian and `weights_used` keeps the first k rows."""
+    v = 0
+    for b in bits:
+        v = 2 * v + int(b)
+    w = np.asarray(weights, dtype=float)
+    return {"k": k, "v": v, "mask": [int(b) for b in bits], "n_rows": len(w),
+            "weights_used": w[:k].tolist()}
+
+
+def scalar_decode(x, n_rows: int, m: int, variant) -> tuple:
+    """Position -> (k, mask bits, every weight row), one dimension at a time
+    in box order; `solution` turns the triple into the report form."""
     space = SolutionSpace(n_rows=n_rows, m=m, variant=variant)
     x = [float(v) for v in x]
     k = 1
     if space.free_k:
         k = min(max(_round_half_up(x.pop(0)), 1), n_rows)
-    mask = abe.FeatureMask(bits=(1,) * m)
+    bits = [1] * m
     if space.free_mask:
-        mask = decode_mask(min(max(_round_half_up(x.pop(0)), 1), 2 ** m - 1), m)
+        bits = mask_bits(min(max(_round_half_up(x.pop(0)), 1), 2 ** m - 1), m)
     w = np.full((n_rows, m), 1.0 / m)
     if variant.optimize_weights:
         for r in range(n_rows):
             row = [min(max(v, 0.0), 1.0) for v in x[r * m:(r + 1) * m]]
             total = np.sum(row)
             w[r] = np.array(row) / total if total > 0 else 1.0 / m
-    return SolutionVector(k=k, mask=mask, weights=w)
+    return k, bits, w
 
 
-def encode_position(sol: SolutionVector, space: SolutionSpace) -> np.ndarray:
+def encode_position(sol: dict, space: SolutionSpace) -> np.ndarray:
     """Solution -> position in the space's box; inverse of decoding up to the
-    weight-row renormalization."""
+    weight-row renormalization.  The rows past k, which the solution does
+    not hold, are set to 1/m."""
     parts = []
     if space.free_k:
-        parts.append(float(sol.k))
+        parts.append(float(sol["k"]))
     if space.free_mask:
-        parts.append(float(sol.mask_int))
+        parts.append(float(sol["v"]))
     if space.variant.optimize_weights:
-        parts.extend(np.asarray(sol.weights, dtype=float).ravel().tolist())
+        rows = np.full((space.n_rows, space.m), 1.0 / space.m)
+        rows[:sol["k"]] = sol["weights_used"]
+        parts.extend(rows.ravel().tolist())
     return np.array(parts)
 
 
-def predict(train, target_row, sol: SolutionVector) -> float:
+def predict(train, target_row, sol: dict) -> float:
     """retrieve -> adapt_effort per rank -> ordered weighted mean, floored."""
     adapted = [abe.adapt_effort(target_row, train.matrix[nb.index],
                                 float(train.effort_vec[nb.index]),
-                                sol.weights[nb.rank - 1], sol.mask, train.categorical_mask)
-               for nb in abe.retrieve(train, target_row, sol.k)]
+                                sol["weights_used"][nb.rank - 1], sol["mask"],
+                                train.categorical_mask)
+               for nb in abe.retrieve(train, target_row, sol["k"])]
     return max(abe.owm_aggregate(adapted), abe.EPS_EFFORT)
 
 
@@ -77,12 +100,12 @@ def error_means(actuals, predictions) -> tuple:
     return tuple(math.fsum(col) / len(per_project) for col in zip(*per_project))
 
 
-def lt_objectives(train, target_row, actual: float, sol: SolutionVector) -> np.ndarray:
+def lt_objectives(train, target_row, actual: float, sol: dict) -> np.ndarray:
     """(AE, BRE, IBRE) of the single prediction."""
     return np.array(errors(actual, predict(train, target_row, sol)))
 
 
-def gt_objectives(ds, sol: SolutionVector, baseline) -> np.ndarray:
+def gt_objectives(ds, sol: dict, baseline) -> np.ndarray:
     """(-SA, MBRE, MIBRE) over a leave-one-out pass, the SA baseline floored
     at EPS_EFFORT as the optimizer's fitness does."""
     folds = [ds.loocv_fold(i) for i in range(ds.n)]

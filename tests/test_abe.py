@@ -4,6 +4,7 @@ import pytest
 from abetune import abe
 from abetune.data import Dataset, FeatureSpec, Kind, Project, Role, standardize
 from abetune.errors import BoundsError
+import scalar_reference as ref
 
 ATOL = 1e-9
 
@@ -120,28 +121,23 @@ class TestAggregation:
 class TestAdapt:
     def test_zero_difference_returns_effort(self):
         row = np.array([0.2, 0.8])
-        mask = abe.FeatureMask((1, 1))
-        out = abe.adapt_effort(row, row, 42.0, [0.5, 0.5], mask, np.zeros(2, dtype=bool))
+        out = abe.adapt_effort(row, row, 42.0, [0.5, 0.5], (1, 1), np.zeros(2, dtype=bool))
         assert out == pytest.approx(42.0, abs=ATOL)
 
     def test_hand_example_full_mask(self):
         out = abe.adapt_effort(np.array([0.5, 0.5]), np.array([0.3, 0.1]), 10.0,
-                               [1.0, 1.0], abe.FeatureMask((1, 1)), np.zeros(2, dtype=bool))
+                               [1.0, 1.0], (1, 1), np.zeros(2, dtype=bool))
         assert out == pytest.approx(10.3, abs=ATOL)
 
     def test_hand_example_partial_mask(self):
         out = abe.adapt_effort(np.array([0.4, 0.9]), np.array([0.2, 0.1]), 5.0,
-                               [1.0, 1.0], abe.FeatureMask((1, 0)), np.zeros(2, dtype=bool))
+                               [1.0, 1.0], (1, 0), np.zeros(2, dtype=bool))
         assert out == pytest.approx(5.1, abs=ATOL)
-
-    def test_all_zero_mask_rejected(self):
-        with pytest.raises(BoundsError):
-            abe.FeatureMask((0, 0))
 
     def test_categorical_contributes_nothing_to_adaptation(self):
         cat = np.array([False, True])
         out = abe.adapt_effort(np.array([0.5, 0.0]), np.array([0.3, 1.0]), 10.0,
-                               [1.0, 1.0], abe.FeatureMask((1, 1)), cat)
+                               [1.0, 1.0], (1, 1), cat)
         assert out == pytest.approx(10.0 + 0.2 / 2, abs=ATOL)
 
 
@@ -168,36 +164,37 @@ class TestPredict:
 
     def test_adapted_identity_case(self):
         # k=1, all-ones mask and weights, target equals a training project
-        from abetune.tuning import SolutionVector
-
         train = self.ds.subset([0, 1, 2])
-        sol = SolutionVector(k=1, mask=abe.FeatureMask((1, 1)), weights=np.ones((3, 2)))
+        sol = ref.solution(1, (1, 1), np.ones((3, 2)))
         pred = abe.predict_adapted(train, train.matrix[1], sol)
         assert pred == pytest.approx(30.0, abs=ATOL)
 
     def test_adapted_compositional_oracle(self):
         # independent composition of retrieve + adapt_effort + owm_aggregate
-        from abetune.tuning import SolutionVector
-
         train = self.ds.subset([0, 1, 2])
         target = self.ds.matrix[3]
         weights = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
-        sol = SolutionVector(k=2, mask=abe.FeatureMask((1, 1)), weights=weights)
+        sol = ref.solution(2, (1, 1), weights)
         neighbors = abe.retrieve(train, target, 2)
         adapted = [
             abe.adapt_effort(target, train.matrix[nb.index],
                              float(train.effort_vec[nb.index]),
-                             weights[nb.rank - 1], sol.mask, train.categorical_mask)
+                             weights[nb.rank - 1], sol["mask"], train.categorical_mask)
             for nb in neighbors
         ]
         expected = max(abe.owm_aggregate(adapted), abe.EPS_EFFORT)
         assert abe.predict_adapted(train, target, sol) == pytest.approx(expected, abs=1e-12)
 
     def test_adapted_clamps_at_epsilon(self):
-        from abetune.tuning import SolutionVector
-
         ds = numeric_std([[0.0], [10.0], [5.0]], [1e-5, 2e-5, 1e-5])
         train = ds.subset([0, 1])
-        sol = SolutionVector(k=2, mask=abe.FeatureMask((1,)), weights=np.ones((2, 1)))
+        sol = ref.solution(2, (1,), np.ones((2, 1)))
         pred = abe.predict_adapted(train, ds.matrix[2], sol)
         assert pred >= abe.EPS_EFFORT
+
+    def test_adapted_k_out_of_range_rejected(self):
+        train = self.ds.subset([0, 1, 2])
+        for k in (0, 4):
+            sol = ref.solution(k, (1, 1), np.ones((max(k, 1), 2)))
+            with pytest.raises(BoundsError, match=f"k={k} out of range 1..3"):
+                abe.predict_adapted(train, self.ds.matrix[3], sol)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from abetune import abe, datasets, harness, metrics, mopso, stats, tuning
+import scalar_reference as ref
 
 SEEDS = (1, 2, 3)
 THREADS = max(1, min(4, os.cpu_count() or 1))
@@ -62,7 +63,7 @@ def bench():
                 cell["lt_mbre"].append(_mbre(ds, lt.predictions))
                 gt = tuning.run_gt(ds, tuning.VARIANTS["gt"], cfg)
                 cell["gt_sa"].append(_sa(ds, gt.predictions))
-                cell["gt_k"].append(gt.solutions[0].k)
+                cell["gt_k"].append(gt.solutions[0]["k"])
                 if name in ("albrecht", "kemerer"):
                     star = tuning.run_lt(ds, tuning.VARIANTS["lt_star"], cfg, fold_map=fold_map)
                     plus = tuning.run_lt(ds, tuning.VARIANTS["lt_plus"], cfg, fold_map=fold_map)
@@ -76,7 +77,14 @@ def bench():
 def _pinned_rows(variant, n_rows: int, m: int) -> np.ndarray:
     """The weight rows a variant that does not optimize weights decodes to."""
     space = tuning.SolutionSpace(n_rows=n_rows, m=m, variant=variant)
-    return tuning.decode_position(space.bounds().lower, n_rows, m, variant).weights
+    return space.decode(space.bounds().lower[None, :])[2][0]
+
+
+def _all_masks(m: int) -> np.ndarray:
+    """Every mask value 1..2^m-1 decoded as bits, from a box that holds only
+    the mask dimension (one weight row pins k, lt_plus pins the weights)."""
+    space = tuning.SolutionSpace(n_rows=1, m=m, variant=tuning.VARIANTS["lt_plus"])
+    return space.decode(np.arange(1.0, 2 ** m)[:, None])[1]
 
 
 def _ranked_fold(ds, i):
@@ -120,7 +128,7 @@ def _lt_plus_optimum(ds) -> float:
     """Exact least MBRE (%) over the LT+ space: every (k, mask) pair with the
     weight rows the variant pins."""
     rows = _pinned_rows(tuning.VARIANTS["lt_plus"], ds.n - 1, ds.m)
-    masks = np.array([tuning.decode_mask(v, ds.m).as_array() for v in range(1, 2 ** ds.m)])
+    masks = _all_masks(ds.m)
     best = []
     for i in range(ds.n):
         actual, efforts, diffs = _ranked_fold(ds, i)
@@ -222,13 +230,13 @@ def test_c1_metric_unit_exactness():
     chk("owm k3 value", abe.owm_aggregate([7, 14, 21]), 11.0)
     chk("adapt zero diff",
         abe.adapt_effort(np.array([0.2, 0.8]), np.array([0.2, 0.8]), 42.0,
-                         [1.0, 1.0], abe.FeatureMask((1, 1)), no_cat), 42.0)
+                         [1.0, 1.0], (1, 1), no_cat), 42.0)
     chk("adapt full mask",
         abe.adapt_effort(np.array([0.5, 0.5]), np.array([0.3, 0.1]), 10.0,
-                         [1.0, 1.0], abe.FeatureMask((1, 1)), no_cat), 10.3)
+                         [1.0, 1.0], (1, 1), no_cat), 10.3)
     chk("adapt partial mask",
         abe.adapt_effort(np.array([0.4, 0.9]), np.array([0.2, 0.1]), 5.0,
-                         [1.0, 1.0], abe.FeatureMask((1, 0)), no_cat), 5.1)
+                         [1.0, 1.0], (1, 0), no_cat), 5.1)
 
     from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
 
@@ -249,43 +257,45 @@ def test_c1_metric_unit_exactness():
     tiny = numeric_std([[1.0, 2.0], [2.0, 1.0], [9.0, 8.0], [1.5, 1.5]], [10, 30, 80, 22])
     train = tiny.subset([0, 1, 2])
     w = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
-    sol = tuning.SolutionVector(k=2, mask=abe.FeatureMask((1, 1)), weights=w)
+    sol = ref.solution(2, [1, 1], w)
     neighbors = abe.retrieve(train, tiny.matrix[3], 2)
     adapted = [abe.adapt_effort(tiny.matrix[3], train.matrix[nb.index],
                                 float(train.effort_vec[nb.index]),
-                                w[nb.rank - 1], sol.mask, train.categorical_mask)
+                                w[nb.rank - 1], sol["mask"], train.categorical_mask)
                for nb in neighbors]
     chk("predict_adapted compositional oracle",
         abe.predict_adapted(train, tiny.matrix[3], sol),
         max(abe.owm_aggregate(adapted), abe.EPS_EFFORT))
-    sol1 = tuning.SolutionVector(k=1, mask=abe.FeatureMask((1, 1)), weights=np.ones((3, 2)))
+    sol1 = ref.solution(1, [1, 1], np.ones((3, 2)))
     chk("predict_adapted identity", abe.predict_adapted(train, train.matrix[1], sol1), 30.0)
 
     # tuning codecs and selection
-    chk("decode_mask 15/6", tuning.decode_mask(15, 6).bits, [0, 0, 1, 1, 1, 1])
-    chk("decode_mask full", tuning.decode_mask(7, 3).bits, [1, 1, 1])
-    chk("decode_mask left-first", tuning.decode_mask(1, 3).bits, [0, 0, 1])
+    # one weight row pins k to 1 and lt_plus the weights: a mask-only box
+    plus = tuning.VARIANTS["lt_plus"]
+    chk("decode mask 15/6",
+        tuning.decode_position([15.0], 1, 6, plus)["mask"], [0, 0, 1, 1, 1, 1])
+    chk("decode mask full", tuning.decode_position([7.0], 1, 3, plus)["mask"], [1, 1, 1])
+    chk("decode mask left-first", tuning.decode_position([1.0], 1, 3, plus)["mask"], [0, 0, 1])
     v = tuning.VariantConfig()
     chk("round half up 3.4", tuning.decode_position(
-        np.array([3.4, 3.0] + [0.5] * 8), 4, 2, v).k, 3)
+        np.array([3.4, 3.0] + [0.5] * 8), 4, 2, v)["k"], 3)
     chk("round half up 3.5", tuning.decode_position(
-        np.array([3.5, 3.0] + [0.5] * 8), 4, 2, v).k, 4)
+        np.array([3.5, 3.0] + [0.5] * 8), 4, 2, v)["k"], 4)
     # one weight row pins k to 1, so the box has no k dimension
     chk("weight row fixed point", tuning.decode_position(
-        np.array([7.0, 0.2, 0.2, 0.6]), 1, 3, v).weights[0], [0.2, 0.2, 0.6])
+        np.array([7.0, 0.2, 0.2, 0.6]), 1, 3, v)["weights_used"][0], [0.2, 0.2, 0.6])
     chk("weight row clamp+normalize", tuning.decode_position(
-        np.array([7.0, 2.0, 0.0, 0.0]), 1, 3, v).weights[0], [1.0, 0.0, 0.0])
+        np.array([7.0, 2.0, 0.0, 0.0]), 1, 3, v)["weights_used"][0], [1.0, 0.0, 0.0])
     chk("lt objectives substitution",
         tuning.lt_objectives(
             numeric_std([[0.0], [0.5], [1.0]], [5, 5, 5]).subset([0, 1, 2]),
-            np.array([0.0]), 10.0,
-            tuning.SolutionVector(k=1, mask=abe.FeatureMask((1,)), weights=np.ones((3, 1)))),
+            np.array([0.0]), 10.0, ref.solution(1, [1], np.ones((3, 1)))),
         [5.0, 1.0, 0.5])
     front = [("a", (1.0, 9.0)), ("b", (9.0, 1.0)), ("c", (4.0, 4.0))]
     if tuning.select_from_front(front)[0] != "a":
         failures.append("select_from_front tie-break")
     dup = numeric_std([[0.0], [0.0], [5.0], [5.0], [9.0], [9.0]], [10, 10, 50, 50, 90, 90])
-    sol_nn = tuning.SolutionVector(k=1, mask=abe.FeatureMask((1,)), weights=np.ones((5, 1)))
+    sol_nn = ref.solution(1, [1], np.ones((5, 1)))
     chk("gt objectives perfect", tuning.gt_objectives(dup, sol_nn), [-1.0, 0.0, 0.0])
 
     total = n_checks + 2  # chk() calls plus the two bespoke checks above
@@ -331,15 +341,15 @@ def test_c3_brute_force_pareto_equivalence():
     ds = datasets.load_bundled("synthetic_small")
     variant = tuning.VARIANTS["lt_plus"]
     cfg = mopso.MopsoConfig(seed=7)
+    masks = _all_masks(ds.m)
     checked = unique_cases = 0
     for i in range(ds.n):
         train, target_row, actual = ds.loocv_fold(i)
+        rows = _pinned_rows(variant, train.n, ds.m)
         enumerated = []
         for k in range(1, train.n + 1):
-            for v in range(1, 2 ** ds.m):
-                sol = tuning.SolutionVector(
-                    k=k, mask=tuning.decode_mask(v, ds.m),
-                    weights=_pinned_rows(variant, train.n, ds.m))
+            for mask in masks:
+                sol = ref.solution(k, mask.astype(int).tolist(), rows)
                 enumerated.append(tuning.lt_objectives(train, target_row, actual, sol))
         enumerated = np.array(enumerated)
         nd = enumerated[mopso._non_dominated_mask(enumerated)]

@@ -438,21 +438,95 @@ class TestCli:
                               f"{cell!r} is not "), err
         assert not (tmp_path / "cmp").exists()
 
-    @pytest.mark.parametrize("mode,rows", [("oracle", 6), ("honest", 3)])
-    def test_degenerate_boxes_run_every_method(self, tmp_path, mode, rows):
+    @staticmethod
+    def predictions_file(path, rows):
+        path.write_text("dataset,method,project_index,actual,predicted\n"
+                        + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        return path
+
+    def test_compare_pairs_projects_by_index(self, tmp_path, capsys):
+        # same actuals in the same order, but method b predicts other projects
+        rows = [("d", "a", i, 10.0 * (j + 1), 9.0 * (j + 1)) for j, i in enumerate((0, 5, 9))]
+        rows += [("d", "b", i, 10.0 * (i + 1), 8.0 * (i + 1)) for i in range(3)]
+        path = self.predictions_file(tmp_path / "p.csv", rows)
+        assert cli.main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == 1
+        assert capsys.readouterr().err == (
+            "validation error: d: methods disagree on the project indices or actuals\n")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_compare_rejects_a_repeated_index(self, tmp_path, capsys):
+        rows = [("d", m, i, 10.0 * (i + 1), 9.0 * (i + 1) + j)
+                for j, m in enumerate("ab") for i in (0, 1, 1, 2)]
+        path = self.predictions_file(tmp_path / "p.csv", rows)
+        assert cli.main(["compare", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {path}: row 4: project_index 1 repeats\n")
+
+    def test_compare_rejects_a_method_whose_rows_differ_between_files(self, tmp_path, capsys):
+        rows = [("d", m, i, 10.0 * (i + 1), 9.0 * (i + 1) + j)
+                for j, m in enumerate("ab") for i in range(4)]
+        one = self.predictions_file(tmp_path / "one.csv", rows)
+        rows[5] = ("d", "b", 1, 20.0, 17.5)
+        two = self.predictions_file(tmp_path / "two.csv", rows)
+        assert cli.main(["compare", str(one), str(two), "--out", str(tmp_path / "cmp")]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {two}: the rows of ('d', 'b') differ from an earlier file's\n")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_compare_files_that_share_identical_rows(self, tmp_path, capsys):
+        rows = {m: [("d", m, i, 10.0 * (i + 1), 9.0 * (i + 1) + 3 * j) for i in range(4)]
+                for j, m in enumerate(("abe0", "lt", "gt"))}
+        one = self.predictions_file(tmp_path / "one.csv", rows["abe0"] + rows["lt"])
+        two = self.predictions_file(tmp_path / "two.csv", rows["gt"] + rows["abe0"])
+        assert cli.main(["compare", str(one), str(two), str(one)]) == 0
+        out = capsys.readouterr().out
+        assert [line.split(":")[1] for line in out.splitlines()] == [
+            " abe0 vs lt", " abe0 vs gt", " lt vs gt"]
+
+    def test_compare_rejects_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"dataset,method,project_index,actual,predicted\n"
+                         b"d,a,0,10.0,9.0\nd,caf\xe9,0,10.0,9.0\n")
+        assert cli.main(["compare", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"validation error: {path}: line 3: not UTF-8 text")
+
+    @pytest.mark.parametrize("mode,table,categorical", [
+        ("oracle", "size,effort\n" + "".join(f"{i},{10 * i}\n" for i in range(1, 7)), []),
+        ("honest", "size,effort\n" + "".join(f"{i},{10 * i}\n" for i in range(1, 4)), []),
+        ("oracle", "size,effort\n" + "".join(f"{i},10\n" for i in range(1, 6)), []),
+        ("oracle", "lang,team,effort\na,x,10\nb,x,20\na,y,35\nc,y,40\nb,z,55\na,z,70\n",
+         ["lang", "team"]),
+    ], ids=["oracle-6", "honest-3", "constant-effort", "all-categorical"])
+    def test_degenerate_boxes_run_every_method(self, tmp_path, mode, table, categorical):
         # one feature pins the mask; in honest mode three projects leave one
         # weight row per inner fold, which pins k too, and lt_plus has no
-        # free dimension left
+        # free dimension left.  Equal efforts leave SA undefined for every
+        # method that misses them, and categorical inputs adapt nothing.
         csv = tmp_path / "one.csv"
-        csv.write_text("size,effort\n" + "".join(f"{i},{10 * i}\n" for i in range(1, rows + 1)))
+        csv.write_text(table)
         methods = list(harness.METHOD_ORDER)
         path = self.write_config(tmp_path, mode=mode, methods=methods, datasets=[
-            {"name": "one", "path": str(csv), "effort_column": "effort"}])
+            {"name": "one", "path": str(csv), "effort_column": "effort",
+             "categorical_columns": categorical}])
         out = tmp_path / "out"
-        proc = self.cli("run", "--config", str(path), "--out", str(out))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "abetune.cli",
+                               "run", "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         report = json.loads((out / "report.json").read_text())
-        assert sorted(report["results"]["one"]) == sorted(methods)
+        cells = report["results"]["one"]
+        assert sorted(cells) == sorted(methods)
+        undefined = [m for m in methods if math.isnan(cells[m]["metrics"]["sa"])]
+        if len({row.rsplit(",", 1)[1] for row in table.splitlines()[1:]}) == 1:
+            # ABE0 is exact; a NaN SA decides no comparison and ranks last
+            assert cells["abe0"]["metrics"]["mae"] == 0 and cells["abe0"]["metrics"]["sa"] == 1
+            assert undefined == methods[1:]
+            assert report["win_tie_loss"]["one"]["abe0"]["sa"] == {"win": 0, "tie": 6, "loss": 0}
+            ranks = {r["method"]: r["mean_rank"] for r in report["rank_summaries"]["sa"]}
+            assert ranks == dict.fromkeys(methods, 4.5) | {"abe0": 1.0}
+        else:
+            assert not undefined
 
     def test_missing_config_is_validation_error(self):
         proc = self.cli("run")

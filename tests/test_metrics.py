@@ -170,7 +170,7 @@ class TestSaAndEffectSize:
 
     def test_effect_size_signed_magnitude(self):
         assert metrics.effect_size(120, 100, 50) == pytest.approx(0.4, abs=ATOL)
-        assert metrics.effect_size(80, 100, 50, signed=True) == pytest.approx(-0.4, abs=ATOL)
+        assert metrics.effect_size(80, 100, 50) == pytest.approx(0.4, abs=ATOL)
 
     def test_effect_size_zero_sd(self):
         with pytest.raises(UndefinedBaselineError):

@@ -85,11 +85,11 @@ class TestEncodingProperties:
             x.insert(0, data.draw(st.floats(0, 2 ** m, allow_nan=False)))
         if space.free_k:
             x.insert(0, data.draw(st.floats(0, n_rows + 1, allow_nan=False)))
-        sol = tuning.decode_position(np.array(x), n_rows, m, variant)
-        assert np.allclose(sol.weights.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(sol.weights >= 0) and np.all(sol.weights <= 1)
-        assert 1 <= sol.k <= n_rows
-        assert any(sol.mask.bits)
+        K, masks, W = space.decode(np.array([x]))
+        assert np.allclose(W.sum(axis=2), 1.0, atol=1e-9)
+        assert np.all(W >= 0) and np.all(W <= 1)
+        assert 1 <= K[0] <= n_rows
+        assert any(masks[0])
 
     @MANY
     @given(st.data())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,17 @@ class TestWinTieLoss:
                 t = tallies[m][e]
                 assert t["win"] + t["tie"] + t["loss"] == len(methods) - 1
 
+    def test_nan_measure_decides_nothing(self):
+        # a significant pair whose measure is NaN on one side ties on it
+        errors = {"A": [0.0] * 12, "B": [100.0] * 12, "C": [200.0] * 12}
+        measures = {"A": {"sa": 1.0, "mae": 0.0}, "B": {"sa": math.nan, "mae": 100.0},
+                    "C": {"sa": math.nan, "mae": 200.0}}
+        tallies, comps = stats.win_tie_loss(errors, measures)
+        assert all(c["p_value"] < stats.SIGNIFICANCE for c in comps)
+        assert [c["outcomes"]["sa"] for c in comps] == ["tie", "tie", "tie"]
+        assert tallies["A"]["sa"] == {"win": 0, "tie": 2, "loss": 0}
+        assert tallies["A"]["mae"] == {"win": 2, "tie": 0, "loss": 0}
+
     def test_misaligned_lengths_rejected(self):
         with pytest.raises(BoundsError):
             stats.win_tie_loss({"A": [1.0, 2.0], "B": [1.0]},
@@ -136,3 +149,14 @@ class TestRankMethods:
     def test_missing_cell_rejected(self):
         with pytest.raises(BoundsError):
             stats.rank_methods({"d1": {"A": 1.0, "B": 2.0}, "d2": {"A": 1.0}})
+
+    @pytest.mark.parametrize("higher_is_better", [False, True])
+    def test_nan_cells_share_the_midrank_after_every_value(self, higher_is_better):
+        table = {"d1": {"A": math.nan, "B": 0.5, "C": math.nan, "D": 0.7, "E": math.nan},
+                 "d2": {"A": 0.1, "B": 0.5, "C": math.nan, "D": 0.7, "E": 0.9}}
+        out = {s["method"]: s["mean_rank"]
+               for s in stats.rank_methods(table, higher_is_better=higher_is_better)}
+        if higher_is_better:  # d1: D 1, B 2, NaNs 4; d2: E 1, D 2, B 3, A 4, C 5
+            assert out == {"A": 4.0, "B": 2.5, "C": 4.5, "D": 1.5, "E": 2.5}
+        else:  # d1: B 1, D 2, NaNs 4; d2: A 1, B 2, D 3, E 4, C 5
+            assert out == {"A": 2.5, "B": 1.5, "C": 4.5, "D": 2.5, "E": 4.0}

@@ -9,8 +9,8 @@ from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
 from abetune.datasets import load_bundled
 from abetune.errors import BoundsError
 from abetune.tuning import (
-    VARIANTS, GlobalProblem, LocalProblem, SolutionSpace, SolutionVector, VariantConfig,
-    decode_mask, decode_position, select_from_front,
+    VARIANTS, GlobalProblem, LocalProblem, SolutionSpace, VariantConfig, decode_position,
+    select_from_front,
 )
 import scalar_reference as ref
 
@@ -27,20 +27,23 @@ def numeric_std(rows, efforts):
 
 
 class TestDecodeMask:
+    # One weight row pins k and lt_plus pins the weights, so these boxes hold
+    # only the mask dimension.
+    @staticmethod
+    def decode(v: int, m: int) -> dict:
+        return decode_position(np.array([float(v)]), 1, m, VARIANTS["lt_plus"])
+
     def test_fifteen_of_six(self):
-        assert decode_mask(15, 6).bits == (0, 0, 1, 1, 1, 1)
+        sol = self.decode(15, 6)
+        assert (sol["mask"], sol["v"]) == ([0, 0, 1, 1, 1, 1], 15)
 
     def test_full_mask(self):
-        assert decode_mask(2 ** 5 - 1, 5).bits == (1, 1, 1, 1, 1)
+        sol = self.decode(2 ** 5 - 1, 5)
+        assert (sol["mask"], sol["v"]) == ([1, 1, 1, 1, 1], 31)
 
     def test_left_first_convention(self):
-        assert decode_mask(1, 3).bits == (0, 0, 1)
-
-    def test_out_of_range(self):
-        with pytest.raises(BoundsError):
-            decode_mask(0, 4)
-        with pytest.raises(BoundsError):
-            decode_mask(16, 4)
+        sol = self.decode(1, 3)
+        assert (sol["mask"], sol["v"]) == ([0, 0, 1], 1)
 
 
 class TestPositionCodec:
@@ -50,46 +53,48 @@ class TestPositionCodec:
     def test_round_half_up(self):
         x = np.array([3.4, 3.0] + [0.5] * 8)
         sol = decode_position(x, n_rows=4, m=2, variant=self.variant())
-        assert sol.k == 3
+        assert sol["k"] == 3
         x[0] = 3.5
-        assert decode_position(x, 4, 2, self.variant()).k == 4
+        assert decode_position(x, 4, 2, self.variant())["k"] == 4
 
     # With one weight row k can only be 1, so the box holds no k dimension
     # and these positions start at the mask.
     def test_weight_row_already_normalized(self):
         x = np.array([7.0, 0.2, 0.2, 0.6])
         sol = decode_position(x, n_rows=1, m=3, variant=self.variant())
-        assert sol.weights[0].tolist() == pytest.approx([0.2, 0.2, 0.6], abs=ATOL)
+        assert sol["weights_used"][0] == pytest.approx([0.2, 0.2, 0.6], abs=ATOL)
 
     def test_weight_row_clamped_then_normalized(self):
         x = np.array([7.0, 2.0, 0.0, 0.0])
         sol = decode_position(x, n_rows=1, m=3, variant=self.variant())
-        assert sol.weights[0].tolist() == pytest.approx([1.0, 0.0, 0.0], abs=ATOL)
+        assert sol["weights_used"][0] == pytest.approx([1.0, 0.0, 0.0], abs=ATOL)
 
     def test_zero_row_becomes_uniform(self):
         x = np.array([7.0, 0.0, 0.0, 0.0])
         sol = decode_position(x, n_rows=1, m=3, variant=self.variant())
-        assert sol.weights[0].tolist() == pytest.approx([1 / 3] * 3, abs=ATOL)
+        assert sol["weights_used"][0] == pytest.approx([1 / 3] * 3, abs=ATOL)
 
     def test_roundtrip_identity(self):
         w = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
-        sol = SolutionVector(k=2, mask=abe.FeatureMask((1, 0)), weights=w)
+        sol = ref.solution(2, (1, 0), w)
         x = ref.encode_position(sol, SolutionSpace(n_rows=3, m=2, variant=self.variant()))
         back = decode_position(x, n_rows=3, m=2, variant=self.variant())
-        assert back.k == sol.k
-        assert back.mask.bits == sol.mask.bits
-        assert np.allclose(back.weights, sol.weights, atol=ATOL)
+        assert (back["k"], back["v"], back["mask"], back["n_rows"]) == (2, 2, [1, 0], 3)
+        assert np.allclose(back["weights_used"], sol["weights_used"], atol=ATOL)
 
     def test_fixed_variables_left_out(self):
         v = VARIANTS["k_only"]
         space = SolutionSpace(n_rows=5, m=3, variant=v)
         assert space.bounds().dim == 1
+        K, masks, W = space.decode(np.array([[2.6]]))
+        assert K.tolist() == [3]
+        assert masks.tolist() == [[1, 1, 1]]
+        assert W.shape == (1, 5, 3)
+        assert np.allclose(W, 1 / 3, atol=ATOL)
+        assert np.allclose(W.sum(axis=2), 1.0, atol=ATOL)
         sol = decode_position(np.array([2.6]), 5, 3, v)
-        assert sol.k == 3
-        assert sol.mask.bits == (1, 1, 1)
-        assert sol.weights.shape == (5, 3)
-        assert np.allclose(sol.weights, 1 / 3, atol=ATOL)
-        assert np.allclose(sol.weights.sum(axis=1), 1.0, atol=ATOL)
+        assert (sol["k"], sol["v"], sol["mask"], sol["n_rows"]) == (3, 7, [1, 1, 1], 5)
+        assert sol["weights_used"] == W[0, :3].tolist()
 
     def test_batch_decoder_matches_scalar_decode(self):
         # includes boxes where k (one row) or the mask (one feature) is pinned
@@ -104,23 +109,26 @@ class TestPositionCodec:
                 X = rng.uniform(bounds.lower - 0.5, bounds.upper + 0.5, size=(40, bounds.dim))
                 K, masks, W = space.decode(X)
                 for i in range(40):
-                    sol = ref.scalar_decode(X[i], n_rows, m, VARIANTS[name])
-                    assert sol.k == K[i]
-                    assert list(masks[i]) == list(sol.mask.bits)
-                    assert np.array_equal(W[i], sol.weights)
+                    k, bits, w = ref.scalar_decode(X[i], n_rows, m, VARIANTS[name])
+                    assert k == K[i]
+                    assert list(masks[i]) == bits
+                    assert np.array_equal(W[i], w)
+                    assert decode_position(X[i], n_rows, m, VARIANTS[name]) == \
+                        ref.solution(k, bits, w)
 
     def test_degenerate_dimensions_are_pinned(self):
         # one weight row leaves only k = 1, one feature only the mask (1,)
         assert SolutionSpace(n_rows=1, m=2, variant=VARIANTS["k_only"]).bounds().dim == 0
         assert SolutionSpace(n_rows=3, m=1, variant=VARIANTS["lt_plus"]).bounds().dim == 1
         sol = decode_position(np.zeros(0), 1, 1, VARIANTS["lt_plus"])
-        assert (sol.k, sol.mask.bits, sol.weights.tolist()) == (1, (1,), [[1.0]])
+        assert sol == {"k": 1, "v": 1, "mask": [1], "n_rows": 1, "weights_used": [[1.0]]}
 
     def test_mask_exact_at_the_feature_limit(self):
         m = 52
         for v in (2 ** m - 1, 2 ** m - 3):
             sol = decode_position(np.array([1.0, float(v)]), 2, m, VARIANTS["lt_plus"])
-            assert sol.mask_int == v
+            assert sol["v"] == v
+            assert sol["mask"] == ref.mask_bits(v, m)
 
 
 class TestObjectives:
@@ -130,12 +138,11 @@ class TestObjectives:
             [10, 30, 80, 22, 46, 64])
 
     def full_sol(self, train_n, m, k=2):
-        return SolutionVector(k=k, mask=abe.FeatureMask((1,) * m),
-                              weights=np.full((train_n, m), 1.0 / m))
+        return ref.solution(k, (1,) * m, np.full((train_n, m), 1.0 / m))
 
     def test_lt_exact_prediction_zeroes_all(self):
         train = self.ds.subset([0, 1, 2])
-        sol = SolutionVector(k=1, mask=abe.FeatureMask((1, 1)), weights=np.ones((3, 2)))
+        sol = ref.solution(1, (1, 1), np.ones((3, 2)))
         target = train.matrix[1]
         obj = tuning.lt_objectives(train, target, 30.0, sol)
         assert obj.tolist() == pytest.approx([0.0, 0.0, 0.0], abs=ATOL)
@@ -143,7 +150,7 @@ class TestObjectives:
     def test_lt_substitution(self):
         # prediction 5 against actual 10 -> (5, 1.0, 0.5)
         train = numeric_std([[0.0], [0.5], [1.0]], [5, 5, 5]).subset([0, 1, 2])
-        sol = SolutionVector(k=1, mask=abe.FeatureMask((1,)), weights=np.ones((3, 1)))
+        sol = ref.solution(1, (1,), np.ones((3, 1)))
         obj = tuning.lt_objectives(train, np.array([0.0]), 10.0, sol)
         assert obj.tolist() == pytest.approx([5.0, 1.0, 0.5], abs=ATOL)
 
@@ -167,19 +174,32 @@ class TestObjectives:
         assert got.tolist() == pytest.approx(want.tolist(), abs=1e-12)
 
     def test_gt_unused_weight_rows_inert(self):
+        # positions that differ only in the weight rows past k decode to the
+        # same solution, which holds only the k rows a prediction reads
+        space = GlobalProblem(self.ds, VARIANTS["gt"]).space
         base = self.full_sol(train_n=self.ds.n - 1, m=2, k=2)
-        other_w = base.weights.copy()
-        other_w[3:] = 0.123  # rows beyond k
-        other = SolutionVector(k=2, mask=base.mask, weights=other_w)
+        x = ref.encode_position(base, space)
+        other_x = x.copy()
+        other_x[-6:] = [0.9, 0.1, 0.3, 0.7, 0.2, 0.8]  # rows 3 to 5 of 5, all beyond k
+        W = space.decode(np.stack([x, other_x]))[2]
+        assert np.array_equal(W[0, :2], W[1, :2]) and not np.allclose(W[0, 2:], W[1, 2:])
+        other = decode_position(other_x, space.n_rows, space.m, space.variant)
+        assert decode_position(x, space.n_rows, space.m, space.variant) == other
         assert np.allclose(tuning.gt_objectives(self.ds, base),
                            tuning.gt_objectives(self.ds, other), atol=0)
+
+    def test_weight_rows_other_than_k_rejected(self):
+        sol = self.full_sol(train_n=self.ds.n - 1, m=2, k=2)
+        for rows in (sol["weights_used"][:1], sol["weights_used"] * 2,
+                     [row[:1] for row in sol["weights_used"]]):
+            with pytest.raises(BoundsError):
+                tuning.gt_objectives(self.ds, dict(sol, weights_used=rows))
 
     def test_gt_perfect_predictor_contrived(self):
         # duplicated projects: nearest neighbor always shares the effort
         ds = numeric_std([[0.0], [0.0], [5.0], [5.0], [9.0], [9.0]],
                          [10, 10, 50, 50, 90, 90])
-        sol = SolutionVector(k=1, mask=abe.FeatureMask((1,)),
-                             weights=np.ones((5, 1)))
+        sol = ref.solution(1, (1,), np.ones((5, 1)))
         obj = tuning.gt_objectives(ds, sol)
         assert obj.tolist() == pytest.approx([-1.0, 0.0, 0.0], abs=ATOL)
 
@@ -191,7 +211,7 @@ class TestObjectives:
         X = rng.uniform(lp.bounds.lower, lp.bounds.upper, size=(25, lp.bounds.dim))
         batch = lp.evaluate_batch(X)
         for i in range(25):
-            sol = ref.scalar_decode(X[i], train.n, train.m, VARIANTS["lt"])
+            sol = ref.solution(*ref.scalar_decode(X[i], train.n, train.m, VARIANTS["lt"]))
             want = ref.lt_objectives(train, target, 22.0, sol)
             assert np.allclose(batch[i], want, atol=1e-9), (batch[i], want)
 
@@ -199,7 +219,7 @@ class TestObjectives:
         Xg = rng.uniform(gp.bounds.lower, gp.bounds.upper, size=(10, gp.bounds.dim))
         batch = gp.evaluate_batch(Xg)
         for i in range(10):
-            sol = ref.scalar_decode(Xg[i], self.ds.n - 1, self.ds.m, VARIANTS["gt"])
+            sol = ref.solution(*ref.scalar_decode(Xg[i], self.ds.n - 1, self.ds.m, VARIANTS["gt"]))
             want = ref.gt_objectives(self.ds, sol, gp.baseline)
             assert np.allclose(batch[i], want, atol=1e-9)
 
@@ -217,7 +237,7 @@ class TestObjectives:
         assert stacked.shape == (40, ds.n)
         assert np.array_equal(stacked, one_by_one)
         for j in range(8):
-            sol = ref.scalar_decode(X[j], ds.n - 1, ds.m, VARIANTS["gt"])
+            sol = ref.solution(*ref.scalar_decode(X[j], ds.n - 1, ds.m, VARIANTS["gt"]))
             for i in (0, ds.n // 2, ds.n - 1):
                 train, row, _ = folds[i]
                 assert stacked[j, i] == pytest.approx(ref.predict(train, row, sol), rel=1e-12)
@@ -297,9 +317,7 @@ class TestRunners:
             problem = LocalProblem(train, row, actual, VARIANTS["lt"])
             front = tuning._front(problem, replace(cfg, seed=tuning._fold_seed(cfg.seed, i)))
             sol, obj = select_from_front(front)
-            chosen = res.solutions[i]
-            assert (sol.k, sol.mask) == (chosen.k, chosen.mask)
-            assert np.array_equal(sol.weights, chosen.weights)
+            assert sol == res.solutions[i]
             assert abs(abs(actual - res.predictions[i]) - obj[0]) <= 1e-12 * max(1.0, actual)
 
     def test_fold_streams_are_distinct(self):
@@ -314,31 +332,32 @@ class TestRunners:
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7]],
                          [10, 30, 80, 46, 64])
         star = tuning.run_lt(ds, VARIANTS["lt_star"], self.small_cfg())
-        assert all(s.mask.bits == (1, 1) for s in star.solutions)
+        assert all(s["mask"] == [1, 1] and s["v"] == 3 for s in star.solutions)
         plus = tuning.run_lt(ds, VARIANTS["lt_plus"], self.small_cfg())
         for s in plus.solutions:
-            assert np.allclose(s.weights, 0.5, atol=ATOL)
-            assert np.allclose(s.weights.sum(axis=1), 1.0, atol=ATOL)
+            assert np.allclose(s["weights_used"], 0.5, atol=ATOL)
+            assert np.allclose(np.sum(s["weights_used"], axis=1), 1.0, atol=ATOL)
 
     def test_row_sums_of_optimized_solutions(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7]],
                          [10, 30, 80, 46, 64])
         res = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(seed=2))
         for sol in res.solutions:
-            assert np.allclose(sol.weights.sum(axis=1), 1.0, atol=1e-9)
+            assert len(sol["weights_used"]) == sol["k"]
+            assert np.allclose(np.sum(sol["weights_used"], axis=1), 1.0, atol=1e-9)
 
     def test_lt_honest_mode_runs(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7], [3, 3]],
                          [10, 30, 80, 46, 64, 40])
         res = tuning.run_lt(ds, replace(VARIANTS["lt"], mode="local_honest"), self.small_cfg())
         assert res.mode == "local_honest"
-        assert all(s.k <= ds.n - 2 for s in res.solutions)
+        assert all(s["k"] <= ds.n - 2 == s["n_rows"] for s in res.solutions)
 
     def test_k_histogram_varies_on_albrecht(self):
         ds = load_bundled("albrecht")
         res = tuning.run_lt(ds, VARIANTS["k_only"],
                             mopso.MopsoConfig(pop_size=30, max_iter=20, seed=1))
-        assert len({s.k for s in res.solutions}) > 1
+        assert len({s["k"] for s in res.solutions}) > 1
 
 
 class TestBestK:
