@@ -11,12 +11,22 @@ whose reach shrinks with iteration count.
 
 `run` steps the whole swarm at once, one row per particle, through the
 operators below: `leader_share`, `swarm_draws`, `step_velocity`,
-`step_position`, `mutate` and `update_pbests`.  Every stochastic draw comes
-from one generator seeded by the run seed, in whole-swarm blocks whose order
-is fixed per step: the leader picks, R1, R2, then (while mutating) the
-mutation's selection mask, directions and steps, then the pbest coins.  Every
-yes/no draw is a uniform compared with its probability.  A run is a pure
-function of its seed, however fitness evaluations are scheduled.
+`step_position`, `mutate` and `update_pbests`.  `run` owns the workspace: it
+allocates the (pop, d) blocks X, V, R1, R2, one float scratch block G and
+two bool scratch blocks once per run, and the operators write into them in
+place (each operator's docstring names what it writes).  Apart from the
+fitness evaluation, a step allocates only the mutation's selection block and
+the rows it copies into the archive and the pbests.  Reflections are
+branchless: a component is negated by multiplying it with 1 - 2 * mask, not
+through boolean-mask indexing, with the same bits as the indexed form.
+
+Every stochastic draw comes from one generator seeded by the run seed, in
+whole-swarm blocks whose order is fixed per step: the leader picks, R1, R2,
+then (while mutating) the mutation's selection mask, directions and steps,
+then the pbest coins.  Drawing R1 and R2 into their blocks takes the same
+numbers from the stream as drawing fresh (pop, d) arrays.  Every yes/no draw
+is a uniform compared with its probability.  A run is a pure function of its
+seed, however fitness evaluations are scheduled.
 """
 
 from __future__ import annotations
@@ -142,11 +152,12 @@ class Archive:
 
     def update(self, positions, fitnesses) -> "Archive":
         """Merge candidate rows, drop dominated entries, then prune the most
-        crowded entries until back under capacity."""
-        pool_pos = np.atleast_2d(np.asarray(positions, dtype=float))
+        crowded entries until back under capacity.  Kept candidate rows are
+        copied, so the caller may go on to overwrite `positions`."""
+        positions = np.atleast_2d(np.asarray(positions, dtype=float))
         pool_fit = np.atleast_2d(np.asarray(fitnesses, dtype=float))
-        if len(self):
-            pool_pos = np.vstack([self.positions, pool_pos])
+        n_old = len(self)
+        if n_old:
             pool_fit = np.vstack([self.fitnesses, pool_fit])
         keep = _non_dominated_mask(pool_fit)
         excess = int(keep.sum()) - self.capacity
@@ -154,7 +165,8 @@ class Archive:
             kept = np.flatnonzero(keep)
             cd = crowding_distances(pool_fit[kept])
             keep[kept[np.argsort(cd, kind="stable")[:excess]]] = False
-        self.positions = pool_pos[keep]
+        new_rows = positions[keep[n_old:]]
+        self.positions = np.vstack([self.positions[keep[:n_old]], new_rows]) if n_old else new_rows
         self.fitnesses = pool_fit[keep]
         return self
 
@@ -162,45 +174,69 @@ class Archive:
         return crowding_distances(self.fitnesses)
 
 
-def swarm_draws(rng, pop: int, n_leaders: int, d: int):
+def swarm_draws(rng, n_leaders: int, R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
     """One step's velocity draws, in this order: each particle's leader
-    index within the leader share, then the (pop, d) R1 and R2 blocks."""
-    pick = rng.integers(0, n_leaders, size=pop)
-    R1 = rng.random((pop, d))
-    R2 = rng.random((pop, d))
-    return pick, R1, R2
+    index within the leader share, then the (pop, d) R1 and R2 blocks,
+    written into R1 and R2.  Returns the leader indices."""
+    pick = rng.integers(0, n_leaders, size=len(R1))
+    rng.random(out=R1)
+    rng.random(out=R2)
+    return pick
 
 
-def step_velocity(V, X, PB, G, R1, R2, w_t: float, c1: float, c2: float, v_max) -> np.ndarray:
-    """Inertia plus cognitive and social pull, one row per particle, with
-    the uniforms R1 and R2 (consumed as scratch).  A component past its cap
-    is negated, then clamped into the cap.  Updates V in place."""
-    R1 *= PB - X
-    R1 *= c1
-    R2 *= G - X
+def step_velocity(V, X, PB, G, R1, R2, w_t: float, c1: float, c2: float, v_max,
+                  over: np.ndarray) -> np.ndarray:
+    """Inertia plus cognitive and social pull, one row per particle: V
+    becomes w_t V + c1 R1 (PB - X) + c2 R2 (G - X).  A component past its cap
+    is negated, then clamped into the cap, which is the same as clamping and
+    then multiplying by -1 where it was over (multiplying by +-1 is exact).
+    Updates V in place; the leaders' positions G, the uniforms R1 and R2 and
+    the bool block `over` are consumed as scratch."""
+    G -= X
+    R2 *= G
     R2 *= c2
+    np.subtract(PB, X, out=G)
+    R1 *= G
+    R1 *= c1
     V *= w_t
     V += R1
     V += R2
-    over = (V > v_max) | (V < -v_max)
-    V[over] *= -1.0
-    np.minimum(V, v_max, out=V)
-    np.maximum(V, -v_max, out=V)
+    np.abs(V, out=G)
+    np.greater(G, v_max, out=over)
+    np.minimum(G, v_max, out=G)
+    np.copysign(G, V, out=V)  # V clamped into [-v_max, v_max], signed zeros kept
+    _flip_signs(V, over, G)
     return V
 
 
-def step_position(X, V, bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+def step_position(X, V, bounds: Bounds, S: np.ndarray, viol: np.ndarray,
+                  below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Move every particle by its velocity.  Where a coordinate leaves the
     box, its velocity component is negated and re-applied (returning to the
     old coordinate), then the result is clamped to the nearest bound.
-    Returns the new positions and V, which is updated in place."""
-    X = X + V
-    viol = (X > bounds.upper) | (X < bounds.lower)
-    V[viol] *= -1.0
-    X[viol] += V[viol]
+    Updates X and V in place and returns them; the float block S and the
+    bool blocks `viol` and `below` are consumed as scratch."""
+    X += V
+    np.greater(X, bounds.upper, out=viol)
+    np.less(X, bounds.lower, out=below)
+    viol |= below
+    # S is V where the coordinate left the box and +0.0 elsewhere, so that
+    # X - S is X + (-V) there and leaves every other X, -0.0 too, unchanged
+    np.multiply(V, viol, out=S)
+    S += 0.0
+    X -= S
+    _flip_signs(V, viol, S)
     np.minimum(X, bounds.upper, out=X)
     np.maximum(X, bounds.lower, out=X)
     return X, V
+
+
+def _flip_signs(A: np.ndarray, mask: np.ndarray, S: np.ndarray) -> None:
+    """Negate A where `mask` holds, by multiplying every entry with 1 or -1;
+    S is scratch."""
+    np.multiply(mask, -2.0, out=S)
+    S += 1.0
+    A *= S
 
 
 def _mutation_delta(t: int, max_iter: int, y: np.ndarray, r: np.ndarray, b: float,
@@ -214,10 +250,10 @@ def mutate(X, t: int, cfg: MopsoConfig, bounds: Bounds, rng) -> np.ndarray:
     """Non-uniform mutation of a (pop, d) swarm: each coordinate, with
     probability 1/d, jumps toward the upper or lower bound by an
     iteration-shrinking step.  Draws the (pop, d) selection block, then one
-    direction per selected coordinate, then one step, in row-major order."""
+    direction per selected coordinate, then one step, in row-major order.
+    Updates X in place and returns it."""
     pop, d = X.shape
     rows, cols = np.nonzero(rng.random((pop, d)) < 1.0 / d)
-    X = X.copy()
     if len(rows) == 0:
         return X
     up = rng.random(len(rows)) < 0.5  # toward UB, else toward LB
@@ -269,9 +305,14 @@ def run(problem, cfg: MopsoConfig) -> Archive:
     pop = cfg.pop_size
     rng = np.random.default_rng(cfg.seed)
 
-    lb, ub = bounds.lower, bounds.upper
-    X = lb + rng.random((pop, d)) * (ub - lb)
+    # the workspace: every (pop, d) block the steps write, allocated once
+    X = rng.random((pop, d))
+    X *= bounds.upper - bounds.lower
+    X += bounds.lower
     V = np.zeros_like(X)
+    R1, R2, G = (np.empty_like(X) for _ in range(3))
+    viol, below = (np.empty(X.shape, dtype=bool) for _ in range(2))
+
     F = np.asarray(problem.evaluate_batch(X), dtype=float)
     _check_finite(F, t=-1)
     PB = X.copy()
@@ -284,12 +325,13 @@ def run(problem, cfg: MopsoConfig) -> Archive:
     for t in range(T):
         w_t = w_start if T == 1 else w_start + (w_end - w_start) * (t / (T - 1))
         leaders = leader_share(archive.crowding(), cfg.leader_fraction)
-        pick, R1, R2 = swarm_draws(rng, pop, len(leaders), d)
-        G = archive.positions[leaders[pick]]
-        step_velocity(V, X, PB, G, R1, R2, w_t, cfg.c1, cfg.c2, bounds.v_max)
-        X, V = step_position(X, V, bounds)
+        pick = swarm_draws(rng, len(leaders), R1, R2)
+        # mode="clip" lets take write straight into G; every index is in range
+        np.take(archive.positions, leaders[pick], axis=0, out=G, mode="clip")
+        step_velocity(V, X, PB, G, R1, R2, w_t, cfg.c1, cfg.c2, bounds.v_max, viol)
+        step_position(X, V, bounds, G, viol, below)
         if t < T * cfg.mutation_fraction:
-            X = mutate(X, t, cfg, bounds, rng)
+            mutate(X, t, cfg, bounds, rng)
 
         F = np.asarray(problem.evaluate_batch(X), dtype=float)
         _check_finite(F, t)

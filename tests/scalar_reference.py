@@ -7,13 +7,17 @@ the report-form dicts the program carries ({"k", "v", "mask", "n_rows",
 "weights_used"}); the bit expansion of a mask value is done here.  The error
 measures are computed here with `math` alone; nothing is imported from
 `abetune.metrics`, whose array kernel they check.
+
+`reference_run` is the swarm loop written with boolean-mask indexing and a
+fresh array per operation; the allocation-free `mopso.run` must match it
+byte for byte.
 """
 
 import math
 
 import numpy as np
 
-from abetune import abe
+from abetune import abe, mopso
 from abetune.errors import AbetuneError
 from abetune.tuning import SolutionSpace
 
@@ -127,3 +131,84 @@ def run_loocv(ds, predictor) -> list[tuple[float, float]]:
             raise AbetuneError(f"{ds.name}: fold {i} failed: {exc}") from exc
         pairs.append((actual, float(pred)))
     return pairs
+
+
+def reference_velocity(V, X, PB, G, R1, R2, w_t: float, c1: float, c2: float, v_max):
+    """Velocity step with masked reflection; returns a new V."""
+    V = w_t * V + (R1 * (PB - X)) * c1 + (R2 * (G - X)) * c2
+    over = (V > v_max) | (V < -v_max)
+    V[over] *= -1.0
+    return np.maximum(np.minimum(V, v_max), -v_max)
+
+
+def reference_position(X, V, lower, upper):
+    """Position step with masked reflection; returns new (X, V)."""
+    X = X + V
+    V = V.copy()
+    viol = (X > upper) | (X < lower)
+    V[viol] *= -1.0
+    X[viol] += V[viol]
+    return np.maximum(np.minimum(X, upper), lower), V
+
+
+def reference_mutate(X, t: int, cfg, bounds, rng):
+    """Non-uniform mutation on a copy of X."""
+    pop, d = X.shape
+    rows, cols = np.nonzero(rng.random((pop, d)) < 1.0 / d)
+    X = X.copy()
+    if len(rows) == 0:
+        return X
+    up = rng.random(len(rows)) < 0.5
+    r = rng.random(len(rows))
+    lo, hi = bounds.lower[cols], bounds.upper[cols]
+    x = X[rows, cols]
+    delta = mopso._mutation_delta(t, cfg.max_iter, np.where(up, hi - x, x - lo), r,
+                                  cfg.mutation_exponent, cfg.classical_mutation)
+    X[rows, cols] = np.clip(x + np.where(up, delta, -delta), lo, hi)
+    return X
+
+
+def reference_merge(positions, fitnesses, pos, fit, capacity: int):
+    """Archive merge over the stacked (archive + candidates) position block."""
+    if len(fitnesses):
+        pos = np.vstack([positions, pos])
+        fit = np.vstack([fitnesses, fit])
+    keep = mopso._non_dominated_mask(fit)
+    excess = int(keep.sum()) - capacity
+    if excess > 0:
+        kept = np.flatnonzero(keep)
+        cd = mopso.crowding_distances(fit[kept])
+        keep[kept[np.argsort(cd, kind="stable")[:excess]]] = False
+    return pos[keep], fit[keep]
+
+
+def reference_run(problem, cfg) -> tuple:
+    """The swarm loop with the draw order of `mopso.run`; returns the final
+    archive's (positions, fitnesses)."""
+    bounds = problem.bounds
+    pop, d = cfg.pop_size, bounds.dim
+    rng = np.random.default_rng(cfg.seed)
+    lb, ub = bounds.lower, bounds.upper
+    X = lb + rng.random((pop, d)) * (ub - lb)
+    V = np.zeros_like(X)
+    F = np.asarray(problem.evaluate_batch(X), dtype=float)
+    PB, PBF = X.copy(), F.copy()
+    positions, fitnesses = reference_merge(np.zeros((0, d)), np.zeros((0, 0)), X, F,
+                                           cfg.archive_capacity)
+    w_start, w_end = cfg.inertia
+    T = cfg.max_iter
+    for t in range(T):
+        w_t = w_start if T == 1 else w_start + (w_end - w_start) * (t / (T - 1))
+        leaders = mopso.leader_share(mopso.crowding_distances(fitnesses), cfg.leader_fraction)
+        pick = rng.integers(0, len(leaders), size=pop)
+        R1 = rng.random((pop, d))
+        R2 = rng.random((pop, d))
+        G = positions[leaders[pick]]
+        V = reference_velocity(V, X, PB, G, R1, R2, w_t, cfg.c1, cfg.c2, bounds.v_max)
+        X, V = reference_position(X, V, lb, ub)
+        if t < T * cfg.mutation_fraction:
+            X = reference_mutate(X, t, cfg, bounds, rng)
+        F = np.asarray(problem.evaluate_batch(X), dtype=float)
+        positions, fitnesses = reference_merge(positions, fitnesses, X, F, cfg.archive_capacity)
+        mopso.update_pbests(PB, PBF, X, F, rng)
+    return positions, fitnesses

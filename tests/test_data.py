@@ -1,3 +1,5 @@
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from abetune.data import (
 )
 from abetune.datasets import BUNDLED, load_bundled, load_bundled_raw
 from abetune.errors import AbetuneError, InsufficientDataError, ParseError, SchemaError
+from abetune.mopso import MopsoConfig
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -328,3 +331,33 @@ def test_loaders_raise_only_typed_errors(tmp_path_factory, case):
     assert np.isfinite(std.matrix).all()
     low, high = EFFORT_RANGE
     assert ((low <= std.efforts()) & (std.efforts() <= high)).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dataset_files(), st.sampled_from(["oracle", "honest"]))
+def test_accepted_files_are_tuned_by_every_method(tmp_path_factory, case, mode):
+    """Every file the loaders accept is tuned and scored by every method on a
+    token swarm, in process and with RuntimeWarnings as errors.  Only typed
+    errors escape, and every metric is finite, except SA and effect size on
+    a dataset whose efforts are all equal (its random-guess baseline is 0)."""
+    content, roles = case
+    path = tmp_path_factory.getbasetemp() / "tune.csv"
+    path.write_bytes(content)
+    try:
+        efforts = pipeline(path, **roles).efforts()
+    except AbetuneError:
+        return
+    cfg = harness.ExperimentConfig(
+        datasets=(harness.DatasetConfig(name="fuzz", path=str(path), **roles),),
+        methods=harness.METHOD_ORDER, mopso=MopsoConfig(pop_size=3, max_iter=2, seed=0),
+        seed=0, mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            report = harness.run_experiment(cfg)
+        except AbetuneError:
+            return
+    undefined = {"sa", "effect_size"} if len(set(efforts.tolist())) == 1 else set()
+    for method, cell in report["results"]["fuzz"].items():
+        for key, value in cell["metrics"].items():
+            assert math.isfinite(value) or key in undefined, (method, key, value)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from abetune import mopso
+from abetune import datasets, mopso, tuning
 from abetune.errors import BoundsError, EvaluationError
 from abetune.mopso import Archive, Bounds, MopsoConfig
+import scalar_reference as ref
 
 
 _default_rng = np.random.default_rng
@@ -11,14 +12,17 @@ _default_rng = np.random.default_rng
 
 class ScriptedRng:
     """Deterministic stand-in replaying preset blocks of uniform draws; each
-    block must have the shape the caller asks for."""
+    block must have the shape the caller asks for, by `size` or by `out`."""
 
     def __init__(self, uniforms):
         self.uniforms = list(uniforms)
 
-    def random(self, size):
-        out = np.asarray(self.uniforms.pop(0), dtype=float)
-        assert out.shape == np.empty(size).shape
+    def random(self, size=None, out=None):
+        block = np.asarray(self.uniforms.pop(0), dtype=float)
+        assert block.shape == (out.shape if out is not None else np.empty(size).shape)
+        if out is None:
+            return block
+        out[...] = block
         return out
 
 
@@ -29,9 +33,9 @@ class RecordingRng:
         self._rng = _default_rng(seed)
         self.log = log
 
-    def random(self, size):
-        self.log.append(("random", np.empty(size).shape))
-        return self._rng.random(size)
+    def random(self, size=None, out=None):
+        self.log.append(("random", out.shape if out is not None else np.empty(size).shape))
+        return self._rng.random(size, out=out)
 
     def integers(self, low, high, size):
         self.log.append(("integers", np.empty(size).shape))
@@ -103,9 +107,15 @@ class TestDrawOrder:
                        ("random", (pop,))]
 
 
+def scratch(X):
+    """A fresh float block and two bool blocks shaped like X."""
+    return np.empty_like(X), np.empty(X.shape, dtype=bool), np.empty(X.shape, dtype=bool)
+
+
 class TestVelocity:
     def step(self, V, X, PB, G, R1, R2, w_t, c1, c2, cap):
-        return mopso.step_velocity(V, X, PB, G, R1, R2, w_t, c1, c2, np.array([cap]))
+        return mopso.step_velocity(V, X, PB, G, R1, R2, w_t, c1, c2, np.array([cap]),
+                                   scratch(V)[1])
 
     def test_zero_attraction_at_both_bests(self):
         X = rows(0.5, 0.2)
@@ -130,19 +140,22 @@ class TestVelocity:
 class TestPosition:
     bounds = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
 
+    def step(self, X, V):
+        return mopso.step_position(X, V, self.bounds, *scratch(X))
+
     def test_interior_move(self):
-        X, V = mopso.step_position(rows(0.4, 0.1), rows(0.2, -0.1), self.bounds)
+        X, V = self.step(rows(0.4, 0.1), rows(0.2, -0.1))
         assert X.ravel().tolist() == pytest.approx([0.6, 0.0])
         assert V.tolist() == [[0.2], [-0.1]]
 
     def test_boundary_reflection(self):
         # only the particle that left the box is reflected back
-        X, V = mopso.step_position(rows(0.9, 0.1, 0.5), rows(0.3, -0.4, 0.1), self.bounds)
+        X, V = self.step(rows(0.9, 0.1, 0.5), rows(0.3, -0.4, 0.1))
         assert X.ravel().tolist() == pytest.approx([0.9, 0.1, 0.6])
         assert V.tolist() == [[-0.3], [0.4], [0.1]]
 
     def test_fixed_point_at_bound(self):
-        X, V = mopso.step_position(rows(0.0, 1.0), rows(0.0, 0.0), self.bounds)
+        X, V = self.step(rows(0.0, 1.0), rows(0.0, 0.0))
         assert X.tolist() == [[0.0], [1.0]] and V.tolist() == [[0.0], [0.0]]
 
 
@@ -188,9 +201,10 @@ class TestMutation:
         rng = ScriptedRng([[[0.9, 0.9, 0.1, 0.9], [0.9, 0.9, 0.9, 0.9]], [0.0], [0.5]])
         X0 = np.full((2, 4), 0.5)
         X = mopso.mutate(X0, 0, self.cfg(), b, rng)
+        # the swarm is mutated in place
+        assert X is X0
         changed = X != 0.5
         assert changed.tolist() == [[False, False, True, False], [False] * 4]
-        assert X0.tolist() == np.full((2, 4), 0.5).tolist()
 
     def test_nothing_selected_draws_nothing_more(self):
         b = Bounds(lower=np.zeros(2), upper=np.ones(2))
@@ -260,7 +274,8 @@ class TestLeaderSelection:
         cds = self.make_archive(20).crowding()
         share = mopso.leader_share(cds, 0.1)
         assert share.tolist() == np.argsort(-cds, kind="stable")[:2].tolist()
-        pick, _, _ = mopso.swarm_draws(np.random.default_rng(0), 200, len(share), 1)
+        R1, R2 = np.empty((200, 1)), np.empty((200, 1))
+        pick = mopso.swarm_draws(np.random.default_rng(0), len(share), R1, R2)
         assert set(pick.tolist()) == {0, 1}
 
     def test_empty_archive_rejected(self):
@@ -380,3 +395,58 @@ class TestRun:
         assert ws[0] == pytest.approx(0.9) and ws[-1] == pytest.approx(0.4)
         diffs = np.diff(ws)
         assert np.allclose(diffs, diffs[0])
+
+
+def _lt_box(name: str, method: str, fold: int):
+    train, row, actual = datasets.load_bundled(name).loocv_fold(fold)
+    return tuning.LocalProblem(train, row, actual, tuning.VARIANTS[method])
+
+
+class Corner:
+    """A small box of three very different ranges whose objectives pull
+    every coordinate past a bound, so reflections and clamps are frequent."""
+    bounds = Bounds(lower=np.array([-1.0, 0.0, -1e-3]), upper=np.array([2.0, 0.5, 0.0]))
+
+    def evaluate_batch(self, X):
+        return np.stack([X.sum(axis=1), -X[:, 0], (X[:, 1] - X[:, 2]) ** 2], axis=1)
+
+
+ORACLE_CASES = {
+    "d1-capacity": (BiObjective, dict(pop_size=40, max_iter=60, archive_capacity=8)),
+    "d1-classical": (BiObjective, dict(pop_size=12, max_iter=30, classical_mutation=True,
+                                       mutation_fraction=1.0)),
+    "corner": (Corner, dict(pop_size=25, max_iter=40, archive_capacity=5)),
+    "kemerer-lt-plus": (lambda: _lt_box("kemerer", "lt_plus", 4), dict(pop_size=20, max_iter=20)),
+    "china-lt": (lambda: _lt_box("china", "lt", 11), dict(pop_size=30, max_iter=12)),
+    "china-lt-100x100": (lambda: _lt_box("china", "lt", 0), {}),  # d = 592
+    "albrecht-gt": (lambda: tuning.GlobalProblem(datasets.load_bundled("albrecht"),
+                                                 tuning.VARIANTS["gt"]),
+                    dict(pop_size=12, max_iter=8)),
+}
+
+
+class TestFrozenOracle:
+    """`run` against `scalar_reference.reference_run`, the loop written with
+    boolean-mask indexing and fresh arrays per step.  Bytes are compared,
+    not values, so that a -0.0 where the oracle has 0.0 fails."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_final_archive_bytes_match(self, case, seed):
+        make, settings = ORACLE_CASES[case]
+        problem = make()
+        cfg = MopsoConfig(seed=seed, **settings)
+        archive = mopso.run(problem, cfg)
+        positions, fitnesses = ref.reference_run(problem, cfg)
+        assert archive.positions.shape == positions.shape
+        assert archive.positions.tobytes() == positions.tobytes()
+        assert archive.fitnesses.tobytes() == fitnesses.tobytes()
+
+    def test_draws_into_a_block_continue_the_same_stream(self):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        R1, R2 = np.empty((7, 5)), np.empty((7, 5))
+        pick = mopso.swarm_draws(a, 4, R1, R2)
+        assert pick.tolist() == b.integers(0, 4, size=7).tolist()
+        assert R1.tobytes() == b.random((7, 5)).tobytes()
+        assert R2.tobytes() == b.random((7, 5)).tobytes()
+        assert a.random() == b.random()

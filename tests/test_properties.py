@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from abetune import abe, metrics, mopso, stats, tuning
 
+import scalar_reference as ref
+
 MANY = settings(max_examples=1000, deadline=None, derandomize=True)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -103,13 +105,95 @@ class TestEncodingProperties:
                       for _ in range(pop)])
         V = np.array([[data.draw(st.floats(-3, 3, allow_nan=False)) for _ in range(d)]
                       for _ in range(pop)])
-        nX, _ = mopso.step_position(X, V, bounds)
+        S, viol, below = np.empty_like(X), np.empty(X.shape, bool), np.empty(X.shape, bool)
+        nX, _ = mopso.step_position(X, V, bounds, S, viol, below)
         assert np.all(nX >= lo) and np.all(nX <= hi)
         seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
         cfg = mopso.MopsoConfig(pop_size=pop, max_iter=10, seed=seed)
         t = data.draw(st.integers(min_value=0, max_value=4))
         mX = mopso.mutate(nX, t, cfg, bounds, np.random.default_rng(seed))
         assert np.all(mX >= lo) and np.all(mX <= hi)
+
+
+def edge_box(draw, d: int) -> mopso.Bounds:
+    lo = np.array([draw(st.sampled_from([0.0, -0.0, -1.0, 1.0]) | st.floats(-10, 10))
+                   for _ in range(d)])
+    width = np.array([draw(st.sampled_from([1.0, 4.0]) | st.floats(1e-3, 10)) for _ in range(d)])
+    return mopso.Bounds(lower=lo, upper=lo + width)
+
+
+def edge_matrix(draw, pop: int, d: int, options) -> np.ndarray:
+    """(pop, d) floats, each entry picked from its column of `options(u)`, a
+    stack of candidate (pop, d) blocks computed from uniforms u."""
+    n = pop * d
+    u = np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))).reshape(pop, d)
+    table = np.stack([np.broadcast_to(c, u.shape) for c in options(u)])
+    kind = draw(st.lists(st.integers(0, len(table) - 1), min_size=n, max_size=n))
+    return np.take_along_axis(table, np.reshape(kind, (1, pop, d)), axis=0)[0]
+
+
+def coordinates(bounds: mopso.Bounds):
+    """Coordinates: on either bound, a signed zero, one ulp outside the box,
+    or anywhere across it or up to a box width around it."""
+    lo, hi = bounds.lower, bounds.upper
+    width = hi - lo
+    return lambda u: [lo, hi, 0.0, -0.0, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                      lo + u * width, lo - width + 3 * width * u]
+
+
+def velocities(bounds: mopso.Bounds):
+    """Velocity components: exactly at +-v_max (the edge of the strict test),
+    one ulp either side of it, a signed zero, or anywhere up to three caps
+    out."""
+    cap = bounds.v_max
+    edges = [s * c for s in (1.0, -1.0)
+             for c in (cap, np.nextafter(cap, 0.0), np.nextafter(cap, np.inf))]
+    return lambda u: edges + [0.0, -0.0, (2 * u - 1) * 3 * cap]
+
+
+def uniforms(u):
+    return [0.0, u]
+
+
+class TestStepsMatchMaskedOracle:
+    """The branchless velocity and position steps against the masked-indexing
+    arithmetic of `scalar_reference`, compared as bytes so that the sign of a
+    zero counts."""
+
+    @MANY
+    @given(st.data())
+    def test_velocity_step_bit_equal(self, data):
+        pop, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        bounds = edge_box(data.draw, d)
+        V = edge_matrix(data.draw, pop, d, velocities(bounds))
+        X, PB, G = (edge_matrix(data.draw, pop, d, coordinates(bounds)) for _ in range(3))
+        R1, R2 = (edge_matrix(data.draw, pop, d, uniforms) for _ in range(2))
+        # w_t = 1 with c1 = c2 = 0 carries V's edge values through to the cap test
+        w_t = data.draw(st.sampled_from([1.0, 0.9, 0.4]) | st.floats(0, 1))
+        c1, c2 = (data.draw(st.sampled_from([0.0, 2.0]) | st.floats(0, 4)) for _ in range(2))
+        expected = ref.reference_velocity(V.copy(), X, PB, G, R1.copy(), R2.copy(),
+                                          w_t, c1, c2, bounds.v_max)
+        got = mopso.step_velocity(V.copy(), X, PB, G.copy(), R1.copy(), R2.copy(),
+                                  w_t, c1, c2, bounds.v_max, np.empty(V.shape, bool))
+        assert got.tobytes() == expected.tobytes()
+
+    @MANY
+    @given(st.data())
+    def test_position_step_bit_equal(self, data):
+        pop, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        bounds = edge_box(data.draw, d)
+        X = edge_matrix(data.draw, pop, d, coordinates(bounds))
+        V = edge_matrix(data.draw, pop, d, velocities(bounds))
+        # some steps aim exactly at a bound
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, pop - 1),
+                                                 st.integers(0, d - 1)), max_size=3)):
+            V[i, j] = data.draw(st.sampled_from([bounds.upper[j], bounds.lower[j]])) - X[i, j]
+        expected_X, expected_V = ref.reference_position(X, V, bounds.lower, bounds.upper)
+        X1, V1 = X.copy(), V.copy()
+        mopso.step_position(X1, V1, bounds, np.empty_like(X), np.empty(X.shape, bool),
+                            np.empty(X.shape, bool))
+        assert X1.tobytes() == expected_X.tobytes()
+        assert V1.tobytes() == expected_V.tobytes()
 
 
 class TestAggregationFixedPoints:
