@@ -127,7 +127,16 @@ class _FoldContext:
     """A stack of folds, each one target's analogies in rank order: their
     efforts (f, r) and adaptation diffs (f, r, m), target minus analogy and
     0 for categoricals.  Built from (train, target_row) pairs that share r
-    and m; a single pair is one local fold, a leave-one-out pass is n."""
+    and m; a single pair is one local fold, a leave-one-out pass is n.
+
+    `owm` is the (r, r) ordered-weighted-mean table, row k - 1 holding k's
+    rank weights, built once by `_owm_matrix`'s elementwise formula.  No
+    entry depends on the table's width, so `owm[K - 1, :kmax]` has the bits
+    of `_owm_matrix(K, kmax)`.  `predict_batch` writes its (p, kmax, m)
+    masked weights and (p, f, kmax) adapted efforts into two flat buffers the
+    context owns, grown on demand.  Each block is a contiguous prefix
+    reshaped, which has the strides of a fresh array, so the multiply,
+    einsum and sum run the same kernels in the same summation order."""
 
     def __init__(self, folds):
         efforts, diffs = [], []
@@ -139,17 +148,28 @@ class _FoldContext:
             diffs.append(d)
         self.efforts = np.stack(efforts)
         self.diffs = np.stack(diffs)
+        r = self.diffs.shape[1]
+        self.owm = _owm_matrix(np.arange(1, r + 1), r)
+        self._wv = self._adapted = np.empty(0)
 
     def predict_batch(self, K, masks, W) -> np.ndarray:
         """(p, f) adapted predictions for decoded solutions (K, masks, W) of
-        shapes (p,), (p, m) and (p, rows, m), with max(K) <= rows."""
+        shapes (p,), (p, m) and (p, rows, m), with max(K) <= rows.  The
+        returned array is fresh, never a view of the context's buffers."""
         kmax = int(K.max())
-        wv = W[:, :kmax, :] * masks[:, None, :]
-        adapted = np.einsum("pkm,fkm->pfk", wv, self.diffs[:, :kmax, :])
-        adapted /= self.diffs.shape[2]
+        p = len(K)
+        f, r, m = self.diffs.shape
+        if self._wv.size < p * r * m:
+            self._wv, self._adapted = np.empty(p * r * m), np.empty(p * f * r)
+        wv = self._wv[:p * kmax * m].reshape(p, kmax, m)
+        np.multiply(W[:, :kmax, :], masks[:, None, :], out=wv)
+        adapted = self._adapted[:p * f * kmax].reshape(p, f, kmax)
+        np.einsum("pkm,fkm->pfk", wv, self.diffs[:, :kmax, :], out=adapted)
+        adapted /= m
         adapted += self.efforts[None, :, :kmax]
-        adapted *= _owm_matrix(K, kmax)[:, None, :]
-        return np.maximum(adapted.sum(axis=2), EPS_EFFORT)
+        adapted *= self.owm[K - 1, :kmax][:, None, :]
+        pred = adapted.sum(axis=2)
+        return np.maximum(pred, EPS_EFFORT, out=pred)
 
 
 def solution_rows(sol: dict, n_rows: int):

@@ -5,6 +5,13 @@ cross validation.  Every stochastic step is seeded from the single config
 seed, reports are recomputed from the stored per-project prediction pairs
 before emission, and the machine-format JSON report is byte-identical for a
 given (config, seed) regardless of thread count.
+
+The streams are deliberate common random numbers across the methods of a
+dataset: every GT run, for every dataset and GT method, draws from
+`default_rng(cfg.seed)`; the sampled random-guess baseline uses
+`seed=cfg.seed`; fold i of every dataset and LT variant draws from
+`tuning._fold_seed(cfg.seed, i)`.  Giving any of them its own stream would
+move `report.json` bytes.
 """
 
 from __future__ import annotations

@@ -14,19 +14,21 @@ operators below: `leader_share`, `swarm_draws`, `step_velocity`,
 `step_position`, `mutate` and `update_pbests`.  `run` owns the workspace: it
 allocates the (pop, d) blocks X, V, R1, R2, one float scratch block G and
 two bool scratch blocks once per run, and the operators write into them in
-place (each operator's docstring names what it writes).  Apart from the
-fitness evaluation, a step allocates only the mutation's selection block and
-the rows it copies into the archive and the pbests.  Reflections are
-branchless: a component is negated by multiplying it with 1 - 2 * mask, not
-through boolean-mask indexing, with the same bits as the indexed form.
+place (each operator's docstring names what it writes); the mutation draws
+its selection block into the scratch blocks too.  Apart from the fitness
+evaluation, a step allocates nothing (pop, d)-sized but the rows it copies
+into the archive and the pbests.  Reflections are branchless: a component
+is negated by multiplying it with 1 - 2 * mask, not through boolean-mask
+indexing, with the same bits as the indexed form.
 
 Every stochastic draw comes from one generator seeded by the run seed, in
 whole-swarm blocks whose order is fixed per step: the leader picks, R1, R2,
 then (while mutating) the mutation's selection mask, directions and steps,
-then the pbest coins.  Drawing R1 and R2 into their blocks takes the same
-numbers from the stream as drawing fresh (pop, d) arrays.  Every yes/no draw
-is a uniform compared with its probability.  A run is a pure function of its
-seed, however fitness evaluations are scheduled.
+then the pbest coins.  Drawing R1, R2 and the selection block into the
+workspace takes the same numbers from the stream as drawing fresh (pop, d)
+arrays.  Every yes/no draw is a uniform compared with its probability.  A
+run is a pure function of its seed, however fitness evaluations are
+scheduled.
 """
 
 from __future__ import annotations
@@ -246,14 +248,17 @@ def _mutation_delta(t: int, max_iter: int, y: np.ndarray, r: np.ndarray, b: floa
     return y * (1.0 - r * (t / max_iter) ** b)
 
 
-def mutate(X, t: int, cfg: MopsoConfig, bounds: Bounds, rng) -> np.ndarray:
+def mutate(X, t: int, cfg: MopsoConfig, bounds: Bounds, rng, S: np.ndarray,
+           picked: np.ndarray) -> np.ndarray:
     """Non-uniform mutation of a (pop, d) swarm: each coordinate, with
     probability 1/d, jumps toward the upper or lower bound by an
-    iteration-shrinking step.  Draws the (pop, d) selection block, then one
-    direction per selected coordinate, then one step, in row-major order.
-    Updates X in place and returns it."""
-    pop, d = X.shape
-    rows, cols = np.nonzero(rng.random((pop, d)) < 1.0 / d)
+    iteration-shrinking step.  Draws the (pop, d) selection block into the
+    float block S, then one direction per selected coordinate, then one
+    step, in row-major order.  Updates X in place and returns it; S and the
+    bool block `picked` are consumed as scratch."""
+    d = X.shape[1]
+    rng.random(out=S)
+    rows, cols = np.nonzero(np.less(S, 1.0 / d, out=picked))
     if len(rows) == 0:
         return X
     up = rng.random(len(rows)) < 0.5  # toward UB, else toward LB
@@ -331,7 +336,7 @@ def run(problem, cfg: MopsoConfig) -> Archive:
         step_velocity(V, X, PB, G, R1, R2, w_t, cfg.c1, cfg.c2, bounds.v_max, viol)
         step_position(X, V, bounds, G, viol, below)
         if t < T * cfg.mutation_fraction:
-            mutate(X, t, cfg, bounds, rng)
+            mutate(X, t, cfg, bounds, rng, G, viol)
 
         F = np.asarray(problem.evaluate_batch(X), dtype=float)
         _check_finite(F, t)

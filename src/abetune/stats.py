@@ -7,6 +7,11 @@ tournaments gate every pairwise comparison on that test over absolute
 errors: insignificant pairs tie, significant pairs win/lose on the measure
 at hand.  Tallies, comparisons and rank summaries come back as the plain
 dicts that `report.json` stores.
+
+`_midranks` ties values only on exact float equality, and it also ranks
+`tuning.select_from_front`'s objectives.  So a change in the last bits of a
+measure or an objective can move a p-value or a front choice, and a
+tolerance there would move `report.json` bytes.
 """
 
 from __future__ import annotations

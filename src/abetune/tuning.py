@@ -11,6 +11,11 @@ kinds of problem decode the swarm with `SolutionSpace.decode` and predict
 through one `abe._FoldContext`: one fold for a local problem, n for a global
 one (and for the honest local mode's inner pass).  They differ only in their
 first objective: a local problem's AE, a global problem's -SA.
+
+Seeds are common random numbers on purpose: every global run starts its
+swarm from `default_rng(cfg.seed)`, and fold i of every dataset and local
+variant from `_fold_seed(cfg.seed, i)`, so the methods of one dataset see
+the same draws.  Changing either would move `report.json` bytes.
 """
 
 from __future__ import annotations
@@ -95,12 +100,29 @@ class SolutionSpace:
             upper.extend([1.0] * (self.n_rows * self.m))
         return mopso.Bounds(lower=np.array(lower), upper=np.array(upper))
 
-    def decode(self, X: np.ndarray):
+    def weight_buffer(self, size: int) -> np.ndarray:
+        """A flat buffer of `size` floats for `decode`'s weight blocks:
+        uninitialized when the weights are free, the pinned 1/m rows when
+        they are not."""
+        if self.variant.optimize_weights:
+            return np.empty(size)
+        return np.full(size, 1.0 / self.m)
+
+    def decode(self, X: np.ndarray, W: np.ndarray | None = None):
         """Swarm positions, one row per particle -> (K, masks, W) with shapes
-        (p,), (p, m) and (p, rows, m)."""
+        (p,), (p, m) and (p, rows, m).
+
+        W is the (p, rows, m) block the weights go into, a prefix of a
+        `weight_buffer` reshaped (a problem's own, reused call after call) or,
+        when not given, a fresh one.  Free weights are clamped from the
+        position slice straight into W, then normalized in place; pinned
+        weights are W as given.  A prefix block has the layout of a fresh
+        array, so every reduction sums in the same order."""
         X = np.asarray(X, dtype=float)
         pop = X.shape[0]
         n_rows, m = self.n_rows, self.m
+        if W is None:
+            W = self.weight_buffer(pop * n_rows * m).reshape(pop, n_rows, m)
         i = 0
         if self.free_k:
             K = np.clip(np.floor(X[:, i] + 0.5).astype(int), 1, n_rows)
@@ -115,8 +137,7 @@ class SolutionSpace:
         else:
             masks = np.ones((pop, m))
         if self.variant.optimize_weights:
-            W = X[:, i:i + n_rows * m].reshape(pop, n_rows, m).copy()
-            np.minimum(W, 1.0, out=W)
+            np.minimum(X[:, i:i + n_rows * m].reshape(pop, n_rows, m), 1.0, out=W)
             np.maximum(W, 0.0, out=W)
             sums = W.sum(axis=2, keepdims=True)
             zero = sums == 0.0
@@ -126,8 +147,6 @@ class SolutionSpace:
                 np.copyto(W, 1.0 / m, where=zero)
             else:
                 W /= sums
-        else:
-            W = np.full((pop, n_rows, m), 1.0 / m)
         return K, masks, W
 
 
@@ -190,9 +209,17 @@ class _Problem:
         self.bounds = space.bounds()
         self.ctx = abe._FoldContext(folds)
         self.actuals = np.asarray(actuals, dtype=float)
+        self._weights = np.empty(0)
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.score(*self.space.decode(X))
+        """Objectives of a block of positions.  The weights are decoded into
+        a buffer the problem owns, grown on demand and, with pinned weights,
+        filled with 1/m once."""
+        size = len(X) * self.space.n_rows * self.space.m
+        if self._weights.size < size:
+            self._weights = self.space.weight_buffer(size)
+        W = self._weights[:size].reshape(len(X), self.space.n_rows, self.space.m)
+        return self.score(*self.space.decode(X, W))
 
     def score(self, K, masks, W) -> np.ndarray:
         """(MAE, MBRE, MIBRE) per decoded solution over the folds; over one

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from abetune import abe
+from abetune.datasets import load_bundled
 from abetune.data import Dataset, FeatureSpec, Kind, Project, Role, standardize
 from abetune.errors import BoundsError
 import scalar_reference as ref
@@ -198,3 +199,15 @@ class TestPredict:
             sol = ref.solution(k, (1, 1), np.ones((max(k, 1), 2)))
             with pytest.raises(BoundsError, match=f"k={k} out of range 1..3"):
                 abe.predict_adapted(train, self.ds.matrix[3], sol)
+
+
+class TestFoldContext:
+    def test_owm_table_rows_match_the_per_call_matrix(self):
+        train, row, _ = load_bundled("china").loocv_fold(0)
+        ctx = abe._FoldContext([(train, row)])
+        rows = train.n
+        assert ctx.owm.shape == (rows, rows)
+        for kmax in range(1, rows + 1):
+            for k in range(1, kmax + 1):
+                want = abe._owm_matrix(np.array([k]), kmax)[0]
+                assert ctx.owm[k - 1, :kmax].tobytes() == want.tobytes(), (k, kmax)

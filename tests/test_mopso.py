@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,11 +165,14 @@ class TestMutation:
     def cfg(self, **kw):
         return MopsoConfig(pop_size=2, max_iter=100, **kw)
 
+    def mutate(self, X, t, b, rng):
+        return mopso.mutate(X, t, self.cfg(), b, rng, *scratch(X)[:2])
+
     def test_zero_headroom_at_upper_bound(self):
         b = Bounds(lower=np.zeros(2), upper=np.ones(2))
         # only the first coordinate of the first particle is selected, toward UB
         rng = ScriptedRng([[[0.0, 0.9], [0.9, 0.9]], [0.0], [0.5]])
-        X = mopso.mutate(np.array([[1.0, 0.3], [0.4, 0.3]]), 10, self.cfg(), b, rng)
+        X = self.mutate(np.array([[1.0, 0.3], [0.4, 0.3]]), 10, b, rng)
         assert X.tolist() == [[1.0, 0.3], [0.4, 0.3]]
 
     def test_full_range_at_t_zero(self):
@@ -176,7 +181,7 @@ class TestMutation:
         # follow the selected coordinates in row-major order
         b = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
         rng = ScriptedRng([[[0.0], [0.0]], [0.2, 0.8], [0.77, 0.3]])
-        X = mopso.mutate(rows(0.25, 0.6), 0, self.cfg(), b, rng)
+        X = self.mutate(rows(0.25, 0.6), 0, b, rng)
         assert X.ravel().tolist() == pytest.approx([1.0, 0.0])
 
     def test_delta_vanishes_at_final_iteration(self):
@@ -200,16 +205,32 @@ class TestMutation:
         b = Bounds(lower=np.zeros(4), upper=np.ones(4))
         rng = ScriptedRng([[[0.9, 0.9, 0.1, 0.9], [0.9, 0.9, 0.9, 0.9]], [0.0], [0.5]])
         X0 = np.full((2, 4), 0.5)
-        X = mopso.mutate(X0, 0, self.cfg(), b, rng)
+        X = self.mutate(X0, 0, b, rng)
         # the swarm is mutated in place
         assert X is X0
         changed = X != 0.5
         assert changed.tolist() == [[False, False, True, False], [False] * 4]
 
+    def test_draws_its_selection_block_into_scratch(self):
+        # a china LT box at the default population: the (pop, d) selection
+        # block goes into the run's scratch, so the call allocates far less
+        bounds = _lt_box("china", "lt", 0).bounds
+        cfg = MopsoConfig(seed=3)
+        X = _default_rng(3).uniform(bounds.lower, bounds.upper, size=(cfg.pop_size, bounds.dim))
+        S, picked = scratch(X)[:2]
+        rng = _default_rng(4)
+        tracemalloc.start()
+        try:
+            mopso.mutate(X, 0, cfg, bounds, rng, S, picked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
+
     def test_nothing_selected_draws_nothing_more(self):
         b = Bounds(lower=np.zeros(2), upper=np.ones(2))
         rng = ScriptedRng([[[0.9, 0.9], [0.5, 0.6]]])
-        X = mopso.mutate(np.full((2, 2), 0.5), 0, self.cfg(), b, rng)
+        X = self.mutate(np.full((2, 2), 0.5), 0, b, rng)
         assert X.tolist() == np.full((2, 2), 0.5).tolist()
         assert rng.uniforms == []
 

@@ -111,7 +111,7 @@ class TestEncodingProperties:
         seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
         cfg = mopso.MopsoConfig(pop_size=pop, max_iter=10, seed=seed)
         t = data.draw(st.integers(min_value=0, max_value=4))
-        mX = mopso.mutate(nX, t, cfg, bounds, np.random.default_rng(seed))
+        mX = mopso.mutate(nX, t, cfg, bounds, np.random.default_rng(seed), S, viol)
         assert np.all(mX >= lo) and np.all(mX <= hi)
 
 

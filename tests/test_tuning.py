@@ -1,5 +1,6 @@
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,62 @@ class TestObjectives:
             for i in (0, ds.n // 2, ds.n - 1):
                 train, row, _ = folds[i]
                 assert stacked[j, i] == pytest.approx(ref.predict(train, row, sol), rel=1e-12)
+
+
+def bundled_problem(name: str, method: str):
+    """A GlobalProblem over a bundled dataset, or a LocalProblem on its
+    fourth fold."""
+    ds = load_bundled(name)
+    variant = VARIANTS[method]
+    if variant.mode == "global":
+        return GlobalProblem(ds, variant)
+    train, row, actual = ds.loocv_fold(3)
+    return LocalProblem(train, row, actual, variant)
+
+
+def peak_traced_bytes(call) -> int:
+    """Peak bytes allocated, NumPy's data blocks included, while `call` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOwnedBuffers:
+    """A problem decodes and predicts into buffers it owns and reuses; every
+    result must have the bytes of a freshly built problem's."""
+
+    @pytest.mark.parametrize("name,method", [("china", "lt"), ("china", "lt_plus"),
+                                             ("albrecht", "gt"), ("desharnais", "gt_star")])
+    def test_reused_buffers_give_a_fresh_problems_bytes(self, name, method):
+        problem = bundled_problem(name, method)
+        space, bounds = problem.space, problem.bounds
+        rng = np.random.default_rng(8)
+        X1 = rng.uniform(bounds.lower, bounds.upper, size=(100, bounds.dim))
+        X2 = rng.uniform(bounds.lower, bounds.upper, size=(100, bounds.dim))
+        X2[:, 0] = rng.uniform(1.0, space.n_rows / 2, size=100)  # a smaller K.max()
+        assert space.decode(X1)[0].max() != space.decode(X2)[0].max()
+        one_row = (np.array([2]), np.ones((1, space.m)), np.full((1, space.n_rows, space.m), 0.3))
+
+        first = problem.evaluate_batch(X1)
+        kept = first.copy()
+        small = problem.ctx.predict_batch(*one_row)
+        second = problem.evaluate_batch(X2)
+
+        assert first.tobytes() == kept.tobytes()
+        assert first.tobytes() == bundled_problem(name, method).evaluate_batch(X1).tobytes()
+        assert small.tobytes() == bundled_problem(name, method).ctx.predict_batch(*one_row).tobytes()
+        assert second.tobytes() == bundled_problem(name, method).evaluate_batch(X2).tobytes()
+
+    def test_repeated_evaluation_allocates_less_than_a_weight_block(self):
+        problem = bundled_problem("china", "lt")
+        bounds = problem.bounds
+        X = np.random.default_rng(2).uniform(bounds.lower, bounds.upper, size=(100, bounds.dim))
+        problem.evaluate_batch(X)  # grows the buffers
+        block = 100 * problem.space.n_rows * problem.space.m * 8
+        assert peak_traced_bytes(lambda: problem.evaluate_batch(X)) < block
 
 
 class TestSelectFromFront:
