@@ -15,9 +15,13 @@ efforts = ds.efforts()
 baseline = metrics.random_guess_baseline(efforts)
 print(f"random-guess baseline MAE: {baseline.mae_p0:.2f} months")
 
+# per fold, the training efforts in analogy order, nearest first
+ranked = [train.effort_vec[abe.neighbor_order(train, row)]
+          for train, row, _ in map(ds.loocv_fold, range(ds.n))]
+
 print("\n  k   LOOCV MAE      SA%")
 for k in (1, 2, 3, 5, 8, 13, 21, 23):
-    preds = [abe.predict_abe0(*ds.loocv_fold(i)[:2], k) for i in range(ds.n)]
+    preds = [analogies[:k].mean() for analogies in ranked]
     mae = float(np.mean(np.abs(efforts - np.array(preds))))
     print(f" {k:3d}   {mae:9.2f}   {100 * (1 - mae / baseline.mae_p0):6.1f}")
 

@@ -60,6 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> harness.ExperimentConfig:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if not args.config:
         raise ConfigError("--config is required")
     cfg = harness.load_config(args.config)

@@ -164,20 +164,6 @@ def decode_position(x: np.ndarray, n_rows: int, m: int, variant: VariantConfig) 
             "weights_used": W[0, :k].tolist()}
 
 
-def lt_objectives(train: StandardizedDataset, target_row: np.ndarray, target_actual: float,
-                  sol: dict) -> np.ndarray:
-    """(AE, BRE, IBRE) of the single adapted prediction, all minimized."""
-    problem = LocalProblem(train, target_row, target_actual, VARIANTS["lt"])
-    return problem.score(*abe.solution_rows(sol, problem.space.n_rows))[0]
-
-
-def gt_objectives(ds: StandardizedDataset, sol: dict,
-                  baseline: metrics.RandomGuessBaseline | None = None) -> np.ndarray:
-    """(-SA, MBRE, MIBRE) from an internal leave-one-out pass over `ds`."""
-    problem = GlobalProblem(ds, VARIANTS["gt"], baseline)
-    return problem.score(*abe.solution_rows(sol, problem.space.n_rows))[0]
-
-
 def select_from_front(front: Sequence[tuple]) -> tuple:
     """Pick the entry with the best average per-objective rank.
 

@@ -1,12 +1,11 @@
 """Scalar reference implementations the tests compare the batched code with.
 
-Each function here works one solution or one project at a time with plain
-Python arithmetic and the public single-value operations of `abe`,
-independently of the batched decode and scoring in `tuning`.  Solutions are
-the report-form dicts the program carries ({"k", "v", "mask", "n_rows",
-"weights_used"}); the bit expansion of a mask value is done here.  The error
-measures are computed here with `math` alone; nothing is imported from
-`abetune.metrics`, whose array kernel they check.
+Each function here works one solution or one project at a time in plain
+Python, independently of the array kernels in `abetune`.  The estimator is
+written out from its definition: analogies sorted by (distance, index), each
+effort adjusted by its rank's weighted masked differences divided by m, then
+aggregated with the ordered weights 2^(k-r) / (2^k - 1).  Solutions are the
+report-form dicts the program carries; the error measures use `math` alone.
 
 `reference_run` is the swarm loop written with boolean-mask indexing and a
 fresh array per operation; the allocation-free `mopso.run` must match it
@@ -17,7 +16,8 @@ import math
 
 import numpy as np
 
-from abetune import abe, mopso
+from abetune import mopso
+from abetune.abe import EPS_EFFORT
 from abetune.errors import AbetuneError
 from abetune.tuning import SolutionSpace
 
@@ -78,20 +78,51 @@ def encode_position(sol: dict, space: SolutionSpace) -> np.ndarray:
     return np.array(parts)
 
 
+def nearest(train, target_row, k: int) -> list:
+    """Indices of the k nearest training projects by (distance, index); a
+    categorical mismatch counts 1."""
+    cat, target = train.categorical_mask.tolist(), target_row.tolist()
+    d = [math.sqrt(math.fsum(float(a != b) if c else (a - b) ** 2
+                             for a, b, c in zip(target, row, cat)))
+         for row in train.matrix.tolist()]
+    return sorted(range(len(d)), key=lambda i: (d[i], i))[:k]
+
+
+def owm_weights(k: int) -> list:
+    """Rank r of k gets 2^(k-r) / (2^k - 1)."""
+    return [2.0 ** (k - r) / (2.0 ** k - 1) for r in range(1, k + 1)]
+
+
+def mean(efforts) -> float:
+    return math.fsum(efforts) / len(efforts)
+
+
+def irwm(efforts) -> float:
+    """Inverse ranked weighted mean: rank r of k gets weight k + 1 - r."""
+    k = len(efforts)
+    return math.fsum((k - i) * e for i, e in enumerate(efforts)) / (k * (k + 1) / 2)
+
+
+def abe0(train, target_row, k: int) -> float:
+    """Mean effort of the k nearest analogies."""
+    return mean([float(train.effort_vec[i]) for i in nearest(train, target_row, k)])
+
+
 def predict(train, target_row, sol: dict) -> float:
-    """retrieve -> adapt_effort per rank -> ordered weighted mean, floored."""
-    adapted = [abe.adapt_effort(target_row, train.matrix[nb.index],
-                                float(train.effort_vec[nb.index]),
-                                sol["weights_used"][nb.rank - 1], sol["mask"],
-                                train.categorical_mask)
-               for nb in abe.retrieve(train, target_row, sol["k"])]
-    return max(abe.owm_aggregate(adapted), abe.EPS_EFFORT)
+    """The k nearest analogies adapted, aggregated and floored."""
+    adapted = []
+    for w, i in zip(sol["weights_used"], nearest(train, target_row, sol["k"])):
+        shift = math.fsum(wj * bit * (t - a) for wj, bit, t, a, c in zip(
+            w, sol["mask"], target_row.tolist(), train.matrix[i].tolist(),
+            train.categorical_mask) if not c)
+        adapted.append(float(train.effort_vec[i]) + shift / train.m)
+    return max(math.fsum(w * e for w, e in zip(owm_weights(sol["k"]), adapted)), EPS_EFFORT)
 
 
 def errors(actual: float, predicted: float) -> tuple:
     """(AE, BRE, IBRE) of one prediction: AE on the raw prediction, BRE and
     IBRE on the prediction floored at EPS_EFFORT."""
-    p = max(float(predicted), abe.EPS_EFFORT)
+    p = max(float(predicted), EPS_EFFORT)
     ae = abs(actual - predicted)
     d = abs(actual - p)
     return ae, d / min(actual, p), d / max(actual, p)
@@ -104,18 +135,13 @@ def error_means(actuals, predictions) -> tuple:
     return tuple(math.fsum(col) / len(per_project) for col in zip(*per_project))
 
 
-def lt_objectives(train, target_row, actual: float, sol: dict) -> np.ndarray:
-    """(AE, BRE, IBRE) of the single prediction."""
-    return np.array(errors(actual, predict(train, target_row, sol)))
-
-
 def gt_objectives(ds, sol: dict, baseline) -> np.ndarray:
     """(-SA, MBRE, MIBRE) over a leave-one-out pass, the SA baseline floored
     at EPS_EFFORT as the optimizer's fitness does."""
     folds = [ds.loocv_fold(i) for i in range(ds.n)]
     mae, mbre, mibre = error_means([actual for _, _, actual in folds],
                                    [predict(train, row, sol) for train, row, _ in folds])
-    sa = 1.0 - mae / max(baseline.mae_p0, abe.EPS_EFFORT)
+    sa = 1.0 - mae / max(baseline.mae_p0, EPS_EFFORT)
     return np.array([-sa, mbre, mibre])
 
 

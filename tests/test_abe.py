@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from abetune import abe
+from abetune import abe, tuning
 from abetune.datasets import load_bundled
 from abetune.data import Dataset, FeatureSpec, Kind, Project, Role, standardize
 from abetune.errors import BoundsError
@@ -41,7 +43,7 @@ class TestDistance:
         specs = (FeatureSpec("lang", Kind.CATEGORICAL), FeatureSpec("effort", role=Role.EFFORT))
         projects = tuple(Project(values=(lang,), effort=1.0) for lang in ("C", "Java", "Ada", "C"))
         ds = standardize(Dataset(specs=specs, projects=projects))
-        got = abe.distances_to(ds, ds.matrix[0])
+        got = abe.distance(ds.matrix, ds.matrix[0], ds.categorical_mask)
         assert got.tolist() == [0.0, 1.0, 1.0, 0.0]
         assert abe.distance(ds.matrix[1], ds.matrix[2], ds.categorical_mask) == 1.0
 
@@ -53,6 +55,9 @@ class TestDistance:
 
 
 class TestRetrieve:
+    """Retrieval is `neighbor_order`, with distances from `distance`'s matrix
+    form."""
+
     def setup_method(self):
         # distances to target (0, 0): 0.5, 0.2, 0.9
         self.ds = numeric_std([[0.5, 0.0], [0.2, 0.0], [0.9, 0.0], [0.0, 0.0]],
@@ -60,85 +65,97 @@ class TestRetrieve:
         self.train = self.ds.subset([0, 1, 2])
         self.target = self.ds.matrix[3]
 
+    def distances(self, target):
+        return abe.distance(self.train.matrix, target, self.train.categorical_mask)
+
     def test_sorted_by_distance(self):
-        got = abe.retrieve(self.train, self.target, k=2)
-        assert [nb.index for nb in got] == [1, 0]
-        assert [nb.rank for nb in got] == [1, 2]
-        assert got[0].distance == pytest.approx(0.2 / 0.9)
+        order = abe.neighbor_order(self.train, self.target)
+        assert order[:2].tolist() == [1, 0]
+        assert self.distances(self.target)[order[0]] == pytest.approx(0.2 / 0.9)
 
     def test_k_equals_n(self):
-        got = abe.retrieve(self.train, self.target, k=3)
-        assert [nb.index for nb in got] == [1, 0, 2]
+        assert abe.neighbor_order(self.train, self.target).tolist() == [1, 0, 2]
 
     def test_identical_target_is_rank_one_with_zero_distance(self):
-        got = abe.retrieve(self.train, self.train.matrix[2], k=1)
-        assert got[0].index == 2 and got[0].distance == 0.0
-
-    def test_k_out_of_range(self):
-        with pytest.raises(BoundsError):
-            abe.retrieve(self.train, self.target, k=0)
-        with pytest.raises(BoundsError):
-            abe.retrieve(self.train, self.target, k=4)
+        target = self.train.matrix[2]
+        order = abe.neighbor_order(self.train, target)
+        assert order[0] == 2 and self.distances(target)[order[0]] == 0.0
 
     def test_distance_ties_break_by_index(self):
         ds = numeric_std([[0.4, 0.0], [0.4, 0.0], [0.0, 0.0]], [1, 2, 3])
-        train = ds.subset([0, 1])
-        got = abe.retrieve(train, ds.matrix[2], k=2)
-        assert [nb.index for nb in got] == [0, 1]
+        assert abe.neighbor_order(ds.subset([0, 1]), ds.matrix[2]).tolist() == [0, 1]
+
+    def test_matches_the_scalar_reference(self):
+        ds = load_bundled("desharnais")  # one categorical feature
+        for i in (0, 40, ds.n - 1):
+            train, row, _ = ds.loocv_fold(i)
+            assert abe.neighbor_order(train, row).tolist() == ref.nearest(train, row, train.n)
+
+
+def owm_row(k: int) -> np.ndarray:
+    return abe._owm_matrix(np.array([k]), k)[0]
 
 
 class TestAggregation:
+    """OWM through `_owm_matrix`, the table the estimator reads; the plain
+    and inverse-ranked means, which no method runs, through the scalar
+    reference."""
+
     def test_mean(self):
-        assert abe.mean_aggregate([10]) == 10
-        assert abe.mean_aggregate([10, 20, 30]) == 20
-        assert abe.mean_aggregate([7, 8]) == pytest.approx(7.5, abs=ATOL)
+        assert ref.mean([10]) == 10
+        assert ref.mean([10, 20, 30]) == 20
+        assert ref.mean([7, 8]) == pytest.approx(7.5, abs=ATOL)
 
     def test_irwm_single(self):
-        assert abe.irwm_aggregate([10]) == pytest.approx(10, abs=ATOL)
+        assert ref.irwm([10]) == pytest.approx(10, abs=ATOL)
 
     def test_irwm_two_values(self):
-        assert abe.irwm_aggregate([10, 20]) == pytest.approx(40.0 / 3.0, abs=ATOL)
+        assert ref.irwm([10, 20]) == pytest.approx(40.0 / 3.0, abs=ATOL)
 
     def test_irwm_constant(self):
-        assert abe.irwm_aggregate([4.2, 4.2, 4.2]) == pytest.approx(4.2, abs=ATOL)
+        assert ref.irwm([4.2, 4.2, 4.2]) == pytest.approx(4.2, abs=ATOL)
 
     def test_owm_weights_k3(self):
-        assert abe.owm_weights(3).tolist() == pytest.approx([4 / 7, 2 / 7, 1 / 7], abs=ATOL)
+        assert owm_row(3).tolist() == pytest.approx([4 / 7, 2 / 7, 1 / 7], abs=ATOL)
 
     def test_owm_single(self):
-        assert abe.owm_aggregate([100]) == pytest.approx(100, abs=ATOL)
+        assert owm_row(1) @ [100.0] == pytest.approx(100, abs=ATOL)
 
     def test_owm_k3_value(self):
-        assert abe.owm_aggregate([7, 14, 21]) == pytest.approx(11.0, abs=ATOL)
+        assert owm_row(3) @ [7.0, 14.0, 21.0] == pytest.approx(11.0, abs=ATOL)
 
     @pytest.mark.parametrize("k", range(1, 20))
     def test_owm_weights_sum_to_one(self, k):
-        assert abe.owm_weights(k).sum() == pytest.approx(1.0, abs=ATOL)
+        assert owm_row(k).sum() == pytest.approx(1.0, abs=ATOL)
+        assert owm_row(k).tolist() == pytest.approx(ref.owm_weights(k), rel=1e-15)
 
     def test_owm_constant_fixed_point(self):
-        assert abe.owm_aggregate([3.5] * 7) == pytest.approx(3.5, abs=ATOL)
+        assert owm_row(7) @ np.full(7, 3.5) == pytest.approx(3.5, abs=ATOL)
+
+
+def adapted_effort(target, analogy, effort, mask, cat=(False, False)):
+    """One analogy adapted with weight row (1, 1) by a one-fold context at
+    k = 1, whose single OWM weight is 1: the raw rows are set on a
+    standardized dataset, so nothing is re-scaled."""
+    base = numeric_std([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]], [1, 1, 1])
+    train = replace(base, matrix=np.array([analogy]), effort_vec=np.array([effort]),
+                    categorical_mask=np.array(cat))
+    ctx = abe._FoldContext([(train, np.array(target))])
+    return ctx.predict_batch(np.array([1]), np.array([mask], dtype=float), np.ones((1, 1, 2)))[0, 0]
 
 
 class TestAdapt:
     def test_zero_difference_returns_effort(self):
-        row = np.array([0.2, 0.8])
-        out = abe.adapt_effort(row, row, 42.0, [0.5, 0.5], (1, 1), np.zeros(2, dtype=bool))
-        assert out == pytest.approx(42.0, abs=ATOL)
+        assert adapted_effort([0.2, 0.8], [0.2, 0.8], 42.0, (1, 1)) == pytest.approx(42.0, abs=ATOL)
 
     def test_hand_example_full_mask(self):
-        out = abe.adapt_effort(np.array([0.5, 0.5]), np.array([0.3, 0.1]), 10.0,
-                               [1.0, 1.0], (1, 1), np.zeros(2, dtype=bool))
-        assert out == pytest.approx(10.3, abs=ATOL)
+        assert adapted_effort([0.5, 0.5], [0.3, 0.1], 10.0, (1, 1)) == pytest.approx(10.3, abs=ATOL)
 
     def test_hand_example_partial_mask(self):
-        out = abe.adapt_effort(np.array([0.4, 0.9]), np.array([0.2, 0.1]), 5.0,
-                               [1.0, 1.0], (1, 0), np.zeros(2, dtype=bool))
-        assert out == pytest.approx(5.1, abs=ATOL)
+        assert adapted_effort([0.4, 0.9], [0.2, 0.1], 5.0, (1, 0)) == pytest.approx(5.1, abs=ATOL)
 
     def test_categorical_contributes_nothing_to_adaptation(self):
-        cat = np.array([False, True])
-        out = abe.adapt_effort(np.array([0.5, 0.0]), np.array([0.3, 1.0]), 10.0,
-                               [1.0, 1.0], (1, 1), cat)
+        out = adapted_effort([0.5, 0.0], [0.3, 1.0], 10.0, (1, 1), cat=(False, True))
         assert out == pytest.approx(10.0 + 0.2 / 2, abs=ATOL)
 
 
@@ -150,18 +167,17 @@ class TestPredict:
 
     def test_abe0_k1_is_nearest_effort(self):
         train = self.ds.subset([0, 1, 2])
-        pred = abe.predict_abe0(train, self.ds.matrix[3], k=1)
-        assert pred in (10.0, 30.0)
+        assert ref.abe0(train, self.ds.matrix[3], k=1) in (10.0, 30.0)
 
     def test_abe0_k_equals_n_is_training_mean(self):
         train = self.ds.subset([0, 1, 2])
-        pred = abe.predict_abe0(train, self.ds.matrix[3], k=3)
-        assert pred == pytest.approx(40.0, abs=ATOL)
+        assert ref.abe0(train, self.ds.matrix[3], k=3) == pytest.approx(40.0, abs=ATOL)
 
     def test_abe0_two_equidistant(self):
+        # the k scan keeps k = 2; the third project's two analogies tie
         ds = numeric_std([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], [10, 30, 99])
-        pred = abe.predict_abe0(ds.subset([0, 1]), ds.matrix[2], k=2)
-        assert pred == pytest.approx(20.0, abs=ATOL)
+        k, preds = tuning.best_k_abe0(ds)
+        assert k == 2 and preds[2] == pytest.approx(20.0, abs=ATOL)
 
     def test_adapted_identity_case(self):
         # k=1, all-ones mask and weights, target equals a training project
@@ -171,20 +187,11 @@ class TestPredict:
         assert pred == pytest.approx(30.0, abs=ATOL)
 
     def test_adapted_compositional_oracle(self):
-        # independent composition of retrieve + adapt_effort + owm_aggregate
         train = self.ds.subset([0, 1, 2])
         target = self.ds.matrix[3]
-        weights = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
-        sol = ref.solution(2, (1, 1), weights)
-        neighbors = abe.retrieve(train, target, 2)
-        adapted = [
-            abe.adapt_effort(target, train.matrix[nb.index],
-                             float(train.effort_vec[nb.index]),
-                             weights[nb.rank - 1], sol["mask"], train.categorical_mask)
-            for nb in neighbors
-        ]
-        expected = max(abe.owm_aggregate(adapted), abe.EPS_EFFORT)
-        assert abe.predict_adapted(train, target, sol) == pytest.approx(expected, abs=1e-12)
+        sol = ref.solution(2, (1, 1), np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
+        assert abe.predict_adapted(train, target, sol) == \
+            pytest.approx(ref.predict(train, target, sol), abs=1e-12)
 
     def test_adapted_clamps_at_epsilon(self):
         ds = numeric_std([[0.0], [10.0], [5.0]], [1e-5, 2e-5, 1e-5])

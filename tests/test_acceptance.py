@@ -89,12 +89,19 @@ def _all_masks(m: int) -> np.ndarray:
 
 def _ranked_fold(ds, i):
     """Held-out actual, then the training efforts and adaptation differences
-    in rank order (nearest first)."""
+    in rank order (nearest first), as the fold's context holds them."""
     train, row, actual = ds.loocv_fold(i)
-    ranked = [nb.index for nb in abe.retrieve(train, row, train.n)]
-    diffs = np.array([abe.adaptation_diff(row, train.matrix[j], train.categorical_mask)
-                      for j in ranked])
-    return actual, train.effort_vec[ranked], diffs
+    ctx = abe._FoldContext([(train, row)])
+    return actual, ctx.efforts[0], ctx.diffs[0]
+
+
+def _owm_row(k: int) -> np.ndarray:
+    return abe._owm_matrix(np.array([k]), k)[0]
+
+
+def _score(problem, sol: dict) -> np.ndarray:
+    """A problem's objectives for one solution in report form."""
+    return problem.score(*abe.solution_rows(sol, problem.space.n_rows))[0]
 
 
 def _floored(x):
@@ -117,7 +124,7 @@ def _lt_star_optimum(ds) -> float:
         actual, efforts, diffs = _ranked_fold(ds, i)
         lo_r = efforts + diffs.min(axis=1) / ds.m
         hi_r = efforts + diffs.max(axis=1) / ds.m
-        owm = [abe.owm_weights(k) for k in range(1, len(efforts) + 1)]
+        owm = [_owm_row(k) for k in range(1, len(efforts) + 1)]
         lo = _floored(np.array([w @ lo_r[:len(w)] for w in owm]))
         hi = _floored(np.array([w @ hi_r[:len(w)] for w in owm]))
         best.append(_least_bre(actual, np.clip(actual, lo, hi)))
@@ -133,7 +140,7 @@ def _lt_plus_optimum(ds) -> float:
     for i in range(ds.n):
         actual, efforts, diffs = _ranked_fold(ds, i)
         adapted = efforts[None, :] + masks @ (rows * diffs).T / ds.m  # (mask, rank)
-        pred = _floored(np.stack([adapted[:, :k] @ abe.owm_weights(k)
+        pred = _floored(np.stack([adapted[:, :k] @ _owm_row(k)
                                   for k in range(1, len(efforts) + 1)]))
         best.append(_least_bre(actual, pred))
     return 100.0 * float(np.mean(best))
@@ -147,7 +154,7 @@ def _gt_sa_ceiling(ds) -> float:
     the mean distance from each actual to that interval; the ceiling is the
     best k's SA under this bound."""
     ranked = [_ranked_fold(ds, i) for i in range(ds.n)]
-    owm = np.array([[abe.owm_weights(k) @ efforts[:k] for k in range(1, ds.n)]
+    owm = np.array([[_owm_row(k) @ efforts[:k] for k in range(1, ds.n)]
                     for _, efforts, _ in ranked])  # (project, k)
     actual = ds.efforts()[:, None]
     pred = np.clip(actual, _floored(owm - 1.0 / ds.m), _floored(owm + 1.0 / ds.m))
@@ -219,24 +226,16 @@ def test_c1_metric_unit_exactness():
     chk("distance identity", abe.distance(np.array([0.3, 0.4]), np.array([0.3, 0.4]), no_cat), 0.0)
     chk("distance categorical",
         abe.distance(np.array([0.0]), np.array([1.0]), np.array([True])), 1.0)
-    chk("mean single", abe.mean_aggregate([10]), 10)
-    chk("mean symmetric", abe.mean_aggregate([10, 20, 30]), 20)
-    chk("mean midpoint", abe.mean_aggregate([7, 8]), 7.5)
-    chk("irwm single", abe.irwm_aggregate([10]), 10)
-    chk("irwm pair", abe.irwm_aggregate([10, 20]), 40 / 3)
-    chk("irwm constant", abe.irwm_aggregate([3.3, 3.3, 3.3]), 3.3)
-    chk("owm weights k3", abe.owm_weights(3), [4 / 7, 2 / 7, 1 / 7])
-    chk("owm single", abe.owm_aggregate([100]), 100)
-    chk("owm k3 value", abe.owm_aggregate([7, 14, 21]), 11.0)
-    chk("adapt zero diff",
-        abe.adapt_effort(np.array([0.2, 0.8]), np.array([0.2, 0.8]), 42.0,
-                         [1.0, 1.0], (1, 1), no_cat), 42.0)
-    chk("adapt full mask",
-        abe.adapt_effort(np.array([0.5, 0.5]), np.array([0.3, 0.1]), 10.0,
-                         [1.0, 1.0], (1, 1), no_cat), 10.3)
-    chk("adapt partial mask",
-        abe.adapt_effort(np.array([0.4, 0.9]), np.array([0.2, 0.1]), 5.0,
-                         [1.0, 1.0], (1, 0), no_cat), 5.1)
+    chk("mean single", ref.mean([10]), 10)
+    chk("mean symmetric", ref.mean([10, 20, 30]), 20)
+    chk("mean midpoint", ref.mean([7, 8]), 7.5)
+    chk("irwm single", ref.irwm([10]), 10)
+    chk("irwm pair", ref.irwm([10, 20]), 40 / 3)
+    chk("irwm constant", ref.irwm([3.3, 3.3, 3.3]), 3.3)
+    owm3 = abe._owm_matrix(np.arange(1, 4), 3)  # row k - 1 holds k's rank weights
+    chk("owm weights k3", owm3[2], [4 / 7, 2 / 7, 1 / 7])
+    chk("owm single", owm3[0, :1] @ [100.0], 100)
+    chk("owm k3 value", owm3[2] @ [7.0, 14.0, 21.0], 11.0)
 
     from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
 
@@ -248,24 +247,31 @@ def test_c1_metric_unit_exactness():
                          for r, e in zip(rows, efforts))
         return standardize(Dataset(specs=specs, projects=projects))
 
+    def adapted(target, analogy, effort, mask):
+        # one analogy at k = 1, whose OWM weight is 1, with weight row (1, 1);
+        # the raw rows are set on a standardized dataset, so none is re-scaled
+        train = replace(numeric_std([[0, 0], [1, 1], [2, 2]], [1, 1, 1]),
+                        matrix=np.array([analogy]), effort_vec=np.array([effort]))
+        ctx = abe._FoldContext([(train, np.array(target))])
+        return ctx.predict_batch(np.array([1]), np.array([mask], dtype=float),
+                                 np.ones((1, 1, 2)))[0, 0]
+
+    chk("adapt zero diff", adapted([0.2, 0.8], [0.2, 0.8], 42.0, (1, 1)), 42.0)
+    chk("adapt full mask", adapted([0.5, 0.5], [0.3, 0.1], 10.0, (1, 1)), 10.3)
+    chk("adapt partial mask", adapted([0.4, 0.9], [0.2, 0.1], 5.0, (1, 0)), 5.1)
+
     ds = numeric_std([[0.5, 0.0], [0.2, 0.0], [0.9, 0.0], [0.0, 0.0]], [10, 20, 30, 40])
-    got = abe.retrieve(ds.subset([0, 1, 2]), ds.matrix[3], 2)
-    chk("retrieve sort oracle", [nb.index for nb in got], [1, 0])
+    chk("retrieve sort oracle", abe.neighbor_order(ds.subset([0, 1, 2]), ds.matrix[3])[:2],
+        [1, 0])
     ds2 = numeric_std([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], [10, 30, 99])
-    chk("abe0 equidistant mean", abe.predict_abe0(ds2.subset([0, 1]), ds2.matrix[2], 2), 20.0)
+    abe0_k, abe0_preds = tuning.best_k_abe0(ds2)  # k = 2; the third project's analogies tie
+    chk("abe0 equidistant mean", [abe0_k, abe0_preds[2]], [2, 20.0])
 
     tiny = numeric_std([[1.0, 2.0], [2.0, 1.0], [9.0, 8.0], [1.5, 1.5]], [10, 30, 80, 22])
     train = tiny.subset([0, 1, 2])
-    w = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
-    sol = ref.solution(2, [1, 1], w)
-    neighbors = abe.retrieve(train, tiny.matrix[3], 2)
-    adapted = [abe.adapt_effort(tiny.matrix[3], train.matrix[nb.index],
-                                float(train.effort_vec[nb.index]),
-                                w[nb.rank - 1], sol["mask"], train.categorical_mask)
-               for nb in neighbors]
+    sol = ref.solution(2, [1, 1], np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
     chk("predict_adapted compositional oracle",
-        abe.predict_adapted(train, tiny.matrix[3], sol),
-        max(abe.owm_aggregate(adapted), abe.EPS_EFFORT))
+        abe.predict_adapted(train, tiny.matrix[3], sol), ref.predict(train, tiny.matrix[3], sol))
     sol1 = ref.solution(1, [1, 1], np.ones((3, 2)))
     chk("predict_adapted identity", abe.predict_adapted(train, train.matrix[1], sol1), 30.0)
 
@@ -286,17 +292,18 @@ def test_c1_metric_unit_exactness():
         np.array([7.0, 0.2, 0.2, 0.6]), 1, 3, v)["weights_used"][0], [0.2, 0.2, 0.6])
     chk("weight row clamp+normalize", tuning.decode_position(
         np.array([7.0, 2.0, 0.0, 0.0]), 1, 3, v)["weights_used"][0], [1.0, 0.0, 0.0])
+    train = numeric_std([[0.0], [0.5], [1.0]], [5, 5, 5])
     chk("lt objectives substitution",
-        tuning.lt_objectives(
-            numeric_std([[0.0], [0.5], [1.0]], [5, 5, 5]).subset([0, 1, 2]),
-            np.array([0.0]), 10.0, ref.solution(1, [1], np.ones((3, 1)))),
+        _score(tuning.LocalProblem(train, np.array([0.0]), 10.0, tuning.VARIANTS["lt"]),
+               ref.solution(1, [1], np.ones((3, 1)))),
         [5.0, 1.0, 0.5])
     front = [("a", (1.0, 9.0)), ("b", (9.0, 1.0)), ("c", (4.0, 4.0))]
     if tuning.select_from_front(front)[0] != "a":
         failures.append("select_from_front tie-break")
     dup = numeric_std([[0.0], [0.0], [5.0], [5.0], [9.0], [9.0]], [10, 10, 50, 50, 90, 90])
     sol_nn = ref.solution(1, [1], np.ones((5, 1)))
-    chk("gt objectives perfect", tuning.gt_objectives(dup, sol_nn), [-1.0, 0.0, 0.0])
+    chk("gt objectives perfect",
+        _score(tuning.GlobalProblem(dup, tuning.VARIANTS["gt"]), sol_nn), [-1.0, 0.0, 0.0])
 
     total = n_checks + 2  # chk() calls plus the two bespoke checks above
     _line("criterion 1", not failures,
@@ -346,27 +353,24 @@ def test_c3_brute_force_pareto_equivalence():
     for i in range(ds.n):
         train, target_row, actual = ds.loocv_fold(i)
         rows = _pinned_rows(variant, train.n, ds.m)
-        enumerated = []
-        for k in range(1, train.n + 1):
-            for mask in masks:
-                sol = ref.solution(k, mask.astype(int).tolist(), rows)
-                enumerated.append(tuning.lt_objectives(train, target_row, actual, sol))
-        enumerated = np.array(enumerated)
+        problem = tuning.LocalProblem(train, target_row, actual, variant)
+        # every (k, mask) pair as one decoded batch, k-major
+        K = np.repeat(np.arange(1, train.n + 1), len(masks))
+        enumerated = problem.score(K, np.tile(masks, (train.n, 1)),
+                                   np.broadcast_to(rows, (len(K),) + rows.shape))
         nd = enumerated[mopso._non_dominated_mask(enumerated)]
 
-        problem = tuning.LocalProblem(train, target_row, actual, variant)
         fold_cfg = replace(cfg, seed=tuning._fold_seed(cfg.seed, i))
         front = tuning._front(problem, fold_cfg)
         sol, _ = tuning.select_from_front(front)
-        chosen_obj = tuning.lt_objectives(train, target_row, actual, sol)
+        chosen_obj = _score(problem, sol)
         # dominance at the criterion's stated tolerance: an enumerated vector
         # must be at least 1e-9 better somewhere and no worse anywhere
         dominated = any(
             bool(np.all(e <= chosen_obj + 1e-9) and np.any(e < chosen_obj - 1e-9))
             for e in enumerated)
         assert not dominated, f"project {i}: selected vector dominated"
-        front_best_ae = min(
-            tuning.lt_objectives(train, target_row, actual, s)[0] for s, _ in front)
+        front_best_ae = min(_score(problem, s)[0] for s, _ in front)
         assert abs(front_best_ae - enumerated[:, 0].min()) <= 1e-9, \
             f"project {i}: best front AE misses the enumerated optimum"
         checked += 1

@@ -13,7 +13,7 @@ from abetune import abe, cli, harness, metrics
 from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
 from abetune.errors import AbetuneError, ConfigError
 from abetune.harness import emit_report, parse_config, report_json, run_experiment
-from scalar_reference import run_loocv
+from scalar_reference import run_loocv, solution
 
 BASE_CONFIG = {
     "datasets": [{"name": "synthetic_small"}],
@@ -129,12 +129,12 @@ class TestRunLoocv:
 
     def test_deterministic_predictor(self):
         ds = numeric_std([[0.0], [1.0], [2.0], [3.0]], [10, 20, 30, 40])
-        f = lambda train, row: abe.predict_abe0(train, row, 2)
+        f = lambda train, row: abe.predict_adapted(train, row, solution(2, [1], np.ones((2, 1))))
         assert run_loocv(ds, f) == run_loocv(ds, f)
 
     def test_duplicate_project_predicted_exactly_with_k1(self):
         ds = numeric_std([[0.0], [0.0], [5.0], [9.0]], [12, 12, 50, 90])
-        pairs = run_loocv(ds, lambda tr, row: abe.predict_abe0(tr, row, 1))
+        pairs = run_loocv(ds, lambda tr, row: abe.predict_adapted(tr, row, solution(1, [1], [[1]])))
         assert pairs[0] == (12.0, 12.0) and pairs[1] == (12.0, 12.0)
 
     def test_fold_failure_carries_index(self):
@@ -325,6 +325,18 @@ class TestCli:
         proc = self.cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("validation error: "), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("verb", [["run"], ["tune", "--dataset", "synthetic_small",
+                                                "--method", "lt"]], ids=["run", "tune"])
+    def test_threads_below_one_are_a_validation_error(self, tmp_path, verb, threads):
+        path = self.write_config(tmp_path)
+        proc = self.cli(*verb, "--config", str(path), "--out", str(tmp_path / "out"),
+                        "--threads", threads)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"validation error: --threads must be at least 1, got {threads}\n"
+        assert proc.stdout == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content,roles,where", [

@@ -132,6 +132,11 @@ class TestPositionCodec:
             assert sol["mask"] == ref.mask_bits(v, m)
 
 
+def score(problem, sol: dict) -> np.ndarray:
+    """A problem's objectives for one solution in report form."""
+    return problem.score(*abe.solution_rows(sol, problem.space.n_rows))[0]
+
+
 class TestObjectives:
     def setup_method(self):
         self.ds = numeric_std(
@@ -145,22 +150,23 @@ class TestObjectives:
         train = self.ds.subset([0, 1, 2])
         sol = ref.solution(1, (1, 1), np.ones((3, 2)))
         target = train.matrix[1]
-        obj = tuning.lt_objectives(train, target, 30.0, sol)
+        obj = score(LocalProblem(train, target, 30.0, VARIANTS["lt"]), sol)
         assert obj.tolist() == pytest.approx([0.0, 0.0, 0.0], abs=ATOL)
 
     def test_lt_substitution(self):
         # prediction 5 against actual 10 -> (5, 1.0, 0.5)
         train = numeric_std([[0.0], [0.5], [1.0]], [5, 5, 5]).subset([0, 1, 2])
         sol = ref.solution(1, (1,), np.ones((3, 1)))
-        obj = tuning.lt_objectives(train, np.array([0.0]), 10.0, sol)
+        obj = score(LocalProblem(train, np.array([0.0]), 10.0, VARIANTS["lt"]), sol)
         assert obj.tolist() == pytest.approx([5.0, 1.0, 0.5], abs=ATOL)
 
     def test_k_beyond_the_training_set_rejected(self):
         train = self.ds.subset([0, 1, 2])
         with pytest.raises(BoundsError):
-            tuning.lt_objectives(train, self.ds.matrix[3], 22.0, self.full_sol(4, 2, k=4))
+            score(LocalProblem(train, self.ds.matrix[3], 22.0, VARIANTS["lt"]),
+                  self.full_sol(4, 2, k=4))
         with pytest.raises(BoundsError):
-            tuning.gt_objectives(self.ds, self.full_sol(6, 2, k=6))
+            score(GlobalProblem(self.ds, VARIANTS["gt"]), self.full_sol(6, 2, k=6))
 
     def test_lt_domination_ordering(self):
         a = np.array([1.0, 0.1, 0.05])
@@ -169,7 +175,7 @@ class TestObjectives:
 
     def test_gt_matches_stepwise_composition(self):
         sol = self.full_sol(train_n=self.ds.n - 1, m=2, k=3)
-        got = tuning.gt_objectives(self.ds, sol)
+        got = score(GlobalProblem(self.ds, VARIANTS["gt"]), sol)
         baseline = metrics.random_guess_baseline(self.ds.efforts())
         want = ref.gt_objectives(self.ds, sol, baseline)
         assert got.tolist() == pytest.approx(want.tolist(), abs=1e-12)
@@ -177,7 +183,8 @@ class TestObjectives:
     def test_gt_unused_weight_rows_inert(self):
         # positions that differ only in the weight rows past k decode to the
         # same solution, which holds only the k rows a prediction reads
-        space = GlobalProblem(self.ds, VARIANTS["gt"]).space
+        problem = GlobalProblem(self.ds, VARIANTS["gt"])
+        space = problem.space
         base = self.full_sol(train_n=self.ds.n - 1, m=2, k=2)
         x = ref.encode_position(base, space)
         other_x = x.copy()
@@ -186,22 +193,21 @@ class TestObjectives:
         assert np.array_equal(W[0, :2], W[1, :2]) and not np.allclose(W[0, 2:], W[1, 2:])
         other = decode_position(other_x, space.n_rows, space.m, space.variant)
         assert decode_position(x, space.n_rows, space.m, space.variant) == other
-        assert np.allclose(tuning.gt_objectives(self.ds, base),
-                           tuning.gt_objectives(self.ds, other), atol=0)
+        assert np.array_equal(score(problem, base), score(problem, other))
 
     def test_weight_rows_other_than_k_rejected(self):
         sol = self.full_sol(train_n=self.ds.n - 1, m=2, k=2)
         for rows in (sol["weights_used"][:1], sol["weights_used"] * 2,
                      [row[:1] for row in sol["weights_used"]]):
             with pytest.raises(BoundsError):
-                tuning.gt_objectives(self.ds, dict(sol, weights_used=rows))
+                score(GlobalProblem(self.ds, VARIANTS["gt"]), dict(sol, weights_used=rows))
 
     def test_gt_perfect_predictor_contrived(self):
         # duplicated projects: nearest neighbor always shares the effort
         ds = numeric_std([[0.0], [0.0], [5.0], [5.0], [9.0], [9.0]],
                          [10, 10, 50, 50, 90, 90])
         sol = ref.solution(1, (1,), np.ones((5, 1)))
-        obj = tuning.gt_objectives(ds, sol)
+        obj = score(GlobalProblem(ds, VARIANTS["gt"]), sol)
         assert obj.tolist() == pytest.approx([-1.0, 0.0, 0.0], abs=ATOL)
 
     def test_batched_problems_match_reference(self):
@@ -213,7 +219,7 @@ class TestObjectives:
         batch = lp.evaluate_batch(X)
         for i in range(25):
             sol = ref.solution(*ref.scalar_decode(X[i], train.n, train.m, VARIANTS["lt"]))
-            want = ref.lt_objectives(train, target, 22.0, sol)
+            want = ref.errors(22.0, ref.predict(train, target, sol))
             assert np.allclose(batch[i], want, atol=1e-9), (batch[i], want)
 
         gp = GlobalProblem(self.ds, VARIANTS["gt"])
@@ -427,13 +433,13 @@ class TestBestK:
     @staticmethod
     def scan(ds):
         """The best k and its predictions by brute force over every k with
-        the public prediction op, one fold at a time."""
+        the scalar reference's ABE0, one fold at a time."""
         best = None
         for kk in range(1, ds.n):
             loo = []
             for i in range(ds.n):
                 train, row, _ = ds.loocv_fold(i)
-                loo.append(abe.predict_abe0(train, row, kk))
+                loo.append(ref.abe0(train, row, kk))
             mae = float(np.mean(np.abs(np.array(loo) - ds.efforts())))
             if best is None or mae < best[1] - 1e-15:
                 best = (kk, mae, loo)
