@@ -1,31 +1,31 @@
-"""Load, preprocess and standardize a benchmark dataset.
+"""Load a benchmark dataset into the table the estimator reads.
 
-Shows the ingestion pipeline on the bundled albrecht data: raw shape,
-missing-value handling, and the min-max scaling that puts every numeric
-input feature into [0, 1] while leaving efforts in their native unit.
+One call reads the CSV, drops the rows missing an input or the effort, and
+min-max scales every numeric input feature into [0, 1] while leaving
+efforts in their native unit.  Shown on the bundled albrecht data, then on
+desharnais, which has incomplete rows and a categorical feature.
 """
+
+from importlib import resources
 
 import numpy as np
 
 from abetune import datasets
 
-raw = datasets.load_bundled_raw("albrecht")
-print(f"albrecht raw: {raw.n} projects, {raw.m} input features")
-print("features:", ", ".join(s.name for s in raw.input_specs))
-print("efforts (months): min=%.1f max=%.1f median=%.1f"
-      % (raw.efforts().min(), raw.efforts().max(), np.median(raw.efforts())))
-
 std = datasets.load_bundled("albrecht")
-print("\nafter standardization:")
-for j, spec in enumerate(s for s in std.specs if s.role.name == "INPUT"):
-    col = std.matrix[:, j]
-    lo, hi = std.scaling[j]
-    print(f"  {spec.name:13s} raw [{lo:8.2f}, {hi:8.2f}] -> scaled "
-          f"[{col.min():.2f}, {col.max():.2f}]")
+print(f"albrecht: {std.n} projects, {std.m} input features")
+print("features:", ", ".join(std.features))
+print("efforts (months): min=%.1f max=%.1f median=%.1f"
+      % (std.efforts().min(), std.efforts().max(), np.median(std.efforts())))
+print("categorical mask:", std.categorical_mask.astype(int).tolist())
+print("\nscaled column ranges:")
+for name, col in zip(std.features, std.matrix.T):
+    print(f"  {name:13s} [{col.min():.2f}, {col.max():.2f}]")
 
-# a dataset with missing rows shrinks during preprocessing
-desh_raw = datasets.load_bundled_raw("desharnais")
+# rows missing a value are dropped as the file loads
 desh = datasets.load_bundled("desharnais")
-print(f"\ndesharnais: {desh_raw.n} rows on disk, {desh.n} complete rows kept")
-print("categorical features keep their labels:",
-      [std_labels for std_labels in desh.labels if std_labels is not None])
+text = resources.files("abetune").joinpath("data", "desharnais.csv").read_text()
+on_disk = len(text.splitlines()) - 1  # every line after the header is a project
+print(f"\ndesharnais: {on_disk} rows on disk, {desh.n} complete rows kept")
+print("categorical features (compared by label code):",
+      [f for f, c in zip(desh.features, desh.categorical_mask) if c])

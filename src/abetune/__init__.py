@@ -1,7 +1,7 @@
 """Analogy-based effort estimation tuned by a multi-objective particle swarm.
 
 Submodules:
-    data     dataset model, CSV loading, preprocessing, standardization
+    data     CSV loading into the scaled table of complete rows
     abe      similarity, analogy retrieval, adaptation and aggregation
     metrics  error measures, random-guess baseline, standardized accuracy
     mopso    the multi-objective particle swarm engine

@@ -1,16 +1,15 @@
-"""Dataset model, CSV ingestion, preprocessing and min-max standardization.
+"""CSV ingestion into the project table the estimator reads.
 
-A dataset is an immutable table of projects.  Each feature has a kind
-(numeric or categorical) and a role: regular input, the effort column, or
-excluded (dropped during preprocessing).  Categorical values are kept as
-interned labels and are never coded as numbers; the distance function
-compares them for equality only.
+A project table holds the complete rows of a CSV file: its numeric input
+columns min-max scaled into [0, 1], its categorical input columns as
+interned label codes, and the effort of each row in raw units.  Categorical
+labels are never coded as magnitudes; the distance function compares their
+codes for equality only.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import math
 from dataclasses import dataclass
@@ -35,113 +34,22 @@ MIN_PROJECTS = 3
 EFFORT_RANGE = (1e-100, 1e100)
 
 
-class Kind(enum.Enum):
-    NUMERIC = "numeric"
-    CATEGORICAL = "categorical"
-
-
-class Role(enum.Enum):
-    INPUT = "input"
-    EFFORT = "effort"
-    EXCLUDED = "excluded"
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    name: str
-    kind: Kind = Kind.NUMERIC
-    role: Role = Role.INPUT
-
-
-@dataclass(frozen=True)
-class Project:
-    """One historical project: feature values aligned with the dataset specs.
-
-    Numeric cells are floats (NaN marks a missing value before preprocessing),
-    categorical cells are labels (None marks missing).
-    """
-
-    values: tuple
-    effort: float
-
-    def has_missing(self) -> bool:
-        for v in self.values:
-            if v is None:
-                return True
-            if isinstance(v, float) and math.isnan(v):
-                return True
-        return isinstance(self.effort, float) and math.isnan(self.effort)
-
-
-def _validate_specs(specs: tuple[FeatureSpec, ...]) -> None:
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise SchemaError(f"duplicate feature names: {dupes}")
-    efforts = [s for s in specs if s.role is Role.EFFORT]
-    if len(efforts) != 1:
-        raise SchemaError(f"expected exactly one effort feature, found {len(efforts)}")
-    if efforts[0].kind is not Kind.NUMERIC:
-        raise SchemaError("effort feature must be numeric")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable project table.  `specs` excludes the effort column's value
-    from `Project.values`; effort lives in `Project.effort`."""
-
-    specs: tuple[FeatureSpec, ...]
-    projects: tuple[Project, ...]
-    name: str = "dataset"
-
-    def __post_init__(self):
-        _validate_specs(self.specs)
-        m = len(self.input_specs)
-        if not 1 <= m <= MAX_INPUT_FEATURES:
-            raise SchemaError(f"need 1..{MAX_INPUT_FEATURES} input features, got {m}")
-        if len(self.projects) < MIN_PROJECTS:
-            raise InsufficientDataError(
-                f"need at least {MIN_PROJECTS} projects, got {len(self.projects)}"
-            )
-        n_cells = len(self.specs) - 1  # effort stored separately
-        for i, p in enumerate(self.projects):
-            if len(p.values) != n_cells:
-                raise SchemaError(f"project {i} has {len(p.values)} values, expected {n_cells}")
-
-    @property
-    def input_specs(self) -> tuple[FeatureSpec, ...]:
-        return tuple(s for s in self.specs if s.role is Role.INPUT)
-
-    @property
-    def n(self) -> int:
-        return len(self.projects)
-
-    @property
-    def m(self) -> int:
-        return len(self.input_specs)
-
-    def efforts(self) -> np.ndarray:
-        return np.array([p.effort for p in self.projects], dtype=float)
-
-
 @dataclass(frozen=True)
 class StandardizedDataset:
-    """Dataset after min-max scaling of numeric input features.
+    """The complete rows of a dataset over its input features.
 
-    `matrix` holds one row per project over the *input* features only:
-    numeric features as scaled floats in [0, 1], categorical features as
-    interned integer label codes (compared for equality only).  `scaling`
-    records the (min, max) pair used per input feature (None for
-    categoricals).
+    `matrix` holds one row per project over the input columns named by
+    `features`, in header order: numeric features as scaled floats in
+    [0, 1], categorical features (where `categorical_mask` is set) as
+    integer label codes in first-occurrence order.  `effort_vec` holds the
+    efforts in raw units.
     """
 
-    specs: tuple[FeatureSpec, ...]
     name: str
+    features: tuple[str, ...]
     matrix: np.ndarray
     effort_vec: np.ndarray
     categorical_mask: np.ndarray  # bool, per input feature
-    scaling: tuple
-    labels: tuple  # per input feature: tuple of labels (code = position) or None
 
     @property
     def n(self) -> int:
@@ -158,13 +66,11 @@ class StandardizedDataset:
         """Row subset sharing this dataset's scaling (used for LOOCV folds)."""
         idx = np.asarray(indices, dtype=int)
         return StandardizedDataset(
-            specs=self.specs,
             name=self.name,
+            features=self.features,
             matrix=self.matrix[idx],
             effort_vec=self.effort_vec[idx],
             categorical_mask=self.categorical_mask,
-            scaling=self.scaling,
-            labels=self.labels,
         )
 
     def loocv_fold(self, i: int) -> tuple["StandardizedDataset", np.ndarray, float]:
@@ -173,11 +79,12 @@ class StandardizedDataset:
         return self.subset(keep), self.matrix[i], float(self.effort_vec[i])
 
 
-def _parse_cell(raw: str, spec: FeatureSpec, row: int, path):
+def _parse_cell(raw: str, column: str, label: bool, row: int, path):
+    """A label, a finite float, or None for a missing cell."""
     text = raw.strip()
     if text in MISSING_TOKENS:
-        return math.nan if spec.kind is Kind.NUMERIC else None
-    if spec.kind is Kind.CATEGORICAL:
+        return None
+    if label:
         return text
     try:
         value = float(text)
@@ -185,9 +92,9 @@ def _parse_cell(raw: str, spec: FeatureSpec, row: int, path):
         value = math.nan
     if not math.isfinite(value):
         raise ParseError(
-            f"{path}: row {row}, column '{spec.name}': {text!r} is not a finite number",
+            f"{path}: row {row}, column '{column}': {text!r} is not a finite number",
             row=row,
-            column=spec.name,
+            column=column,
         )
     return value
 
@@ -214,15 +121,21 @@ def _read_rows(path) -> list[list[str]]:
 
 
 def load_dataset(path, effort_column: str | None = None, categorical_columns=(),
-                 excluded_columns=(), name: str | None = None) -> Dataset:
-    """Load a header-first CSV into a Dataset, one FeatureSpec per header column.
+                 excluded_columns=(), name: str | None = None) -> StandardizedDataset:
+    """Load a header-first CSV into the table of its complete rows.
 
-    The effort column is `effort_column`, or without one the column named
-    "effort" (in any case).  Columns in `categorical_columns` are labels,
-    columns in `excluded_columns` are dropped by `preprocess`, and every
-    other column is a numeric input.  A named column missing from the header
-    is a SchemaError; an unparseable or non-finite number, and an effort
-    outside EFFORT_RANGE, is a ParseError.
+    The effort column is `effort_column`, or without one the one column
+    named "effort" (in any case).  Columns in `categorical_columns` are
+    labels, columns in `excluded_columns` are parsed but not used, and every
+    other column is a numeric input.  Rows missing an input or the effort
+    are dropped; the numeric inputs are then scaled over the rows kept, a
+    constant column to all zeros, and the labels interned.
+
+    A named column missing from the header, a second effort column and an
+    input count outside 1..MAX_INPUT_FEATURES are SchemaErrors; an
+    unparseable or non-finite number, an effort outside EFFORT_RANGE and a
+    column whose values span more than a float are ParseErrors; fewer than
+    MIN_PROJECTS rows, or complete rows, is an InsufficientDataError.
     """
     rows = _read_rows(path)
     if not rows:
@@ -235,23 +148,15 @@ def load_dataset(path, effort_column: str | None = None, categorical_columns=(),
                if c is not None and c not in header]
     if missing:
         raise SchemaError(f"{path}: columns not in the header: {missing}")
-
-    specs = []
-    for h in header:
-        if h == effort_column or (effort_column is None and h.lower() == "effort"):
-            specs.append(FeatureSpec(h, Kind.NUMERIC, Role.EFFORT))
-        else:
-            specs.append(FeatureSpec(
-                h,
-                Kind.CATEGORICAL if h in categorical_columns else Kind.NUMERIC,
-                Role.EXCLUDED if h in excluded_columns else Role.INPUT,
-            ))
-    if not any(s.role is Role.EFFORT for s in specs):
+    effort_cols = [i for i, h in enumerate(header)
+                   if h == effort_column or (effort_column is None and h.lower() == "effort")]
+    if not effort_cols:
         raise SchemaError(f"{path}: no effort column declared")
-    effort_idx = next(i for i, s in enumerate(specs) if s.role is Role.EFFORT)
+    effort_idx = effort_cols[0]
+    label = [h in categorical_columns and i not in effort_cols for i, h in enumerate(header)]
+    inputs = [i for i, h in enumerate(header) if i not in effort_cols and h not in excluded_columns]
 
-    value_specs = tuple(s for i, s in enumerate(specs) if i != effort_idx)
-    projects = []
+    table = []
     for row_no, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -259,110 +164,51 @@ def load_dataset(path, effort_column: str | None = None, categorical_columns=(),
             raise ParseError(
                 f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}", row=row_no
             )
-        effort = _parse_cell(row[effort_idx], specs[effort_idx], row_no, path)
-        if not (math.isnan(effort) or EFFORT_RANGE[0] <= effort <= EFFORT_RANGE[1]):
+        effort = _parse_cell(row[effort_idx], header[effort_idx], False, row_no, path)
+        if not (effort is None or EFFORT_RANGE[0] <= effort <= EFFORT_RANGE[1]):
             raise ParseError(
                 f"{path}: row {row_no}: effort must lie in [{EFFORT_RANGE[0]:g}, "
                 f"{EFFORT_RANGE[1]:g}], got {effort}",
                 row=row_no,
-                column=specs[effort_idx].name,
+                column=header[effort_idx],
             )
-        cells = tuple(
-            _parse_cell(cell, specs[i], row_no, path)
-            for i, cell in enumerate(row)
-            if i != effort_idx
-        )
-        projects.append(Project(values=cells, effort=effort))
+        cells = [effort if i == effort_idx else _parse_cell(cell, header[i], label[i], row_no, path)
+                 for i, cell in enumerate(row)]
+        table.append(cells)
 
-    try:
-        return Dataset(specs=value_specs + (specs[effort_idx],), projects=tuple(projects),
-                       name=name or str(path))
-    except (SchemaError, InsufficientDataError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    # The table's own checks follow every row's, so a file with a bad cell
+    # and a bad header reports the cell.
+    if len(effort_cols) != 1:
+        raise SchemaError(f"{path}: expected exactly one effort feature, found {len(effort_cols)}")
+    if not 1 <= len(inputs) <= MAX_INPUT_FEATURES:
+        raise SchemaError(f"{path}: need 1..{MAX_INPUT_FEATURES} input features, "
+                          f"got {len(inputs)}")
+    if len(table) < MIN_PROJECTS:
+        raise InsufficientDataError(f"{path}: need at least {MIN_PROJECTS} projects, "
+                                    f"got {len(table)}")
+    name = name or str(path)
+    table = [cells for cells in table if all(cells[i] is not None for i in (*inputs, effort_idx))]
+    if len(table) < MIN_PROJECTS:
+        raise InsufficientDataError(f"{name}: only {len(table)} complete rows remain")
 
-
-def preprocess(ds: Dataset) -> Dataset:
-    """Drop excluded features, then every row with any missing value."""
-    keep_specs = tuple(s for s in ds.specs if s.role is not Role.EXCLUDED)
-    # Project.values excludes the effort cell, so index against value columns.
-    value_specs = tuple(s for s in ds.specs if s.role is not Role.EFFORT)
-    keep_cols = [i for i, s in enumerate(value_specs) if s.role is not Role.EXCLUDED]
-
-    projects = []
-    for p in ds.projects:
-        values = tuple(p.values[i] for i in keep_cols)
-        trimmed = Project(values=values, effort=p.effort)
-        if not trimmed.has_missing():
-            projects.append(trimmed)
-    if len(projects) < MIN_PROJECTS:
-        raise InsufficientDataError(
-            f"{ds.name}: only {len(projects)} complete rows remain after preprocessing"
-        )
-    return Dataset(specs=keep_specs, projects=tuple(projects), name=ds.name)
-
-
-def standardize(ds: Dataset) -> StandardizedDataset:
-    """Min-max scale numeric input features into [0, 1].
-
-    Constant columns map to all zeros.  Categorical features are interned to
-    integer codes; effort is left in raw units.  Expects complete data (run
-    `preprocess` first).
-    """
-    input_specs = tuple(s for s in ds.specs if s.role is Role.INPUT)
-    value_specs = tuple(s for s in ds.specs if s.role is not Role.EFFORT)
-    col_of = {s.name: i for i, s in enumerate(value_specs)}
-
-    n, m = ds.n, len(input_specs)
-    matrix = np.zeros((n, m))
-    cat_mask = np.zeros(m, dtype=bool)
-    scaling = []
-    labels = []
-
-    for j, spec in enumerate(input_specs):
-        col = col_of[spec.name]
-        raw = [p.values[col] for p in ds.projects]
-        if spec.kind is Kind.CATEGORICAL:
-            cat_mask[j] = True
-            if any(v is None for v in raw):
-                raise InsufficientDataError(
-                    f"{ds.name}: missing values in '{spec.name}'; run preprocess first"
-                )
-            seen = tuple(dict.fromkeys(raw))  # first-occurrence interning order
-            code = {lab: k for k, lab in enumerate(seen)}
+    matrix = np.zeros((len(table), len(inputs)))
+    for j, col in enumerate(inputs):
+        raw = [cells[col] for cells in table]
+        if label[col]:
+            code = {lab: k for k, lab in enumerate(dict.fromkeys(raw))}
             matrix[:, j] = [code[v] for v in raw]
-            scaling.append(None)
-            labels.append(seen)
-        else:
-            vals = np.array(raw, dtype=float)
-            if np.isnan(vals).any():
-                raise InsufficientDataError(
-                    f"{ds.name}: missing values in '{spec.name}'; run preprocess first"
-                )
-            lo, hi = float(vals.min()), float(vals.max())
-            if not math.isfinite(hi - lo):
-                raise ParseError(f"{ds.name}: the values of '{spec.name}' span more than a "
-                                 "float can hold", column=spec.name)
-            if hi > lo:
-                scaled = (vals - lo) / (hi - lo)
-            else:
-                scaled = np.zeros(n)  # constant column stays inert
-            matrix[:, j] = scaled
-            scaling.append((lo, hi))
-            labels.append(None)
-
+            continue
+        vals = np.array(raw, dtype=float)
+        lo, hi = float(vals.min()), float(vals.max())
+        if not math.isfinite(hi - lo):
+            raise ParseError(f"{name}: the values of '{header[col]}' span more than a "
+                             "float can hold", column=header[col])
+        if hi > lo:  # a constant column stays all zeros, inert
+            matrix[:, j] = (vals - lo) / (hi - lo)
     return StandardizedDataset(
-        specs=ds.specs,
-        name=ds.name,
+        name=name,
+        features=tuple(header[i] for i in inputs),
         matrix=matrix,
-        effort_vec=ds.efforts(),
-        categorical_mask=cat_mask,
-        scaling=tuple(scaling),
-        labels=tuple(labels),
+        effort_vec=np.array([cells[effort_idx] for cells in table], dtype=float),
+        categorical_mask=np.array([label[i] for i in inputs], dtype=bool),
     )
-
-
-def pipeline(path, effort_column: str | None = None, categorical_columns=(),
-             excluded_columns=(), name: str | None = None) -> StandardizedDataset:
-    """load -> preprocess -> standardize, preserving surviving row order."""
-    return standardize(preprocess(load_dataset(
-        path, effort_column, categorical_columns, excluded_columns, name)))

@@ -1,5 +1,8 @@
 """Bundled benchmark datasets: files, column roles and provenance notes.
 
+Each table loads through `data.load_dataset` with the roles in `BUNDLED`,
+the same call a dataset given by path makes.
+
 albrecht, kemerer and nasa are transcriptions of the public PROMISE tables.
 telecom, desharnais, cocomo, china and maxwell are seeded surrogates with
 the same shape and effort-distribution targets as the public originals
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .data import Dataset, StandardizedDataset, load_dataset, preprocess, standardize
+from .data import StandardizedDataset, load_dataset
 from .errors import ConfigError
 
 # Each table's file and the load_dataset column roles.  The effort column is
@@ -41,15 +44,11 @@ BENCHMARK_NAMES = ["albrecht", "kemerer", "nasa", "telecom", "desharnais",
                    "cocomo", "china", "maxwell"]
 
 
-def load_bundled_raw(name: str) -> Dataset:
+def load_bundled(name: str) -> StandardizedDataset:
+    """A bundled table, loaded by its column roles."""
     if name not in BUNDLED:
         raise ConfigError(f"no bundled dataset named {name!r}; have {sorted(BUNDLED)}")
     roles = dict(BUNDLED[name])
     table = resources.files("abetune").joinpath("data", roles.pop("file"))
     with resources.as_file(table) as path:
         return load_dataset(path, name=name, **roles)
-
-
-def load_bundled(name: str) -> StandardizedDataset:
-    """load -> preprocess -> standardize for a bundled dataset."""
-    return standardize(preprocess(load_bundled_raw(name)))

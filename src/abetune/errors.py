@@ -6,7 +6,7 @@ class AbetuneError(Exception):
 
 
 class SchemaError(AbetuneError):
-    """Dataset schema is malformed (duplicate names, missing effort column, ...)."""
+    """A dataset schema is malformed (duplicate names, missing effort column, ...)."""
 
 
 class ParseError(AbetuneError):

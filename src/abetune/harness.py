@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datasets, metrics, stats, tuning
-from .data import StandardizedDataset, pipeline
+from .data import StandardizedDataset, load_dataset
 from .errors import AbetuneError, BoundsError, ConfigError
 from .mopso import MopsoConfig
 
@@ -246,8 +247,8 @@ def load_config(path) -> ExperimentConfig:
 def load_dataset_from_config(cfg: DatasetConfig) -> StandardizedDataset:
     if cfg.path is None:
         return datasets.load_bundled(cfg.name)
-    return pipeline(cfg.path, cfg.effort_column, cfg.categorical_columns,
-                    cfg.excluded_columns, name=cfg.name)
+    return load_dataset(cfg.path, cfg.effort_column, cfg.categorical_columns,
+                        cfg.excluded_columns, name=cfg.name)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +259,9 @@ def load_dataset_from_config(cfg: DatasetConfig) -> StandardizedDataset:
 def worker_map(threads: int):
     """The map every LT fold of a run goes through: the builtin `map` at one
     thread, otherwise the `map` of one pool of `threads` worker processes,
-    opened at the first fold and shut down when the block ends.  A run
-    without LT cells thus loads no multiprocessing and starts no worker."""
+    at most one per CPU, opened at the first fold and shut down when the
+    block ends.  A run without LT cells thus loads no multiprocessing and
+    starts no worker."""
     if threads <= 1:
         yield map
         return
@@ -270,7 +272,7 @@ def worker_map(threads: int):
         if pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=threads)
+            pool = ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
         return pool.map(fn, items)
 
     try:

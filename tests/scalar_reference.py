@@ -6,6 +6,8 @@ written out from its definition: analogies sorted by (distance, index), each
 effort adjusted by its rank's weighted masked differences divided by m, then
 aggregated with the ordered weights 2^(k-r) / (2^k - 1).  Solutions are the
 report-form dicts the program carries; the error measures use `math` alone.
+`numeric_std` and `solution` build the small tables and solutions the tests
+hand to both sides.
 
 `reference_run` is the swarm loop written with boolean-mask indexing and a
 fresh array per operation; the allocation-free `mopso.run` must match it
@@ -13,12 +15,14 @@ byte for byte.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from abetune import mopso
 from abetune.abe import EPS_EFFORT
-from abetune.errors import AbetuneError
+from abetune.data import load_dataset
 from abetune.tuning import SolutionSpace
 
 
@@ -40,6 +44,17 @@ def solution(k: int, bits, weights) -> dict:
     w = np.asarray(weights, dtype=float)
     return {"k": k, "v": v, "mask": [int(b) for b in bits], "n_rows": len(w),
             "weights_used": w[:k].tolist()}
+
+
+def numeric_std(rows, efforts):
+    """Raw numeric rows and their efforts, loaded by `data.load_dataset` from
+    a CSV of `repr` floats, which read back exactly."""
+    header = [f"f{j}" for j in range(len(rows[0]))] + ["effort"]
+    lines = [header] + [[repr(float(v)) for v in (*row, e)] for row, e in zip(rows, efforts)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+        return load_dataset(path, name="dataset")
 
 
 def scalar_decode(x, n_rows: int, m: int, variant) -> tuple:
@@ -143,20 +158,6 @@ def gt_objectives(ds, sol: dict, baseline) -> np.ndarray:
                                    [predict(train, row, sol) for train, row, _ in folds])
     sa = 1.0 - mae / max(baseline.mae_p0, EPS_EFFORT)
     return np.array([-sa, mbre, mibre])
-
-
-def run_loocv(ds, predictor) -> list[tuple[float, float]]:
-    """Hold each project out in turn; `predictor(train, target_row) -> float`.
-    Returns (actual, predicted) pairs in dataset order."""
-    pairs = []
-    for i in range(ds.n):
-        train, target_row, actual = ds.loocv_fold(i)
-        try:
-            pred = predictor(train, target_row)
-        except Exception as exc:
-            raise AbetuneError(f"{ds.name}: fold {i} failed: {exc}") from exc
-        pairs.append((actual, float(pred)))
-    return pairs
 
 
 def reference_velocity(V, X, PB, G, R1, R2, w_t: float, c1: float, c2: float, v_max):

@@ -4,22 +4,13 @@ import numpy as np
 import pytest
 
 from abetune import abe, tuning
+from abetune.data import load_dataset
 from abetune.datasets import load_bundled
-from abetune.data import Dataset, FeatureSpec, Kind, Project, Role, standardize
 from abetune.errors import BoundsError
 import scalar_reference as ref
+from scalar_reference import numeric_std
 
 ATOL = 1e-9
-
-
-def numeric_std(rows, efforts):
-    """Standardized dataset from raw numeric rows (helper for tiny fixtures)."""
-    m = len(rows[0])
-    specs = tuple(FeatureSpec(f"f{j}") for j in range(m)) + (
-        FeatureSpec("effort", role=Role.EFFORT),)
-    projects = tuple(Project(values=tuple(map(float, r)), effort=float(e))
-                     for r, e in zip(rows, efforts))
-    return standardize(Dataset(specs=specs, projects=projects))
 
 
 class TestDistance:
@@ -38,11 +29,11 @@ class TestDistance:
         assert abe.distance(np.array([0.0]), np.array([1.0]), cat) == pytest.approx(1.0)
         assert abe.distance(np.array([2.0]), np.array([2.0]), cat) == 0.0
 
-    def test_project_level_distance_with_labels(self):
+    def test_project_level_distance_with_labels(self, tmp_path):
         # labels are interned to codes, which compare for equality only
-        specs = (FeatureSpec("lang", Kind.CATEGORICAL), FeatureSpec("effort", role=Role.EFFORT))
-        projects = tuple(Project(values=(lang,), effort=1.0) for lang in ("C", "Java", "Ada", "C"))
-        ds = standardize(Dataset(specs=specs, projects=projects))
+        path = tmp_path / "lang.csv"
+        path.write_text("lang,effort\nC,1\nJava,1\nAda,1\nC,1\n", encoding="utf-8")
+        ds = load_dataset(path, categorical_columns=("lang",))
         got = abe.distance(ds.matrix, ds.matrix[0], ds.categorical_mask)
         assert got.tolist() == [0.0, 1.0, 1.0, 0.0]
         assert abe.distance(ds.matrix[1], ds.matrix[2], ds.categorical_mask) == 1.0

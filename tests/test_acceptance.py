@@ -237,20 +237,10 @@ def test_c1_metric_unit_exactness():
     chk("owm single", owm3[0, :1] @ [100.0], 100)
     chk("owm k3 value", owm3[2] @ [7.0, 14.0, 21.0], 11.0)
 
-    from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
-
-    def numeric_std(rows, efforts):
-        m = len(rows[0])
-        specs = tuple(FeatureSpec(f"f{j}") for j in range(m)) + (
-            FeatureSpec("effort", role=Role.EFFORT),)
-        projects = tuple(Project(values=tuple(map(float, r)), effort=float(e))
-                         for r, e in zip(rows, efforts))
-        return standardize(Dataset(specs=specs, projects=projects))
-
     def adapted(target, analogy, effort, mask):
         # one analogy at k = 1, whose OWM weight is 1, with weight row (1, 1);
         # the raw rows are set on a standardized dataset, so none is re-scaled
-        train = replace(numeric_std([[0, 0], [1, 1], [2, 2]], [1, 1, 1]),
+        train = replace(ref.numeric_std([[0, 0], [1, 1], [2, 2]], [1, 1, 1]),
                         matrix=np.array([analogy]), effort_vec=np.array([effort]))
         ctx = abe._FoldContext([(train, np.array(target))])
         return ctx.predict_batch(np.array([1]), np.array([mask], dtype=float),
@@ -260,14 +250,14 @@ def test_c1_metric_unit_exactness():
     chk("adapt full mask", adapted([0.5, 0.5], [0.3, 0.1], 10.0, (1, 1)), 10.3)
     chk("adapt partial mask", adapted([0.4, 0.9], [0.2, 0.1], 5.0, (1, 0)), 5.1)
 
-    ds = numeric_std([[0.5, 0.0], [0.2, 0.0], [0.9, 0.0], [0.0, 0.0]], [10, 20, 30, 40])
+    ds = ref.numeric_std([[0.5, 0.0], [0.2, 0.0], [0.9, 0.0], [0.0, 0.0]], [10, 20, 30, 40])
     chk("retrieve sort oracle", abe.neighbor_order(ds.subset([0, 1, 2]), ds.matrix[3])[:2],
         [1, 0])
-    ds2 = numeric_std([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], [10, 30, 99])
+    ds2 = ref.numeric_std([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], [10, 30, 99])
     abe0_k, abe0_preds = tuning.best_k_abe0(ds2)  # k = 2; the third project's analogies tie
     chk("abe0 equidistant mean", [abe0_k, abe0_preds[2]], [2, 20.0])
 
-    tiny = numeric_std([[1.0, 2.0], [2.0, 1.0], [9.0, 8.0], [1.5, 1.5]], [10, 30, 80, 22])
+    tiny = ref.numeric_std([[1.0, 2.0], [2.0, 1.0], [9.0, 8.0], [1.5, 1.5]], [10, 30, 80, 22])
     train = tiny.subset([0, 1, 2])
     sol = ref.solution(2, [1, 1], np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
     chk("predict_adapted compositional oracle",
@@ -292,7 +282,7 @@ def test_c1_metric_unit_exactness():
         np.array([7.0, 0.2, 0.2, 0.6]), 1, 3, v)["weights_used"][0], [0.2, 0.2, 0.6])
     chk("weight row clamp+normalize", tuning.decode_position(
         np.array([7.0, 2.0, 0.0, 0.0]), 1, 3, v)["weights_used"][0], [1.0, 0.0, 0.0])
-    train = numeric_std([[0.0], [0.5], [1.0]], [5, 5, 5])
+    train = ref.numeric_std([[0.0], [0.5], [1.0]], [5, 5, 5])
     chk("lt objectives substitution",
         _score(tuning.LocalProblem(train, np.array([0.0]), 10.0, tuning.VARIANTS["lt"]),
                ref.solution(1, [1], np.ones((3, 1)))),
@@ -300,7 +290,7 @@ def test_c1_metric_unit_exactness():
     front = [("a", (1.0, 9.0)), ("b", (9.0, 1.0)), ("c", (4.0, 4.0))]
     if tuning.select_from_front(front)[0] != "a":
         failures.append("select_from_front tie-break")
-    dup = numeric_std([[0.0], [0.0], [5.0], [5.0], [9.0], [9.0]], [10, 10, 50, 50, 90, 90])
+    dup = ref.numeric_std([[0.0], [0.0], [5.0], [5.0], [9.0], [9.0]], [10, 10, 50, 50, 90, 90])
     sol_nn = ref.solution(1, [1], np.ones((5, 1)))
     chk("gt objectives perfect",
         _score(tuning.GlobalProblem(dup, tuning.VARIANTS["gt"]), sol_nn), [-1.0, 0.0, 0.0])

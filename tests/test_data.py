@@ -8,13 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import abetune
 from abetune import harness
-from abetune.data import (
-    EFFORT_RANGE, MAX_INPUT_FEATURES, Dataset, FeatureSpec, Kind, Project, Role,
-    load_dataset, pipeline, preprocess, standardize,
-)
-from abetune.datasets import BUNDLED, load_bundled, load_bundled_raw
+from abetune.data import EFFORT_RANGE, MAX_INPUT_FEATURES, load_dataset
+from abetune.datasets import BUNDLED, load_bundled
 from abetune.errors import AbetuneError, InsufficientDataError, ParseError, SchemaError
 from abetune.mopso import MopsoConfig
+from scalar_reference import numeric_std
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -23,17 +21,14 @@ def write(tmp_path, text, name="d.csv"):
     return path
 
 
-def spec(name, kind=Kind.NUMERIC, role=Role.INPUT):
-    return FeatureSpec(name, kind, role)
-
-
 class TestLoad:
     def test_three_row_csv_with_categorical(self, tmp_path):
         path = write(tmp_path, "size,lang,effort\n1,C,10\n2,Java,20\n3,C,30\n")
         ds = load_dataset(path, effort_column="effort", categorical_columns=("lang",))
-        assert ds.n == 3 and ds.m == 2
-        assert ds.projects[0].values == (1.0, "C")
-        assert ds.projects[2].effort == 30.0
+        assert ds.n == 3 and ds.m == 2 and ds.features == ("size", "lang")
+        assert ds.categorical_mask.tolist() == [False, True]
+        assert ds.matrix.tolist() == [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]]
+        assert ds.efforts().tolist() == [10.0, 20.0, 30.0]
 
     def test_duplicate_headers_rejected(self, tmp_path):
         path = write(tmp_path, "a,a,effort\n1,2,3\n1,2,3\n1,2,3\n")
@@ -41,7 +36,7 @@ class TestLoad:
             load_dataset(path)
 
     def test_albrecht_shape(self):
-        ds = load_bundled_raw("albrecht")
+        ds = load_bundled("albrecht")
         assert ds.n == 24
         assert ds.m == 7
 
@@ -54,6 +49,11 @@ class TestLoad:
     def test_missing_effort_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n3,4\n5,6\n")
         with pytest.raises(SchemaError):
+            load_dataset(path)
+
+    def test_two_effort_columns_rejected(self, tmp_path):
+        path = write(tmp_path, "a,effort,Effort\n1,10,10\n2,20,20\n3,30,30\n")
+        with pytest.raises(SchemaError, match="exactly one effort"):
             load_dataset(path)
 
     def test_nonpositive_effort_rejected(self, tmp_path):
@@ -110,8 +110,7 @@ class TestLoad:
 
     def test_missing_tokens_still_mean_missing(self, tmp_path):
         path = write(tmp_path, "a,effort\n1,10\n,20\n?,25\n3,?\n4,\n5,30\n6,40\n")
-        assert load_dataset(path).n == 7
-        assert pipeline(path).efforts().tolist() == [10.0, 30.0, 40.0]
+        assert load_dataset(path).efforts().tolist() == [10.0, 30.0, 40.0]
 
     def test_unreadable_file(self, tmp_path):
         for path in (tmp_path / "absent.csv", tmp_path):
@@ -133,7 +132,7 @@ class TestLoad:
         assert err.value.row == 3 and str(path) in str(err.value)
 
 
-# Name -> raw rows, rows after preprocessing, input features, input names,
+# Name -> data rows in the file, complete rows, input features, input names,
 # categorical input names.
 BUNDLED_SHAPES = {
     "albrecht": (24, 24, 7, ("Input", "Output", "Inquiry", "File", "FPAdj", "RawFPcounts",
@@ -159,15 +158,15 @@ BUNDLED_SHAPES = {
 class TestBundled:
     @pytest.mark.parametrize("name", list(BUNDLED))
     def test_shape_and_column_roles(self, name):
-        raw, std = load_bundled_raw(name), load_bundled(name)
-        inputs = tuple(s for s in std.specs if s.role is Role.INPUT)
-        assert (raw.n, std.n, std.m, tuple(s.name for s in inputs),
-                tuple(s.name for s in inputs if s.kind is Kind.CATEGORICAL)) == BUNDLED_SHAPES[name]
+        lines = (Path(abetune.__file__).parent / "data" / BUNDLED[name]["file"]).read_text()
+        std = load_bundled(name)
+        categorical = tuple(f for f, c in zip(std.features, std.categorical_mask) if c)
+        assert (len(lines.splitlines()) - 1, std.n, std.m, std.features,
+                categorical) == BUNDLED_SHAPES[name]
 
     def test_unknown_name_is_a_typed_error(self):
-        for load in (load_bundled, load_bundled_raw):
-            with pytest.raises(AbetuneError, match="isbsg"):
-                load("isbsg")
+        with pytest.raises(AbetuneError, match="isbsg"):
+            load_bundled("isbsg")
 
     def test_kemerer_by_config_path_matches_bundled(self):
         cfg = harness.parse_config({
@@ -181,7 +180,8 @@ class TestBundled:
         bundled = load_bundled("kemerer")
         assert np.array_equal(by_path.matrix, bundled.matrix)
         assert np.array_equal(by_path.efforts(), bundled.efforts())
-        assert by_path.labels == bundled.labels and by_path.specs == bundled.specs
+        assert np.array_equal(by_path.categorical_mask, bundled.categorical_mask)
+        assert by_path.features == bundled.features
 
 
 class TestPreprocess:
@@ -197,78 +197,73 @@ class TestPreprocess:
 
     def test_missing_rows_dropped(self, tmp_path):
         path = write(tmp_path, self.make(81, missing_rows=(3, 10, 40, 77)))
-        ds = preprocess(load_dataset(path))
+        ds = load_dataset(path)
         assert ds.n == 77
 
     def test_identity_when_complete(self, tmp_path):
         path = write(tmp_path, self.make(5))
         ds = load_dataset(path)
-        assert preprocess(ds).projects == ds.projects
+        assert ds.efforts().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert ds.matrix[:, 0].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_all_rows_missing_is_an_error(self, tmp_path):
         path = write(tmp_path, self.make(4, missing_rows=(0, 1, 2, 3)))
-        with pytest.raises(InsufficientDataError):
-            preprocess(load_dataset(path))
-
-    def test_idempotent(self, tmp_path):
-        path = write(tmp_path, self.make(10, missing_rows=(2, 5)))
-        once = preprocess(load_dataset(path))
-        assert preprocess(once).projects == once.projects
+        with pytest.raises(InsufficientDataError, match="only 0 complete rows"):
+            load_dataset(path)
 
     def test_excluded_features_dropped(self, tmp_path):
-        path = write(tmp_path, "a,junk,effort\n1,9,10\n2,9,20\n3,9,30\n")
-        ds = preprocess(load_dataset(path, excluded_columns=("junk",)))
-        assert [s.name for s in ds.input_specs] == ["a"]
+        # an excluded column's missing cell drops no row
+        path = write(tmp_path, "a,junk,effort\n1,9,10\n2,,20\n3,9,30\n")
+        ds = load_dataset(path, excluded_columns=("junk",))
+        assert ds.features == ("a",) and ds.n == 3
 
     def test_question_mark_counts_as_missing(self, tmp_path):
-        path = write(tmp_path, "a,b,effort\n1,1,10\n?,2,20\n3,3,30\n4,4,40\n")
-        ds = preprocess(load_dataset(path))
+        path = write(tmp_path, "a,b,effort\n1,1,10\n?,9,20\n3,3,30\n4,4,40\n")
+        ds = load_dataset(path)
         assert ds.n == 3
+        assert ds.matrix[:, 1].tolist() == [0.0, 2 / 3, 1.0]  # scaled over the rows kept
 
 
 class TestStandardize:
-    def build(self, column):
-        specs = (spec("x"), spec("effort", role=Role.EFFORT))
-        projects = tuple(Project(values=(v,), effort=1.0) for v in column)
-        return Dataset(specs=specs, projects=projects)
+    @staticmethod
+    def build(column, efforts=None):
+        return numeric_std([[v] for v in column], efforts or [1.0] * len(column))
 
     def test_endpoints_map_to_unit_interval(self):
-        std = standardize(self.build([2.0, 4.0, 6.0]))
+        std = self.build([2.0, 4.0, 6.0])
         assert std.matrix[0, 0] == 0.0
         assert std.matrix[2, 0] == 1.0
 
     def test_midpoint(self):
-        std = standardize(self.build([2.0, 4.0, 6.0]))
+        std = self.build([2.0, 4.0, 6.0])
         assert std.matrix[1, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_column_maps_to_zero(self):
-        std = standardize(self.build([5.0, 5.0, 5.0]))
+        std = self.build([5.0, 5.0, 5.0])
         assert np.all(std.matrix == 0.0)
 
-    def test_effort_untouched_and_scaling_recorded(self):
-        std = standardize(self.build([2.0, 4.0, 6.0]))
-        assert std.effort_vec.tolist() == [1.0, 1.0, 1.0]
-        assert std.scaling == ((2.0, 6.0),)
+    def test_effort_untouched(self):
+        std = self.build([2.0, 4.0, 6.0], [1e-3, 7.25, 1e6])
+        assert std.effort_vec.tolist() == [1e-3, 7.25, 1e6]
 
     def test_unit_range_invariant(self):
         rng = np.random.default_rng(3)
         col = rng.normal(10, 4, 17).tolist()
-        std = standardize(self.build(col))
+        std = self.build(col)
         assert std.matrix[:, 0].min() == pytest.approx(0.0, abs=1e-12)
         assert std.matrix[:, 0].max() == pytest.approx(1.0, abs=1e-12)
 
     def test_span_past_the_float_range_rejected(self, tmp_path):
         path = write(tmp_path, "a,effort\n-1e308,10\n1e308,20\n0,30\n")
         with pytest.raises(ParseError, match="span more than a float") as err:
-            pipeline(path)
+            load_dataset(path)
         assert err.value.column == "a"
 
     def test_categorical_interned_not_scaled(self, tmp_path):
-        path = write(tmp_path, "lang,x,effort\nC,1,10\nJava,2,20\nC,3,30\n")
-        std = pipeline(path, categorical_columns=("lang",))
+        path = write(tmp_path, "lang,x,effort\nJava,1,10\nC,2,20\nJava,3,30\n")
+        std = load_dataset(path, categorical_columns=("lang",))
         assert std.categorical_mask.tolist() == [True, False]
-        assert std.labels[0] == ("C", "Java")
-        assert std.matrix[:, 0].tolist() == [0.0, 1.0, 0.0]
+        assert std.matrix[:, 0].tolist() == [0.0, 1.0, 0.0]  # codes in first-occurrence order
 
 
 def test_pipeline_preserves_row_order(tmp_path):
@@ -276,7 +271,7 @@ def test_pipeline_preserves_row_order(tmp_path):
     for i in range(10):
         rows.append(f"{'?' if i in (2, 7) else i},{100 + i}")
     path = write(tmp_path, "\n".join(rows) + "\n")
-    std = pipeline(path)
+    std = load_dataset(path)
     kept = [100 + i for i in range(10) if i not in (2, 7)]
     assert std.efforts().tolist() == kept
 
@@ -324,8 +319,7 @@ def test_loaders_raise_only_typed_errors(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(content)
     try:
-        load_dataset(path, **roles)
-        std = pipeline(path, **roles)
+        std = load_dataset(path, **roles)
     except AbetuneError:
         return
     assert np.isfinite(std.matrix).all()
@@ -344,7 +338,7 @@ def test_accepted_files_are_tuned_by_every_method(tmp_path_factory, case, mode):
     path = tmp_path_factory.getbasetemp() / "tune.csv"
     path.write_bytes(content)
     try:
-        efforts = pipeline(path, **roles).efforts()
+        efforts = load_dataset(path, **roles).efforts()
     except AbetuneError:
         return
     cfg = harness.ExperimentConfig(

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -10,10 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abetune import abe, cli, harness, metrics
-from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
 from abetune.errors import AbetuneError, ConfigError
 from abetune.harness import emit_report, parse_config, report_json, run_experiment
-from scalar_reference import run_loocv, solution
+from scalar_reference import numeric_std, solution
 
 BASE_CONFIG = {
     "datasets": [{"name": "synthetic_small"}],
@@ -22,15 +22,6 @@ BASE_CONFIG = {
     "seed": 99,
     "baseline": "exact",
 }
-
-
-def numeric_std(rows, efforts):
-    m = len(rows[0])
-    specs = tuple(FeatureSpec(f"f{j}") for j in range(m)) + (
-        FeatureSpec("effort", role=Role.EFFORT),)
-    projects = tuple(Project(values=tuple(map(float, r)), effort=float(e))
-                     for r, e in zip(rows, efforts))
-    return standardize(Dataset(specs=specs, projects=projects))
 
 
 class TestConfig:
@@ -115,36 +106,30 @@ def test_parse_config_raises_only_typed_errors(raw):
 
 
 class TestRunLoocv:
+    """The leave-one-out folds a run predicts, through `loocv_fold` and
+    `abe.predict_adapted`."""
+
     def test_fold_count_and_train_size(self):
         ds = numeric_std([[0.0], [1.0], [2.0]], [10, 20, 30])
-        sizes = []
+        folds = [ds.loocv_fold(i) for i in range(ds.n)]
+        assert [train.n for train, _, _ in folds] == [2, 2, 2]
+        assert [actual for _, _, actual in folds] == [10.0, 20.0, 30.0]
+        assert [row.tolist() for _, row, _ in folds] == ds.matrix.tolist()
+        assert [train.efforts().tolist() for train, _, _ in folds] == \
+            [[20.0, 30.0], [10.0, 30.0], [10.0, 20.0]]
 
-        def probe(train, row):
-            sizes.append(train.n)
-            return 1.0
-
-        pairs = run_loocv(ds, probe)
-        assert len(pairs) == 3 and sizes == [2, 2, 2]
-        assert [a for a, _ in pairs] == [10, 20, 30]
+    @staticmethod
+    def predict_all(ds, sol):
+        return [abe.predict_adapted(*ds.loocv_fold(i)[:2], sol) for i in range(ds.n)]
 
     def test_deterministic_predictor(self):
         ds = numeric_std([[0.0], [1.0], [2.0], [3.0]], [10, 20, 30, 40])
-        f = lambda train, row: abe.predict_adapted(train, row, solution(2, [1], np.ones((2, 1))))
-        assert run_loocv(ds, f) == run_loocv(ds, f)
+        sol = solution(2, [1], np.ones((2, 1)))
+        assert self.predict_all(ds, sol) == self.predict_all(ds, sol)
 
     def test_duplicate_project_predicted_exactly_with_k1(self):
         ds = numeric_std([[0.0], [0.0], [5.0], [9.0]], [12, 12, 50, 90])
-        pairs = run_loocv(ds, lambda tr, row: abe.predict_adapted(tr, row, solution(1, [1], [[1]])))
-        assert pairs[0] == (12.0, 12.0) and pairs[1] == (12.0, 12.0)
-
-    def test_fold_failure_carries_index(self):
-        ds = numeric_std([[0.0], [1.0], [2.0]], [10, 20, 30])
-
-        def boom(train, row):
-            raise ValueError("nope")
-
-        with pytest.raises(AbetuneError, match="fold 0"):
-            run_loocv(ds, boom)
+        assert self.predict_all(ds, solution(1, [1], [[1]]))[:2] == [12.0, 12.0]
 
 
 class TestRunExperiment:
@@ -239,8 +224,30 @@ class TestWorkerPool:
         serial = run_experiment(cfg, threads=1)
         assert pools == []
         pooled = run_experiment(cfg, threads=2)
-        assert pools == [[2, 2 * (8 + 15)]]  # every fold of both LT cells of both datasets
+        # every fold of both LT cells of both datasets
+        assert pools == [[min(2, os.cpu_count() or 1), 2 * (8 + 15)]]
         assert report_json(pooled) == report_json(serial)
+
+    def test_the_pool_holds_at_most_one_worker_per_cpu(self, monkeypatch):
+        built = []
+
+        class InProcess:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", InProcess)
+        cfg = parse_config(dict(BASE_CONFIG))
+        assert report_json(run_experiment(cfg, threads=5000)) == \
+            report_json(run_experiment(cfg, threads=1))
+        assert built == [os.cpu_count() or 1]
 
     def test_a_run_without_lt_cells_builds_no_pool(self, pools):
         cfg = parse_config(dict(BASE_CONFIG) | {"methods": ["abe0", "gt"]})

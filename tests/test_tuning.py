@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from abetune import abe, metrics, mopso, tuning
-from abetune.data import Dataset, FeatureSpec, Project, Role, standardize
 from abetune.datasets import load_bundled
 from abetune.errors import BoundsError
 from abetune.tuning import (
@@ -14,17 +13,9 @@ from abetune.tuning import (
     select_from_front,
 )
 import scalar_reference as ref
+from scalar_reference import numeric_std
 
 ATOL = 1e-9
-
-
-def numeric_std(rows, efforts):
-    m = len(rows[0])
-    specs = tuple(FeatureSpec(f"f{j}") for j in range(m)) + (
-        FeatureSpec("effort", role=Role.EFFORT),)
-    projects = tuple(Project(values=tuple(map(float, r)), effort=float(e))
-                     for r, e in zip(rows, efforts))
-    return standardize(Dataset(specs=specs, projects=projects))
 
 
 class TestDecodeMask:
