@@ -2,7 +2,9 @@
 
 Verbs: `run` an experiment from a JSON config, `tune` a single dataset with
 one method and print the chosen solutions, `compare` previously written
-prediction files, `validate` a config without running it.
+prediction files, `validate` a config without running it.  `run` and `tune`
+both go through `harness.run_experiment`: `tune` runs the config narrowed
+to its one (dataset, method) cell.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error.
 """
@@ -91,21 +93,19 @@ def cmd_run(args) -> int:
 
 def cmd_tune(args) -> int:
     cfg = _resolve_config(args)
-    matches = [d for d in cfg.datasets if d.name == args.dataset]
+    matches = tuple(d for d in cfg.datasets if d.name == args.dataset)
     if not matches:
         raise ConfigError(f"dataset {args.dataset!r} not in config")
-    ds = harness.load_dataset_from_config(matches[0])
-    with harness.worker_map(args.threads) as fold_map:
-        result = harness.run_method(args.method, ds, cfg.mopso, mode=cfg.mode, fold_map=fold_map)
-    print(f"dataset={ds.name} method={args.method} mode={result.mode}")
-    for i, sol in enumerate(result.solutions):
+    cfg = replace(cfg, datasets=matches, methods=(args.method,))
+    cell = harness.run_experiment(cfg, threads=args.threads)["results"][args.dataset][args.method]
+    print(f"dataset={args.dataset} method={args.method} mode={cell['mode']}")
+    for i, sol in enumerate(cell["solutions"]):
         if "mask" in sol:
             mask = "".join(str(b) for b in sol["mask"])
             print(f"  solution[{i}]: k={sol['k']} v={sol['v']} mask={mask}")
         else:
             print(f"  solution[{i}]: k={sol['k']}")
-    efforts = ds.efforts()
-    suite = metrics.aggregate(efforts, result.predictions, harness._baseline(efforts, cfg))
+    suite = cell["metrics"]
     print(f"  SA={100 * suite['sa']:.1f} MAE={suite['mae']:.4g} MBRE={100 * suite['mbre']:.1f} "
           f"MIBRE={100 * suite['mibre']:.1f} LSD={suite['lsd']:.4g}")
     return 0
@@ -182,10 +182,8 @@ def cmd_compare(args) -> int:
             print(f"{ds_name}: {c['method_a']} vs {c['method_b']}: p={c['p_value']:.4g} "
                   + " ".join(f"{e}={c['outcomes'][e]}" for e in harness.MEASURES))
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        out_path = args.out / "comparisons.csv"
-        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(out_path)
+        for path in harness.write_files(args.out, {"comparisons.csv": lines}):
+            print(path)
     return 0
 
 

@@ -40,9 +40,6 @@ BUNDLED = {
     "synthetic_small": {"file": "synthetic_small.csv"},
 }
 
-BENCHMARK_NAMES = ["albrecht", "kemerer", "nasa", "telecom", "desharnais",
-                   "cocomo", "china", "maxwell"]
-
 
 def load_bundled(name: str) -> StandardizedDataset:
     """A bundled table, loaded by its column roles."""

@@ -1,10 +1,12 @@
-"""Experiment orchestration: config, method registry, reports.
+"""Experiment orchestration: config, the cells of a run, reports.
 
 An experiment is a (datasets x methods) grid evaluated under leave-one-out
-cross validation.  Every stochastic step is seeded from the single config
-seed, reports are recomputed from the stored per-project prediction pairs
-before emission, and the machine-format JSON report is byte-identical for a
-given (config, seed) regardless of thread count.
+cross validation; `run_experiment` turns a config into its report, the whole
+grid for `abetune run` and one cell for `abetune tune`.  Every stochastic
+step is seeded from the single config seed, reports are recomputed from the
+stored per-project prediction pairs before emission, and the machine-format
+JSON report is byte-identical for a given (config, seed) regardless of
+thread count.
 
 The streams are deliberate common random numbers across the methods of a
 dataset: every GT run, for every dataset and GT method, draws from
@@ -19,8 +21,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +36,9 @@ from .mopso import MopsoConfig
 MEASURES = ("sa", "mbre", "mibre", "lsd", "mae")
 COMPARISON_HEADER = "dataset,method_a,method_b,p_value," + ",".join(MEASURES)
 
-METHOD_ORDER = ("abe0", "lt", "gt", "lt_star", "gt_star", "lt_plus", "gt_plus")
+# The ABE0 baseline, then the tuned methods.
+METHOD_ORDER = ("abe0", *tuning.VARIANTS)
 
-DISPLAY_NAMES = {
-    "abe0": "ABE0",
-    "lt": "LT",
-    "gt": "GT",
-    "lt_star": "LT*",
-    "gt_star": "GT*",
-    "lt_plus": "LT+",
-    "gt_plus": "GT+",
-}
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -73,22 +68,11 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """Semantic config echo for the report; execution-only knobs
         (threads, output paths) are deliberately excluded so reports stay
-        byte-identical across schedulers."""
-        mopso = {name: getattr(self.mopso, name) for name in MOPSO_SETTINGS}
-        mopso["inertia"] = list(mopso["inertia"])
+        byte-identical across schedulers.  Tuples serialize as JSON arrays."""
         return {
-            "datasets": [
-                {
-                    "name": d.name,
-                    "path": d.path,
-                    "effort_column": d.effort_column,
-                    "categorical_columns": list(d.categorical_columns),
-                    "excluded_columns": list(d.excluded_columns),
-                }
-                for d in self.datasets
-            ],
+            "datasets": [asdict(d) for d in self.datasets],
             "methods": list(self.methods),
-            "mopso": mopso,
+            "mopso": {name: getattr(self.mopso, name) for name in MOPSO_SETTINGS},
             "seed": self.seed,
             "baseline": self.baseline,
             "baseline_runs": self.baseline_runs,
@@ -141,9 +125,15 @@ def _dataset_config(entry, base_dir: Path | None) -> DatasetConfig:
     path = entry.get("path")
     if not name and not path:
         raise ConfigError("dataset entries need a name or a path")
-    if path is None and name not in datasets.BUNDLED:
-        raise ConfigError(f"unknown bundled dataset {name!r}")
-    if path is not None:
+    if path is None:
+        if name not in datasets.BUNDLED:
+            raise ConfigError(f"unknown bundled dataset {name!r}")
+        roles = [key for key in ("effort_column", "categorical_columns", "excluded_columns")
+                 if entry.get(key)]
+        if roles:
+            raise ConfigError(f"dataset {name!r}: {', '.join(roles)} can be set only with a "
+                              "path; a bundled table has its own column roles")
+    else:
         path = str((base_dir / path) if base_dir and not Path(path).is_absolute() else Path(path))
         if not entry.get("effort_column"):
             raise ConfigError(f"dataset {name or path!r}: effort_column is required with a path")
@@ -190,6 +180,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not ds_raw:
         raise ConfigError("config needs at least one dataset")
     ds_cfgs = [_dataset_config(entry, base_dir) for entry in ds_raw]
+    names = [d.name for d in ds_cfgs]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"dataset names repeat: {names}; give each dataset its own name")
 
     methods = raw.get("methods") or []
     if not _is_list(methods):
@@ -252,7 +245,7 @@ def load_dataset_from_config(cfg: DatasetConfig) -> StandardizedDataset:
 
 
 # ---------------------------------------------------------------------------
-# method registry
+# cells
 # ---------------------------------------------------------------------------
 
 @contextmanager
@@ -304,8 +297,9 @@ def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, mode: str =
 # ---------------------------------------------------------------------------
 
 def report_json(report: dict) -> str:
-    """The machine-format report: sorted keys, no whitespace, one line."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    """The machine-format report: sorted keys, no whitespace, one line
+    (without its newline)."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def _baseline(efforts, cfg: ExperimentConfig) -> metrics.RandomGuessBaseline:
@@ -334,7 +328,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     results: dict = {}
     comparisons: dict = {}
     wtl: dict = {}
-    measure_tables: dict = {m: {} for m in MEASURES}
 
     loaded = [load_dataset_from_config(d) for d in cfg.datasets]  # fail before any tuning
     with worker_map(threads) as fold_map:
@@ -359,15 +352,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
                 }
                 for method, res in ran.items()
             }
-            for method, suite in suites.items():
-                for m in MEASURES:
-                    measure_tables[m].setdefault(ds.name, {})[method] = suite[m]
 
     rank_summaries = {}
     if len(cfg.methods) >= 2:
-        rank_summaries = {m: stats.rank_methods(measure_tables[m],
-                                                higher_is_better=(m in stats.HIGHER_IS_BETTER))
-                          for m in MEASURES}
+        for e in MEASURES:
+            table = {d: {m: cell["metrics"][e] for m, cell in cells.items()}
+                     for d, cells in results.items()}
+            rank_summaries[e] = stats.rank_methods(
+                table, higher_is_better=e in stats.HIGHER_IS_BETTER)
 
     report = {
         "engine_version": __version__,
@@ -426,105 +418,60 @@ def comparison_line(dataset: str, comp: dict) -> str:
     return ",".join(row + [comp["outcomes"].get(e, "") for e in MEASURES])
 
 
-def emit_report(report: dict, out_dir) -> list:
-    """Write the report files; returns the list of paths written."""
+def write_files(out_dir, files: dict) -> list:
+    """Write each {file name: lines} entry of `files` into `out_dir` (made
+    when missing), each line ended by a newline; returns the paths written,
+    in the order of `files`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-
-    ds_names = list(report["results"])
-    methods = list(next(iter(report["results"].values()))) if ds_names else []
-
-    path = out / "report.json"
-    path.write_text(report_json(report), encoding="utf-8")
-    written.append(path)
-
-    header = ["dataset"] + [f"{m}_{e}" for m in methods for e in MEASURES]
-    lines = [",".join(header)]
-    for d in ds_names:
-        row = [d]
-        for m in methods:
-            for e in MEASURES:
-                row.append(_human_value(e, report["results"][d][m]["metrics"][e]))
-        lines.append(",".join(row))
-    path = out / "metrics.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
-
-    lines = [COMPARISON_HEADER]
-    for d in ds_names:
-        lines.extend(comparison_line(d, comp) for comp in report["comparisons"][d])
-    path = out / "comparisons.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
-
-    lines = ["dataset,method,measure,win,tie,loss"]
-    for d in ds_names:
-        for m, per_measure in report["win_tie_loss"][d].items():
-            for e, t in per_measure.items():
-                lines.append(f"{d},{m},{e},{t['win']},{t['tie']},{t['loss']}")
-    path = out / "win_tie_loss.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
-
-    lines = ["dataset,method,project_index,actual,predicted"]
-    for d in ds_names:
-        for m in methods:
-            cell = report["results"][d][m]
-            for i, (a, p) in enumerate(zip(cell["actuals"], cell["predictions"])):
-                lines.append(f"{d},{m},{i},{a!r},{p!r}")
-    path = out / "predictions.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
-
-    if report["rank_summaries"]:
-        lines = ["measure,method,mean_rank,rank_sd"]
-        for e, summaries in report["rank_summaries"].items():
-            for s in summaries:
-                lines.append(f"{e},{s['method']},{_fmt(s['mean_rank'])},{_fmt(s['rank_sd'])}")
-        path = out / "ranks.csv"
+    for name, lines in files.items():
+        path = out / name
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
-
-    written.extend(_emit_k_histograms(report, out))
-
-    path = out / "metrics.md"
-    path.write_text(_markdown_metrics(report, ds_names, methods), encoding="utf-8")
-    written.append(path)
-
     return written
 
 
-def _emit_k_histograms(report: dict, out: Path) -> list:
-    """Gnuplot-style 'k count' files for methods with per-project solutions."""
-    written = []
-    for d, cells in report["results"].items():
+def emit_report(report: dict, out_dir) -> list:
+    """Write report.json, its CSV and Markdown views and a gnuplot-style
+    'k count' histogram per cell with per-project solutions; returns the
+    paths written."""
+    results, wtl, ranks = report["results"], report["win_tie_loss"], report["rank_summaries"]
+    methods = list(next(iter(results.values()))) if results else []
+    grid = [(m, e) for m in methods for e in MEASURES]
+    # the metrics rows, one per dataset, of both metrics.csv and metrics.md
+    rows = [[d] + [_human_value(e, cells[m]["metrics"][e]) for m, e in grid]
+            for d, cells in results.items()]
+    files = {
+        "report.json": [report_json(report)],
+        "metrics.csv": [",".join(["dataset"] + [f"{m}_{e}" for m, e in grid])]
+                       + [",".join(row) for row in rows],
+        "comparisons.csv": [COMPARISON_HEADER] + [
+            comparison_line(d, comp) for d in results for comp in report["comparisons"][d]],
+        "win_tie_loss.csv": ["dataset,method,measure,win,tie,loss"] + [
+            f"{d},{m},{e},{t['win']},{t['tie']},{t['loss']}"
+            for d in results for m, per_measure in wtl[d].items() for e, t in per_measure.items()],
+        "predictions.csv": ["dataset,method,project_index,actual,predicted"] + [
+            f"{d},{m},{i},{a!r},{p!r}" for d, cells in results.items() for m in methods
+            for i, (a, p) in enumerate(zip(cells[m]["actuals"], cells[m]["predictions"]))],
+    }
+    if ranks:
+        files["ranks.csv"] = ["measure,method,mean_rank,rank_sd"] + [
+            f"{e},{s['method']},{_fmt(s['mean_rank'])},{_fmt(s['rank_sd'])}"
+            for e, summaries in ranks.items() for s in summaries]
+    for d, cells in results.items():
         for m, cell in cells.items():
-            sols = cell["solutions"]
-            if len(sols) < 2 or not all("k" in s for s in sols):
-                continue
-            counts: dict[int, int] = {}
-            for s in sols:
-                counts[s["k"]] = counts.get(s["k"], 0) + 1
-            lines = [f"{k} {counts[k]}" for k in sorted(counts)]
-            path = out / f"k_hist_{d}_{m}.dat"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(path)
-    return written
-
-
-def _markdown_metrics(report: dict, ds_names, methods) -> str:
-    header = "| dataset | " + " | ".join(
-        f"{DISPLAY_NAMES.get(m, m)} {e.upper()}" for m in methods for e in MEASURES) + " |"
-    sep = "|" + "---|" * (1 + len(methods) * len(MEASURES))
-    lines = [header, sep]
-    for d in ds_names:
-        row = [d]
-        for m in methods:
-            for e in MEASURES:
-                row.append(_human_value(e, report["results"][d][m]["metrics"][e]))
-        lines.append("| " + " | ".join(row) + " |")
-    mode_note = report["config"].get("mode", "oracle")
-    lines.append("")
-    lines.append(f"SA shown as a percentage. Local tuning objective mode: {mode_note}.")
-    return "\n".join(lines) + "\n"
+            if len(cell["solutions"]) > 1:
+                counts = Counter(s["k"] for s in cell["solutions"])
+                files[f"k_hist_{d}_{m}.dat"] = [f"{k} {counts[k]}" for k in sorted(counts)]
+    # a method's display name: abe0 -> ABE0, lt_star -> LT*, gt_plus -> GT+
+    shown = {m: m.upper().replace("_STAR", "*").replace("_PLUS", "+") for m in methods}
+    files["metrics.md"] = [
+        "| dataset | " + " | ".join(f"{shown[m]} {e.upper()}" for m, e in grid) + " |",
+        "|" + "---|" * (1 + len(grid)),
+        *("| " + " | ".join(row) + " |" for row in rows),
+        "",
+        f"SA shown as a percentage. Local tuning objective mode: "
+        f"{report['config'].get('mode', 'oracle')}.",
+    ]
+    return write_files(out_dir, files)

@@ -32,7 +32,6 @@ class RandomGuessBaseline:
 
     mae_p0: float
     sp0: float
-    mode: str  # "exact" or "sampled(runs,seed)"
 
 
 def error_means(actuals, predictions) -> np.ndarray:
@@ -80,7 +79,7 @@ def random_guess_baseline(efforts: Sequence[float], mode="exact", runs: int = 10
         diff = np.abs(e[:, None] - e[None, :])
         off = diff[~np.eye(n, dtype=bool)]  # the n*(n-1) ordered pairs
         sd = float(np.std(off, ddof=1)) if len(off) > 1 else 0.0
-        return RandomGuessBaseline(mae_p0=float(off.mean()), sp0=sd, mode="exact")
+        return RandomGuessBaseline(mae_p0=float(off.mean()), sp0=sd)
     if mode == "sampled":
         rng = np.random.default_rng(seed)
         # one run = guess every project once from the other n-1; built in
@@ -93,11 +92,7 @@ def random_guess_baseline(efforts: Sequence[float], mode="exact", runs: int = 10
         errs -= e
         np.abs(errs, out=errs)
         errs = errs.ravel()
-        return RandomGuessBaseline(
-            mae_p0=float(errs.mean()),
-            sp0=float(np.std(errs, ddof=1)),
-            mode=f"sampled({runs},{seed})",
-        )
+        return RandomGuessBaseline(mae_p0=float(errs.mean()), sp0=float(np.std(errs, ddof=1)))
     raise BoundsError(f"unknown baseline mode {mode!r}")
 
 

@@ -51,10 +51,10 @@ class VariantConfig:
             raise BoundsError(f"unknown mode {self.mode!r}")
 
 
-# Method name -> variant.  Star variants pin the mask to all ones, plus
-# variants pin the weights to the equal-weight row 1/m, the k-only scan pins
-# both.  Each pinned variant searches a subset of the full variant's space.
-# Local variants run the oracle objective; replace their mode with
+# The tuned methods: method name -> variant, in report order.  Star variants
+# pin the mask to all ones, plus variants pin the weights to the equal-weight
+# row 1/m.  Each pinned variant searches a subset of the full variant's
+# space.  Local variants run the oracle objective; replace their mode with
 # "local_honest" for the leakage-free one.
 VARIANTS = {
     "lt": VariantConfig(),
@@ -63,7 +63,6 @@ VARIANTS = {
     "gt_star": VariantConfig(optimize_features=False, mode="global"),
     "lt_plus": VariantConfig(optimize_weights=False),
     "gt_plus": VariantConfig(optimize_weights=False, mode="global"),
-    "k_only": VariantConfig(optimize_features=False, optimize_weights=False),
 }
 
 

@@ -65,6 +65,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    @pytest.mark.parametrize("roles", [
+        {"effort_column": "Nope", "excluded_columns": ["Input"]},
+        {"categorical_columns": ["Input"]},
+        {"excluded_columns": ["Input"]},
+    ], ids=["effort-and-excluded", "categorical", "excluded"])
+    def test_roles_on_a_bundled_dataset_rejected(self, roles):
+        # a bundled table brings its own roles; these would be ignored
+        raw = dict(BASE_CONFIG) | {"datasets": ["kemerer", {"name": "albrecht", **roles}]}
+        with pytest.raises(ConfigError, match="^dataset 'albrecht': .* only with a path"):
+            parse_config(raw)
+
+    def test_repeated_dataset_names_rejected(self, tmp_path):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.csv").write_text("a,e\n1,2\n3,4\n5,6\n")
+        same_stem = [{"path": str(tmp_path / sub / "x.csv"), "effort_column": "e"}
+                     for sub in ("a", "b")]
+        for entries in (["albrecht", "kemerer", "albrecht"], same_stem,
+                        ["albrecht", same_stem[0] | {"name": "albrecht"}]):
+            with pytest.raises(ConfigError, match="^dataset names repeat"):
+                parse_config(dict(BASE_CONFIG) | {"datasets": entries})
+        names = [d.name for d in parse_config(dict(BASE_CONFIG) | {
+            "datasets": [same_stem[0], same_stem[1] | {"name": "y"}]}).datasets]
+        assert names == ["x", "y"]
+
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -325,8 +350,12 @@ class TestCli:
         {"baseline": {"sampled": 0}},
         {"datasets": [{"name": "x", "path": 5, "effort_column": "effort"}]},
         {"seed": True},
+        {"datasets": [{"name": "albrecht", "effort_column": "Nope",
+                       "excluded_columns": ["Input"]}]},
+        {"datasets": ["albrecht", "kemerer", "albrecht"]},
     ], ids=["pop_size-string", "inertia-number", "unknown-setting", "archive-capacity-0",
-            "mutation-exponent-negative", "sampled-string", "sampled-0", "path-number", "seed-bool"])
+            "mutation-exponent-negative", "sampled-string", "sampled-0", "path-number", "seed-bool",
+            "bundled-roles", "repeated-dataset"])
     def test_malformed_config_is_a_validation_error(self, tmp_path, extra):
         path = self.write_config(tmp_path, **extra)
         proc = self.cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
@@ -411,6 +440,23 @@ class TestCli:
         assert [p.returncode for p in runs] == [0, 0], runs[1].stderr
         assert "solution[7]" in runs[0].stdout
         assert runs[1].stdout == runs[0].stdout
+
+    def test_tune_is_a_one_cell_run(self, tmp_path, capsys, monkeypatch):
+        path = self.write_config(tmp_path, datasets=["nasa", "synthetic_small"],
+                                 methods=["abe0", "lt", "gt"])
+        real, runs = harness.run_experiment, []
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda cfg, threads: runs.append(cfg) or real(cfg, threads=threads))
+        assert cli.main(["tune", "--config", str(path), "--dataset", "synthetic_small",
+                         "--method", "abe0"]) == 0
+        [cfg] = runs
+        assert [d.name for d in cfg.datasets] == ["synthetic_small"]
+        assert cfg.methods == ("abe0",)
+        cell = real(cfg)["results"]["synthetic_small"]["abe0"]
+        out = capsys.readouterr().out
+        assert out.startswith(f"dataset=synthetic_small method=abe0 mode=best_k_scan\n"
+                              f"  solution[0]: k={cell['solutions'][0]['k']}\n")
+        assert f" SA={100 * cell['metrics']['sa']:.1f} " in out
 
     def test_tune_scores_with_the_configured_baseline(self, tmp_path):
         path = self.write_config(tmp_path, datasets=[{"name": "nasa"}],

@@ -148,7 +148,7 @@ class TestBaseline:
 
 class TestSaAndEffectSize:
     def base(self, mae_p0=100.0, sp0=100.0):
-        return metrics.RandomGuessBaseline(mae_p0=mae_p0, sp0=sp0, mode="exact")
+        return metrics.RandomGuessBaseline(mae_p0=mae_p0, sp0=sp0)
 
     def test_perfect_predictor(self):
         assert metrics.sa(0.0, self.base()) == pytest.approx(1.0, abs=ATOL)

@@ -16,6 +16,8 @@ import scalar_reference as ref
 from scalar_reference import numeric_std
 
 ATOL = 1e-9
+# k alone is tuned: the mask and the weights are both pinned.
+K_ONLY = VariantConfig(optimize_features=False, optimize_weights=False)
 
 
 class TestDecodeMask:
@@ -75,7 +77,7 @@ class TestPositionCodec:
         assert np.allclose(back["weights_used"], sol["weights_used"], atol=ATOL)
 
     def test_fixed_variables_left_out(self):
-        v = VARIANTS["k_only"]
+        v = K_ONLY
         space = SolutionSpace(n_rows=5, m=3, variant=v)
         assert space.bounds().dim == 1
         K, masks, W = space.decode(np.array([[2.6]]))
@@ -91,9 +93,9 @@ class TestPositionCodec:
     def test_batch_decoder_matches_scalar_decode(self):
         # includes boxes where k (one row) or the mask (one feature) is pinned
         rng = np.random.default_rng(0)
-        for name in ("lt", "lt_star", "lt_plus", "k_only"):
+        for variant in (VARIANTS["lt"], VARIANTS["lt_star"], VARIANTS["lt_plus"], K_ONLY):
             for n_rows, m in ((4, 3), (1, 3), (4, 1), (1, 2)):
-                space = SolutionSpace(n_rows=n_rows, m=m, variant=VARIANTS[name])
+                space = SolutionSpace(n_rows=n_rows, m=m, variant=variant)
                 bounds = space.bounds()
                 if bounds.dim == 0:
                     continue
@@ -101,16 +103,16 @@ class TestPositionCodec:
                 X = rng.uniform(bounds.lower - 0.5, bounds.upper + 0.5, size=(40, bounds.dim))
                 K, masks, W = space.decode(X)
                 for i in range(40):
-                    k, bits, w = ref.scalar_decode(X[i], n_rows, m, VARIANTS[name])
+                    k, bits, w = ref.scalar_decode(X[i], n_rows, m, variant)
                     assert k == K[i]
                     assert list(masks[i]) == bits
                     assert np.array_equal(W[i], w)
-                    assert decode_position(X[i], n_rows, m, VARIANTS[name]) == \
+                    assert decode_position(X[i], n_rows, m, variant) == \
                         ref.solution(k, bits, w)
 
     def test_degenerate_dimensions_are_pinned(self):
         # one weight row leaves only k = 1, one feature only the mask (1,)
-        assert SolutionSpace(n_rows=1, m=2, variant=VARIANTS["k_only"]).bounds().dim == 0
+        assert SolutionSpace(n_rows=1, m=2, variant=K_ONLY).bounds().dim == 0
         assert SolutionSpace(n_rows=3, m=1, variant=VARIANTS["lt_plus"]).bounds().dim == 1
         sol = decode_position(np.zeros(0), 1, 1, VARIANTS["lt_plus"])
         assert sol == {"k": 1, "v": 1, "mask": [1], "n_rows": 1, "weights_used": [[1.0]]}
@@ -409,7 +411,7 @@ class TestRunners:
 
     def test_k_histogram_varies_on_albrecht(self):
         ds = load_bundled("albrecht")
-        res = tuning.run_lt(ds, VARIANTS["k_only"],
+        res = tuning.run_lt(ds, K_ONLY,
                             mopso.MopsoConfig(pop_size=30, max_iter=20, seed=1))
         assert len({s["k"] for s in res.solutions}) > 1
 
