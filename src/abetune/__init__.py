@@ -11,4 +11,4 @@ Submodules:
     harness  experiment orchestration, reporting, CLI backend
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -42,19 +42,22 @@ def _owm_matrix(K: np.ndarray, kmax: int) -> np.ndarray:
 
 
 class _FoldContext:
-    """A stack of folds, each one target's analogies in rank order: their
-    efforts (f, r) and adaptation diffs (f, r, m), target minus analogy and
-    0 for categoricals.  Built from (train, target_row) pairs that share r
-    and m; a single pair is one local fold, a leave-one-out pass is n.
+    """A stack of f folds, each one target's r analogies in rank order, held
+    k-major: their efforts (r, f) and adaptation diffs (r, m, f), target
+    minus analogy and 0 for categoricals.  Built from (train, target_row)
+    pairs that share r and m; a single pair is one local fold, a
+    leave-one-out pass is n.
 
     `owm` is the (r, r) ordered-weighted-mean table, row k - 1 holding k's
     rank weights, built once by `_owm_matrix`'s elementwise formula.  No
     entry depends on the table's width, so `owm[K - 1, :kmax]` has the bits
-    of `_owm_matrix(K, kmax)`.  `predict_batch` writes its (p, kmax, m)
-    masked weights and (p, f, kmax) adapted efforts into two flat buffers the
-    context owns, grown on demand.  Each block is a contiguous prefix
-    reshaped, which has the strides of a fresh array, so the multiply,
-    einsum and sum run the same kernels in the same summation order."""
+    of `_owm_matrix(K, kmax)`.  `predict_batch` writes its (kmax, p, m)
+    masked weights and (kmax, p, f) adapted efforts into two flat buffers
+    the context owns, grown on demand.  Each block is a contiguous prefix
+    reshaped, which has the strides of a fresh array, so the matmul and the
+    sum over ranks run the same kernels in the same order whatever the
+    buffers held before.  The matmul's summation over m is the BLAS
+    kernel's, so the last bits of a prediction depend on the BLAS build."""
 
     def __init__(self, folds):
         efforts, diffs = [], []
@@ -64,9 +67,9 @@ class _FoldContext:
             d = target_row[None, :] - train.matrix[order]
             d[:, train.categorical_mask] = 0.0
             diffs.append(d)
-        self.efforts = np.stack(efforts)
-        self.diffs = np.stack(diffs)
-        r = self.diffs.shape[1]
+        self.efforts = np.stack(efforts, axis=1)
+        self.diffs = np.stack(diffs, axis=2)
+        r = self.diffs.shape[0]
         self.owm = _owm_matrix(np.arange(1, r + 1), r)
         self._wv = self._adapted = np.empty(0)
 
@@ -76,17 +79,17 @@ class _FoldContext:
         returned array is fresh, never a view of the context's buffers."""
         kmax = int(K.max())
         p = len(K)
-        f, r, m = self.diffs.shape
+        r, m, f = self.diffs.shape
         if self._wv.size < p * r * m:
-            self._wv, self._adapted = np.empty(p * r * m), np.empty(p * f * r)
-        wv = self._wv[:p * kmax * m].reshape(p, kmax, m)
-        np.multiply(W[:, :kmax, :], masks[:, None, :], out=wv)
-        adapted = self._adapted[:p * f * kmax].reshape(p, f, kmax)
-        np.einsum("pkm,fkm->pfk", wv, self.diffs[:, :kmax, :], out=adapted)
+            self._wv, self._adapted = np.empty(p * r * m), np.empty(p * r * f)
+        wv = self._wv[:kmax * p * m].reshape(kmax, p, m)
+        np.multiply(W[:, :kmax, :].transpose(1, 0, 2), masks[None, :, :], out=wv)
+        adapted = self._adapted[:kmax * p * f].reshape(kmax, p, f)
+        np.matmul(wv, self.diffs[:kmax], out=adapted)
         adapted /= m
-        adapted += self.efforts[None, :, :kmax]
-        adapted *= self.owm[K - 1, :kmax][:, None, :]
-        pred = adapted.sum(axis=2)
+        adapted += self.efforts[:kmax, None, :]
+        adapted *= self.owm[K - 1, :kmax].T[:, :, None]
+        pred = adapted.sum(axis=0)
         return np.maximum(pred, EPS_EFFORT, out=pred)
 
 

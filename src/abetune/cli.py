@@ -26,13 +26,19 @@ from .errors import AbetuneError, ConfigError, InsufficientDataError, ParseError
 VALIDATION_ERRORS = (ConfigError, SchemaError, ParseError, InsufficientDataError)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="experiment config (JSON)")
-    p.add_argument("--seed", type=int, help="override the config seed (u64)")
-    p.add_argument("--out", type=Path, help="output directory override")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for folds")
-    p.add_argument("--mode", choices=("oracle", "honest"),
-                   help="local tuning objective mode override")
+# The shared flags; each verb registers only those it reads.
+FLAGS = {
+    "config": dict(type=Path, help="experiment config (JSON)"),
+    "seed": dict(type=int, help="override the config seed (u64)"),
+    "out": dict(type=Path, help="output directory override"),
+    "threads": dict(type=int, default=1, help="worker processes for folds"),
+    "mode": dict(choices=("oracle", "honest"), help="local tuning objective mode override"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,20 +49,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_run = sub.add_parser("run", help="run a full experiment from a config")
-    _add_common(p_run)
+    _add_flags(p_run, "config", "seed", "out", "threads", "mode")
 
     p_tune = sub.add_parser("tune", help="tune one dataset with one method")
-    _add_common(p_tune)
+    _add_flags(p_tune, "config", "seed", "threads", "mode")
     p_tune.add_argument("--dataset", required=True, help="dataset name from the config")
     p_tune.add_argument("--method", required=True, choices=harness.METHOD_ORDER)
 
     p_cmp = sub.add_parser("compare", help="statistics over existing prediction files")
-    _add_common(p_cmp)
+    _add_flags(p_cmp, "out")
     p_cmp.add_argument("predictions", nargs="+", type=Path,
                        help="predictions.csv files (dataset,method,project_index,actual,predicted)")
 
     p_val = sub.add_parser("validate", help="lint a config and its datasets")
-    _add_common(p_val)
+    _add_flags(p_val, "config")
 
     return parser
 
@@ -75,8 +81,6 @@ def _resolve_config(args) -> harness.ExperimentConfig:
         overrides["mopso"] = replace(cfg.mopso, seed=args.seed)
     if args.mode:
         overrides["mode"] = args.mode
-    if args.out:
-        overrides["output_dir"] = str(args.out)
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
@@ -85,7 +89,7 @@ def _resolve_config(args) -> harness.ExperimentConfig:
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     report = harness.run_experiment(cfg, threads=args.threads)
-    written = harness.emit_report(report, cfg.output_dir)
+    written = harness.emit_report(report, args.out or cfg.output_dir)
     for path in written:
         print(path)
     return 0

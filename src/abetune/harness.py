@@ -123,6 +123,9 @@ def _dataset_config(entry, base_dir: Path | None) -> DatasetConfig:
             raise ConfigError(f"dataset {key} must be a string, got {entry[key]!r}")
     name = entry.get("name")
     path = entry.get("path")
+    if name and ("/" in name or "\\" in name):
+        raise ConfigError(f"dataset name {name!r} contains a path separator; report files "
+                          "are named after it")
     if not name and not path:
         raise ConfigError("dataset entries need a name or a path")
     if path is None:

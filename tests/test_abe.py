@@ -209,3 +209,50 @@ class TestFoldContext:
             for k in range(1, kmax + 1):
                 want = abe._owm_matrix(np.array([k]), kmax)[0]
                 assert ctx.owm[k - 1, :kmax].tobytes() == want.tobytes(), (k, kmax)
+
+    def test_predictions_share_no_memory_with_the_context(self):
+        ds = load_bundled("desharnais")
+        ctx = abe._FoldContext(ds.loocv_fold(i)[:2] for i in range(ds.n))
+        space = tuning.SolutionSpace(n_rows=ds.n - 1, m=ds.m, variant=tuning.VARIANTS["gt"])
+        bounds = space.bounds()
+        X = np.random.default_rng(3).uniform(bounds.lower, bounds.upper, size=(30, bounds.dim))
+        K, masks, W = space.decode(X)
+        first = ctx.predict_batch(K, masks, W)
+        kept = first.tobytes()
+        owned = (ctx.efforts, ctx.diffs, ctx.owm, ctx._wv, ctx._adapted)
+        assert not any(np.shares_memory(first, a) for a in owned)
+        # a smaller kmax writes a shorter prefix of the same buffers
+        second = ctx.predict_batch(np.minimum(K, 3), masks, W)
+        assert first.tobytes() == kept
+        assert not any(np.shares_memory(second, a) for a in (first, *owned))
+
+    def test_stacks_are_k_major(self):
+        ds = load_bundled("desharnais")
+        folds = [ds.loocv_fold(i)[:2] for i in (0, 5, 9)]
+        ctx = abe._FoldContext(folds)
+        assert ctx.efforts.shape == (ds.n - 1, 3) and ctx.diffs.shape == (ds.n - 1, ds.m, 3)
+        assert ctx.efforts.flags.c_contiguous and ctx.diffs.flags.c_contiguous
+        for j, (train, row) in enumerate(folds):
+            order = abe.neighbor_order(train, row)
+            assert np.array_equal(ctx.efforts[:, j], train.effort_vec[order])
+            d = row - train.matrix[order]
+            d[:, train.categorical_mask] = 0.0
+            assert np.array_equal(ctx.diffs[:, :, j], d)
+
+
+class TestAbe0Bytes:
+    """ABE0 reads only the ranked efforts, never the adaptation kernel, so
+    its k scan and predictions keep the bytes of engine 0.3.0."""
+
+    def test_kemerer_predictions_pinned(self):
+        k, preds = tuning.best_k_abe0(load_bundled("kemerer"))
+        assert k == 4
+        assert preds.tolist() == [
+            177.125, 110.825, 249.5, 227.14999999999998, 403.0775, 77.0, 77.1,
+            198.17499999999998, 219.875, 135.1, 184.2, 194.45, 183.725, 187.14999999999998,
+            173.2]
+
+    def test_scanned_k_pinned(self):
+        want = {"albrecht": 1, "kemerer": 4, "nasa": 2, "telecom": 2, "desharnais": 7,
+                "cocomo": 12, "china": 2, "maxwell": 3, "synthetic_small": 1}
+        assert {name: tuning.best_k_abe0(load_bundled(name))[0] for name in want} == want

@@ -96,7 +96,7 @@ def _ranked_fold(ds, i):
     in rank order (nearest first), as the fold's context holds them."""
     train, row, actual = ds.loocv_fold(i)
     ctx = abe._FoldContext([(train, row)])
-    return actual, ctx.efforts[0], ctx.diffs[0]
+    return actual, ctx.efforts[:, 0], ctx.diffs[:, :, 0]
 
 
 def _owm_row(k: int) -> np.ndarray:

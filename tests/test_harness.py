@@ -90,6 +90,14 @@ class TestConfig:
             "datasets": [same_stem[0], same_stem[1] | {"name": "y"}]}).datasets]
         assert names == ["x", "y"]
 
+    @pytest.mark.parametrize("name", ["a/b", "a\\b", "/abs"])
+    def test_dataset_name_with_a_path_separator_rejected(self, tmp_path, name):
+        # report files such as k_hist_<dataset>_<method>.dat are named after it
+        (tmp_path / "t.csv").write_text("a,e\n1,2\n3,4\n5,6\n")
+        entry = {"name": name, "path": str(tmp_path / "t.csv"), "effort_column": "e"}
+        with pytest.raises(ConfigError, match="contains a path separator"):
+            parse_config(dict(BASE_CONFIG) | {"datasets": [entry]})
+
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -368,8 +376,8 @@ class TestCli:
                                                 "--method", "lt"]], ids=["run", "tune"])
     def test_threads_below_one_are_a_validation_error(self, tmp_path, verb, threads):
         path = self.write_config(tmp_path)
-        proc = self.cli(*verb, "--config", str(path), "--out", str(tmp_path / "out"),
-                        "--threads", threads)
+        out = ["--out", str(tmp_path / "out")] if verb == ["run"] else []
+        proc = self.cli(*verb, "--config", str(path), *out, "--threads", threads)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == f"validation error: --threads must be at least 1, got {threads}\n"
         assert proc.stdout == ""
@@ -395,11 +403,41 @@ class TestCli:
         path = self.write_config(tmp_path, datasets=["synthetic_small", {
             "name": "bad", "path": str(csv), "effort_column": "effort", **roles}])
         monkeypatch.setattr(harness, "run_method", lambda *a, **k: pytest.fail("tuned a cell"))
-        for verb in ("validate", "run"):
-            assert cli.main([verb, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        for args in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli.main([*args, "--config", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"validation error: {csv}: ") and where in err, err
         assert not (tmp_path / "out").exists()
+
+    def test_dataset_name_with_a_path_separator_is_a_validation_error(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        (tmp_path / "t.csv").write_text("a,effort\n1,10\n2,20\n3,30\n4,40\n")
+        path = self.write_config(tmp_path, datasets=[
+            {"name": "a/b", "path": str(tmp_path / "t.csv"), "effort_column": "effort"}])
+        monkeypatch.setattr(harness, "run_method", lambda *a, **k: pytest.fail("tuned a cell"))
+        for args in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli.main([*args, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err == "validation error: dataset name 'a/b' contains a path separator; " \
+                          "report files are named after it\n", err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--threads", "0", "--seed", "-5", "p.csv"],
+        ["compare", "--config", "c.json", "p.csv"],
+        ["compare", "--mode", "honest", "p.csv"],
+        ["validate", "--config", "c.json", "--seed", "1"],
+        ["validate", "--config", "c.json", "--out", "o"],
+        ["validate", "--config", "c.json", "--threads", "2"],
+        ["validate", "--config", "c.json", "--mode", "oracle"],
+        ["tune", "--config", "c.json", "--dataset", "nasa", "--method", "lt", "--out", "o"],
+    ], ids=["compare-threads-seed", "compare-config", "compare-mode", "validate-seed",
+            "validate-out", "validate-threads", "validate-mode", "tune-out"])
+    def test_a_verb_rejects_flags_it_does_not_read(self, tmp_path, args):
+        proc = self.cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert "unrecognized arguments" in proc.stderr, proc.stderr
+        assert proc.stdout == ""
 
     def test_run_emits_reports(self, tmp_path):
         path = self.write_config(tmp_path)
