@@ -10,11 +10,10 @@ different analogy counts.
 
 import sys
 from collections import Counter
-from dataclasses import replace
 
 from abetune import datasets, harness, metrics, mopso, tuning
 
-mode = "local_honest" if "--honest" in sys.argv else "local_oracle"
+honest = "--honest" in sys.argv
 ds = datasets.load_bundled("albrecht")
 baseline = metrics.random_guess_baseline(ds.efforts())
 cfg = mopso.MopsoConfig(pop_size=60, max_iter=40, seed=7)
@@ -22,10 +21,10 @@ cfg = mopso.MopsoConfig(pop_size=60, max_iter=40, seed=7)
 
 best_k, abe0_preds = tuning.best_k_abe0(ds)
 with harness.worker_map(2) as fold_map:  # the folds of local tuning on two workers
-    lt = tuning.run_lt(ds, replace(tuning.VARIANTS["lt"], mode=mode), cfg, fold_map=fold_map)
+    lt = tuning.run_lt(ds, tuning.VARIANTS["lt"], cfg, honest=honest, fold_map=fold_map)
 gt = tuning.run_gt(ds, tuning.VARIANTS["gt"], cfg)
 
-print(f"dataset: {ds.name} (n={ds.n}, m={ds.m}); local mode: {mode}")
+print(f"dataset: {ds.name} (n={ds.n}, m={ds.m}); local mode: {lt.mode}")
 print(f"\n{'method':22s} {'SA%':>7s} {'MBRE%':>8s} {'MIBRE%':>8s} {'LSD':>7s}")
 for label, preds in ((f"baseline (k={best_k})", abe0_preds),
                      ("local tuning", lt.predictions),

@@ -72,18 +72,8 @@ def _resolve_config(args) -> harness.ExperimentConfig:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if not args.config:
         raise ConfigError("--config is required")
-    cfg = harness.load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ConfigError("--seed must be an unsigned 64-bit integer")
-        overrides["seed"] = args.seed
-        overrides["mopso"] = replace(cfg.mopso, seed=args.seed)
-    if args.mode:
-        overrides["mode"] = args.mode
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    overrides = {"seed": args.seed, "mode": args.mode}
+    return harness.load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_run(args) -> int:

@@ -23,7 +23,7 @@ import math
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -231,12 +231,16 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, **overrides) -> ExperimentConfig:
+    """A JSON config file, validated after `overrides` (the CLI's) replace
+    its top-level keys."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if isinstance(raw, dict):
+        raw.update(overrides)
     return parse_config(raw, base_dir=path.parent)
 
 
@@ -278,21 +282,20 @@ def worker_map(threads: int):
             pool.shutdown()
 
 
-def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, mode: str = "oracle",
+def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, honest: bool = False,
                fold_map=map) -> tuning.TuningResult:
     """One (dataset, method) cell with its solutions in report form.  LT
-    folds go through `fold_map`; GT and the ABE0 scan run in this process."""
+    folds go through `fold_map` and score honestly when `honest`; GT and the
+    ABE0 scan run in this process."""
     if name == "abe0":
         k, preds = tuning.best_k_abe0(ds)
         return tuning.TuningResult(predictions=preds, solutions=[{"k": k}], mode="best_k_scan")
     if name not in tuning.VARIANTS:
         raise ConfigError(f"unknown method {name!r}")
     variant = tuning.VARIANTS[name]
-    if variant.mode == "global":
+    if variant.shared:
         return tuning.run_gt(ds, variant, cfg)
-    if mode == "honest":
-        variant = replace(variant, mode="local_honest")
-    return tuning.run_lt(ds, variant, cfg, fold_map=fold_map)
+    return tuning.run_lt(ds, variant, cfg, honest=honest, fold_map=fold_map)
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +334,22 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     results: dict = {}
     comparisons: dict = {}
     wtl: dict = {}
+    drawn: dict = {}
 
     loaded = [load_dataset_from_config(d) for d in cfg.datasets]  # fail before any tuning
     with worker_map(threads) as fold_map:
         for ds in loaded:
             efforts = ds.efforts()
+            drawn[ds.name] = efforts, _baseline(efforts, cfg)
             ran = {}
             for method in cfg.methods:
                 try:
-                    ran[method] = run_method(method, ds, cfg.mopso, mode=cfg.mode,
+                    ran[method] = run_method(method, ds, cfg.mopso, honest=cfg.mode == "honest",
                                              fold_map=fold_map)
                 except AbetuneError as exc:
                     raise AbetuneError(f"dataset {ds.name!r}, method {method!r}: {exc}") from exc
             suites, comparisons[ds.name], wtl[ds.name] = compare_methods(
-                efforts, {m: res.predictions for m, res in ran.items()}, _baseline(efforts, cfg))
+                efforts, {m: res.predictions for m, res in ran.items()}, drawn[ds.name][1])
             results[ds.name] = {
                 method: {
                     "metrics": suites[method],
@@ -372,21 +377,22 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
         "win_tie_loss": wtl,
         "rank_summaries": rank_summaries,
     }
-    _verify_report(report, cfg)
+    _verify_report(report, drawn)
     return report
 
 
-def _verify_report(report: dict, cfg: ExperimentConfig) -> None:
-    """Recompute every metric suite from the stored prediction pairs and
-    insist on exact agreement before anything is emitted.  The cells of a
-    dataset must carry the same actuals, so its baseline is computed once."""
+def _verify_report(report: dict, drawn: dict) -> None:
+    """Recompute every metric suite from the stored prediction pairs, with
+    the baseline that scored them, and insist on exact agreement before
+    anything is emitted.  `drawn` maps a dataset to (efforts, baseline), and
+    every cell's actuals must be exactly the efforts its baseline came from."""
     for ds_name, cells in report["results"].items():
-        actuals = next(iter(cells.values()))["actuals"]
-        baseline = _baseline(np.array(actuals), cfg)
+        efforts, baseline = drawn[ds_name]
+        actuals = [float(a) for a in efforts]
         for method, cell in cells.items():
             if cell["actuals"] != actuals:
                 raise AbetuneError(f"report self-check failed: {ds_name}/{method}: "
-                                   "actuals differ from the dataset's other cells")
+                                   "actuals differ from the efforts the baseline was drawn from")
             suite = metrics.aggregate(actuals, cell["predictions"], baseline)
             stored = cell["metrics"]
             for key, val in suite.items():

@@ -8,9 +8,12 @@ one value is possible) are left out of the box entirely.  Local tuning runs
 one optimizer per held-out project, global tuning runs a single optimizer
 whose fitness is an internal leave-one-out pass over the whole dataset.  Both
 kinds of problem decode the swarm with `SolutionSpace.decode` and predict
-through one `abe._FoldContext`: one fold for a local problem, n for a global
-one (and for the honest local mode's inner pass).  They differ only in their
-first objective: a local problem's AE, a global problem's -SA.
+through one `abe._FoldContext`, and differ only in their first objective: a
+local problem's AE, a global problem's -SA.  A local fold scores on the
+held-out actual (oracle mode, the published protocol, which leaks the label)
+or, when `run_lt` is `honest`, as a global problem over its training set.
+Every driver selects on the final archive's objective rows and decodes only
+the chosen position (`_tune`).
 
 Seeds are common random numbers on purpose: every global run starts its
 swarm from `default_rng(cfg.seed)`, and fold i of every dataset and local
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -33,36 +35,31 @@ from .errors import BoundsError
 
 @dataclass(frozen=True)
 class VariantConfig:
-    """Which decision variables the optimizer may move, and the tuning mode.
+    """What a method tunes, and whether its solution is shared.
 
-    k is always tuned.  mode: "local_oracle" scores a candidate on the
-    held-out project's actual effort (reproduces the published protocol,
-    which leaks the label); "local_honest" scores on an internal
-    leave-one-out pass over the fold's training set; "global" tunes one
-    shared solution per dataset.
+    k is always tuned; the mask and the weights when their flags are set.
+    A shared solution is tuned once per dataset (`run_gt`), any other once
+    per held-out project (`run_lt`).
     """
 
     optimize_features: bool = True
     optimize_weights: bool = True
-    mode: str = "local_oracle"
-
-    def __post_init__(self):
-        if self.mode not in ("local_oracle", "local_honest", "global"):
-            raise BoundsError(f"unknown mode {self.mode!r}")
+    shared: bool = False
 
 
 # The tuned methods: method name -> variant, in report order.  Star variants
 # pin the mask to all ones, plus variants pin the weights to the equal-weight
 # row 1/m.  Each pinned variant searches a subset of the full variant's
-# space.  Local variants run the oracle objective; replace their mode with
-# "local_honest" for the leakage-free one.
+# space.  Whether a local variant scores on the held-out actual (oracle) or
+# on an inner leave-one-out pass (honest) is the run's choice, not the
+# variant's: `run_lt`'s `honest` flag.
 VARIANTS = {
     "lt": VariantConfig(),
-    "gt": VariantConfig(mode="global"),
+    "gt": VariantConfig(shared=True),
     "lt_star": VariantConfig(optimize_features=False),
-    "gt_star": VariantConfig(optimize_features=False, mode="global"),
+    "gt_star": VariantConfig(optimize_features=False, shared=True),
     "lt_plus": VariantConfig(optimize_weights=False),
-    "gt_plus": VariantConfig(optimize_weights=False, mode="global"),
+    "gt_plus": VariantConfig(optimize_weights=False, shared=True),
 }
 
 
@@ -165,22 +162,22 @@ def decode_position(x: np.ndarray, n_rows: int, m: int, variant: VariantConfig) 
             "weights_used": W[0, :k].tolist()}
 
 
-def select_from_front(front: Sequence[tuple]) -> tuple:
-    """Pick the entry with the best average per-objective rank.
+def select_from_front(objectives) -> int:
+    """The index of the (n, M) objective row with the best average
+    per-objective rank.
 
     Ranks are ascending with average ranks on ties; remaining ties break on
-    the first objective value, then on front order.
+    the first objective value, then on row order.
     """
-    if len(front) == 0:
+    objs = np.asarray(objectives, dtype=float)
+    if len(objs) == 0:
         raise BoundsError("cannot select from an empty front")
-    objs = np.array([np.asarray(o, dtype=float) for _, o in front])
     n, n_obj = objs.shape
     ranks = np.zeros((n, n_obj))
     for j in range(n_obj):
         ranks[:, j] = stats._midranks(objs[:, j])
     avg = ranks.mean(axis=1)
-    order = sorted(range(n), key=lambda i: (avg[i], objs[i, 0], i))
-    return front[order[0]]
+    return min(range(n), key=lambda i: (avg[i], objs[i, 0], i))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +210,6 @@ class _Problem:
         fold these are its (AE, BRE, IBRE)."""
         return metrics.error_means(self.actuals, self.ctx.predict_batch(K, masks, W))
 
-    def decode(self, x: np.ndarray) -> dict:
-        return decode_position(x, self.space.n_rows, self.space.m, self.space.variant)
-
 
 class LocalProblem(_Problem):
     """Single held-out project scored on (AE, BRE, IBRE) with its actual."""
@@ -231,11 +225,10 @@ class GlobalProblem(_Problem):
     leave-one-out pass, one fold per project of `ds`; also used fold-internally
     by the honest local mode."""
 
-    def __init__(self, ds: StandardizedDataset, variant: VariantConfig,
-                 baseline: metrics.RandomGuessBaseline | None = None):
+    def __init__(self, ds: StandardizedDataset, variant: VariantConfig):
         super().__init__(SolutionSpace(n_rows=ds.n - 1, m=ds.m, variant=variant),
                          (ds.loocv_fold(i)[:2] for i in range(ds.n)), ds.efforts())
-        self.baseline = baseline or metrics.random_guess_baseline(self.actuals)
+        self.baseline = metrics.random_guess_baseline(self.actuals)
 
     def score(self, K, masks, W) -> np.ndarray:
         """(-SA, MBRE, MIBRE) per decoded solution.  SA's baseline is floored
@@ -267,50 +260,44 @@ def _fold_seed(base_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(int(base_seed), spawn_key=(index,))
 
 
-def _front(problem, cfg: mopso.MopsoConfig) -> list:
-    """(solution, objectives) pairs of the swarm's final archive.  A box with
-    no free dimension holds one solution, which is then the whole front."""
-    if problem.bounds.dim == 0:
-        X = np.zeros((1, 0))
-        return [(problem.decode(X[0]), problem.evaluate_batch(X)[0])]
-    archive = mopso.run(problem, cfg)
-    return [(problem.decode(pos), fit.copy())
-            for pos, fit in zip(archive.positions, archive.fitnesses)]
+def _tune(problem, cfg: mopso.MopsoConfig) -> dict:
+    """The solution `select_from_front` picks from the swarm's final archive,
+    in report form; a box with no free dimension decodes its one point."""
+    x = np.zeros(0)
+    if problem.bounds.dim:
+        archive = mopso.run(problem, cfg)
+        x = archive.positions[select_from_front(archive.fitnesses)]
+    space = problem.space
+    return decode_position(x, space.n_rows, space.m, space.variant)
 
 
 def _run_lt_fold(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
-                 i: int) -> tuple:
+                 honest: bool, i: int) -> tuple:
     train, target_row, actual = ds.loocv_fold(i)
-    if variant.mode == "local_oracle":
-        problem = LocalProblem(train, target_row, actual, variant)
-    else:
-        problem = GlobalProblem(train, variant)
-    sol, _ = select_from_front(_front(problem, replace(cfg, seed=_fold_seed(cfg.seed, i))))
+    problem = (GlobalProblem(train, variant) if honest
+               else LocalProblem(train, target_row, actual, variant))
+    sol = _tune(problem, replace(cfg, seed=_fold_seed(cfg.seed, i)))
     return abe.predict_adapted(train, target_row, sol), sol
 
 
 def run_lt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
-           fold_map=map) -> TuningResult:
+           honest: bool = False, fold_map=map) -> TuningResult:
     """One optimizer run per held-out project, each seeded by `_fold_seed`
     from the base seed and the project index, so neither fold order nor the
     worker a fold runs on matters.  The folds go through `fold_map`, which
     must behave like the builtin `map` (a process pool's `map` does); the
     held-out project is predicted by `abe.predict_adapted`."""
-    if variant.mode not in ("local_oracle", "local_honest"):
-        raise BoundsError("run_lt requires a local mode")
-    preds, sols = zip(*fold_map(partial(_run_lt_fold, ds, variant, cfg), range(ds.n)))
-    return TuningResult(predictions=np.array(preds), solutions=list(sols), mode=variant.mode)
+    preds, sols = zip(*fold_map(partial(_run_lt_fold, ds, variant, cfg, honest), range(ds.n)))
+    return TuningResult(predictions=np.array(preds), solutions=list(sols),
+                        mode="local_honest" if honest else "local_oracle")
 
 
 def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig) -> TuningResult:
     """One optimizer run per dataset; the chosen shared solution is then
     applied to every project under leave-one-out, by the arithmetic that
     scored it, to produce predictions."""
-    if variant.mode != "global":
-        raise BoundsError("run_gt requires the global mode")
     problem = GlobalProblem(ds, variant)
-    front = _front(problem, cfg)
-    sol, _ = select_from_front(front)
+    sol = _tune(problem, cfg)
     preds = problem.ctx.predict_batch(*abe.solution_rows(sol, problem.space.n_rows))[0]
     return TuningResult(predictions=preds, solutions=[sol], mode="global")
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -154,6 +156,9 @@ BUNDLED_SHAPES = {
     "synthetic_small": (8, 8, 4, ("f1", "f2", "f3", "f4"), ()),
 }
 
+# The seeded surrogate tables that tools/make_bundled_data.py writes.
+SURROGATES = ("telecom", "desharnais", "cocomo", "china", "maxwell", "synthetic_small")
+
 
 class TestBundled:
     @pytest.mark.parametrize("name", list(BUNDLED))
@@ -163,6 +168,18 @@ class TestBundled:
         categorical = tuple(f for f, c in zip(std.features, std.categorical_mask) if c)
         assert (len(lines.splitlines()) - 1, std.n, std.m, std.features,
                 categorical) == BUNDLED_SHAPES[name]
+
+    def test_surrogates_regenerate_byte_for_byte(self, tmp_path):
+        # the transcribed PROMISE tables (albrecht, kemerer, nasa) are not generated
+        tool = Path(__file__).resolve().parents[1] / "tools" / "make_bundled_data.py"
+        proc = subprocess.run([sys.executable, str(tool), str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        made = sorted(path.name for path in tmp_path.iterdir())
+        assert made == sorted(f"{name}.csv" for name in SURROGATES)
+        for name in made:
+            bundled = Path(abetune.__file__).parent / "data" / name
+            assert (tmp_path / name).read_bytes() == bundled.read_bytes(), name
 
     def test_unknown_name_is_a_typed_error(self):
         with pytest.raises(AbetuneError, match="isbsg"):

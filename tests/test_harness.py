@@ -165,6 +165,15 @@ class TestRunLoocv:
         assert self.predict_all(ds, solution(1, [1], [[1]]))[:2] == [12.0, 12.0]
 
 
+def run_and_keep_baselines(cfg, monkeypatch):
+    """The report of `run_experiment(cfg)` and the per-dataset (efforts,
+    baseline) pairs it scored and self-checked with."""
+    real, drawn = harness._verify_report, []
+    monkeypatch.setattr(harness, "_verify_report",
+                        lambda report, baselines: drawn.append(baselines) or real(report, baselines))
+    return run_experiment(cfg), drawn[0]
+
+
 class TestRunExperiment:
     def test_report_shape_and_counts(self):
         cfg = parse_config(dict(BASE_CONFIG))
@@ -186,21 +195,44 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             parse_config(dict(BASE_CONFIG) | {"methods": []})
 
-    def test_self_check_rejects_a_perturbed_metric(self):
+    def test_self_check_rejects_a_perturbed_metric(self, monkeypatch):
         cfg = parse_config(dict(BASE_CONFIG))
-        report = run_experiment(cfg)
-        harness._verify_report(report, cfg)
+        report, drawn = run_and_keep_baselines(cfg, monkeypatch)
+        harness._verify_report(report, drawn)
         cell = report["results"]["synthetic_small"]["lt"]
         cell["metrics"]["mbre"] = cell["metrics"]["mbre"] * (1 + 1e-12)
         with pytest.raises(AbetuneError, match="synthetic_small/lt/mbre"):
-            harness._verify_report(report, cfg)
+            harness._verify_report(report, drawn)
 
-    def test_self_check_rejects_cells_with_different_actuals(self):
+    def test_self_check_rejects_cells_with_different_actuals(self, monkeypatch):
         cfg = parse_config(dict(BASE_CONFIG) | {"baseline": {"sampled": 1000}})
-        report = run_experiment(cfg)
+        report, drawn = run_and_keep_baselines(cfg, monkeypatch)
         report["results"]["synthetic_small"]["lt"]["actuals"][0] += 1.0
         with pytest.raises(AbetuneError, match="actuals differ"):
-            harness._verify_report(report, cfg)
+            harness._verify_report(report, drawn)
+
+    def test_self_check_rejects_an_actual_changed_in_every_cell(self, monkeypatch):
+        # the cells still agree with each other, but no longer with the
+        # efforts the baseline was drawn from
+        cfg = parse_config(dict(BASE_CONFIG) | {"baseline": {"sampled": 1000}})
+        report, drawn = run_and_keep_baselines(cfg, monkeypatch)
+        for cell in report["results"]["synthetic_small"].values():
+            cell["actuals"][0] += 1.0
+        with pytest.raises(AbetuneError, match="synthetic_small/abe0: actuals differ"):
+            harness._verify_report(report, drawn)
+
+    def test_sampled_baseline_is_drawn_once_per_dataset(self, monkeypatch):
+        real, modes = metrics.random_guess_baseline, []
+
+        def counted(efforts, mode="exact", **kwargs):
+            modes.append(mode)
+            return real(efforts, mode=mode, **kwargs)
+
+        monkeypatch.setattr(metrics, "random_guess_baseline", counted)
+        cfg = parse_config(dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
+                                                "baseline": {"sampled": 1000}})
+        run_experiment(cfg)
+        assert modes.count("sampled") == 2
 
     def test_metrics_recomputable_from_predictions(self):
         cfg = parse_config(dict(BASE_CONFIG))
@@ -454,6 +486,26 @@ class TestCli:
         p2 = self.cli("run", "--config", str(path), "--out", str(out2), "--threads", "2")
         assert p1.returncode == 0 and p2.returncode == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+    def test_seed_override_gives_the_bytes_of_a_config_with_that_seed(self, tmp_path):
+        self.cli("run", "--config", str(self.write_config(tmp_path)), "--out",
+                 str(tmp_path / "flag"), "--seed", "123456")
+        (tmp_path / "file").mkdir()
+        path = self.write_config(tmp_path / "file", seed=123456)
+        self.cli("run", "--config", str(path), "--out", str(tmp_path / "file"))
+        flag = (tmp_path / "flag" / "report.json").read_bytes()
+        assert flag == (tmp_path / "file" / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_override_out_of_range_is_a_validation_error(self, tmp_path, capsys,
+                                                              monkeypatch, seed):
+        path = self.write_config(tmp_path)
+        monkeypatch.setattr(harness, "run_method", lambda *a, **k: pytest.fail("tuned a cell"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out), "--seed", seed]) == 1
+        assert capsys.readouterr().err == \
+            "validation error: seed must be an unsigned 64-bit integer\n"
+        assert not out.exists()
 
     def test_seed_override_changes_report(self, tmp_path):
         path = self.write_config(tmp_path)

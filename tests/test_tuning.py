@@ -248,7 +248,7 @@ def bundled_problem(name: str, method: str):
     fourth fold."""
     ds = load_bundled(name)
     variant = VARIANTS[method]
-    if variant.mode == "global":
+    if variant.shared:
         return GlobalProblem(ds, variant)
     train, row, actual = ds.loocv_fold(3)
     return LocalProblem(train, row, actual, variant)
@@ -300,30 +300,33 @@ class TestOwnedBuffers:
 
 
 class TestSelectFromFront:
+    """The front is an archive's (n, M) objective rows; the selection is a
+    row index."""
+
     def test_single_solution(self):
-        assert select_from_front([("only", (1.0, 2.0))])[0] == "only"
+        assert select_from_front(np.array([[1.0, 2.0]])) == 0
 
     def test_average_rank_tie_breaks_on_first_objective(self):
-        front = [("a", (1.0, 9.0)), ("b", (9.0, 1.0)), ("c", (4.0, 4.0))]
-        assert select_from_front(front)[0] == "a"
+        front = np.array([[1.0, 9.0], [9.0, 1.0], [4.0, 4.0]])
+        assert select_from_front(front) == 0
 
     def test_tied_values_share_their_mean_rank(self):
-        # midranks give b the best mean rank (5.5 / 3); ranking tied values
-        # in front order would give it to a (5 / 3)
-        front = [("a", (1.0, 1.0, 3.0)), ("b", (1.0, 2.0, 1.0)), ("c", (2.0, 1.0, 2.0))]
-        assert select_from_front(front)[0] == "b"
+        # midranks give row 1 the best mean rank (5.5 / 3); ranking tied
+        # values in row order would give it to row 0 (5 / 3)
+        front = np.array([[1.0, 1.0, 3.0], [1.0, 2.0, 1.0], [2.0, 1.0, 2.0]])
+        assert select_from_front(front) == 1
 
     def test_unanimous_winner(self):
-        front = [("a", (2.0, 2.0)), ("b", (1.0, 1.0)), ("c", (3.0, 3.0))]
-        assert select_from_front(front)[0] == "b"
+        front = np.array([[2.0, 2.0], [1.0, 1.0], [3.0, 3.0]])
+        assert select_from_front(front) == 1
 
     def test_empty_front(self):
         with pytest.raises(BoundsError):
-            select_from_front([])
+            select_from_front(np.zeros((0, 0)))
 
     def test_remaining_tie_breaks_on_insertion_order(self):
-        front = [("a", (1.0, 1.0)), ("b", (1.0, 1.0))]
-        assert select_from_front(front)[0] == "a"
+        front = np.array([[1.0, 1.0], [1.0, 1.0]])
+        assert select_from_front(front) == 0
 
 
 class TestRunners:
@@ -371,9 +374,12 @@ class TestRunners:
         for i in range(ds.n):
             train, row, actual = ds.loocv_fold(i)
             problem = LocalProblem(train, row, actual, VARIANTS["lt"])
-            front = tuning._front(problem, replace(cfg, seed=tuning._fold_seed(cfg.seed, i)))
-            sol, obj = select_from_front(front)
-            assert sol == res.solutions[i]
+            fold_cfg = replace(cfg, seed=tuning._fold_seed(cfg.seed, i))
+            archive = mopso.run(problem, fold_cfg)
+            chosen = select_from_front(archive.fitnesses)
+            sol = decode_position(archive.positions[chosen], train.n, ds.m, VARIANTS["lt"])
+            assert sol == res.solutions[i] == tuning._tune(problem, fold_cfg)
+            obj = archive.fitnesses[chosen]
             assert abs(abs(actual - res.predictions[i]) - obj[0]) <= 1e-12 * max(1.0, actual)
 
     def test_fold_streams_are_distinct(self):
@@ -405,9 +411,29 @@ class TestRunners:
     def test_lt_honest_mode_runs(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7], [3, 3]],
                          [10, 30, 80, 46, 64, 40])
-        res = tuning.run_lt(ds, replace(VARIANTS["lt"], mode="local_honest"), self.small_cfg())
+        res = tuning.run_lt(ds, VARIANTS["lt"], self.small_cfg(), honest=True)
         assert res.mode == "local_honest"
         assert all(s["k"] <= ds.n - 2 == s["n_rows"] for s in res.solutions)
+
+    @pytest.mark.parametrize("honest", [True, False], ids=["honest", "oracle"])
+    def test_honest_prediction_ignores_the_held_out_effort(self, honest):
+        """Scaling project i's effort by 0.5 or 1.3 leaves its honest
+        prediction unchanged: an honest fold never reads the held-out
+        actual.  An oracle fold does, so some of its predictions move."""
+        ds = load_bundled("albrecht")
+        cfg = mopso.MopsoConfig(pop_size=30, max_iter=30, seed=1)
+        moved = 0
+        for i in range(8):
+            pred, _ = tuning._run_lt_fold(ds, VARIANTS["lt"], cfg, honest, i)
+            for scale in (0.5, 1.3):
+                efforts = ds.efforts().copy()
+                efforts[i] *= scale
+                scaled = replace(ds, effort_vec=efforts)
+                moved += tuning._run_lt_fold(scaled, VARIANTS["lt"], cfg, honest, i)[0] != pred
+        if honest:
+            assert moved == 0
+        else:
+            assert moved > 0
 
     def test_k_histogram_varies_on_albrecht(self):
         ds = load_bundled("albrecht")
