@@ -2,11 +2,13 @@
 
 An experiment is a (datasets x methods) grid evaluated under leave-one-out
 cross validation; `run_experiment` turns a config into its report, the whole
-grid for `abetune run` and one cell for `abetune tune`.  Every stochastic
-step is seeded from the single config seed, reports are recomputed from the
-stored per-project prediction pairs before emission, and the machine-format
-JSON report is byte-identical for a given (config, seed) regardless of
-thread count.
+grid for `abetune run` and one cell for `abetune tune`.  The run's work goes
+through one `worker_map`: every GT cell is one task and every LT fold
+another, while the ABE0 scans, the baselines and the scoring stay in this
+process.  Every stochastic step is seeded from the single config seed,
+reports are recomputed from the stored per-project prediction pairs before
+emission, and the machine-format JSON report is byte-identical for a given
+(config, seed) regardless of thread count.
 
 The streams are deliberate common random numbers across the methods of a
 dataset: every GT run, for every dataset and GT method, draws from
@@ -24,6 +26,7 @@ import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -257,11 +260,14 @@ def load_dataset_from_config(cfg: DatasetConfig) -> StandardizedDataset:
 
 @contextmanager
 def worker_map(threads: int):
-    """The map every LT fold of a run goes through: the builtin `map` at one
-    thread, otherwise the `map` of one pool of `threads` worker processes,
-    at most one per CPU, opened at the first fold and shut down when the
-    block ends.  A run without LT cells thus loads no multiprocessing and
-    starts no worker."""
+    """The map every GT cell and LT fold of a run goes through: the builtin
+    `map` at one thread, otherwise the `map` of one pool of `threads` worker
+    processes, at most one per CPU, opened at the first map of two or more
+    tasks.  A map of one task (or none) runs lazily in this process, so a
+    run with a single GT cell and no LT cell starts no worker.  The pool is
+    shut down when the block ends; when it ends on an exception, the tasks
+    still queued are cancelled, so the error surfaces once the running ones
+    finish."""
     if threads <= 1:
         yield map
         return
@@ -269,6 +275,9 @@ def worker_map(threads: int):
 
     def pool_map(fn, items):
         nonlocal pool
+        items = list(items)
+        if len(items) <= 1:
+            return map(fn, items)
         if pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -277,16 +286,19 @@ def worker_map(threads: int):
 
     try:
         yield pool_map
-    finally:
+    except BaseException:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
+        raise
+    if pool is not None:
+        pool.shutdown()
 
 
 def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, honest: bool = False,
                fold_map=map) -> tuning.TuningResult:
     """One (dataset, method) cell with its solutions in report form.  LT
     folds go through `fold_map` and score honestly when `honest`; GT and the
-    ABE0 scan run in this process."""
+    ABE0 scan run in the calling process."""
     if name == "abe0":
         k, preds = tuning.best_k_abe0(ds)
         return tuning.TuningResult(predictions=preds, solutions=[{"k": k}], mode="best_k_scan")
@@ -296,6 +308,16 @@ def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, honest: boo
     if variant.shared:
         return tuning.run_gt(ds, variant, cfg)
     return tuning.run_lt(ds, variant, cfg, honest=honest, fold_map=fold_map)
+
+
+def _is_shared(method: str) -> bool:
+    return method in tuning.VARIANTS and tuning.VARIANTS[method].shared
+
+
+def _shared_cell(cfg: MopsoConfig, cell: tuple) -> tuning.TuningResult:
+    """A (method, dataset) cell of a shared variant, as one `worker_map` task."""
+    method, ds = cell
+    return run_method(method, ds, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +352,30 @@ def compare_methods(actuals, predictions: dict, baseline) -> tuple[dict, list, d
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Evaluate every (dataset, method) cell and assemble the full report,
-    as the dict that `report_json` serializes."""
+    as the dict that `report_json` serializes.
+
+    Every GT cell of the run is handed to the `worker_map` first, in
+    (dataset, method) order, and its result is taken when the loop reaches
+    the cell; the other cells run in that order meanwhile, so with a pool
+    the LT folds queue behind the GT swarms.  A GT swarm draws only from
+    `default_rng(cfg.seed)`, so where it runs does not move the bytes."""
     results: dict = {}
     comparisons: dict = {}
     wtl: dict = {}
     drawn: dict = {}
 
     loaded = [load_dataset_from_config(d) for d in cfg.datasets]  # fail before any tuning
-    with worker_map(threads) as fold_map:
+    with worker_map(threads) as task_map:
+        shared = task_map(partial(_shared_cell, cfg.mopso),
+                          [(m, ds) for ds in loaded for m in cfg.methods if _is_shared(m)])
         for ds in loaded:
             efforts = ds.efforts()
             drawn[ds.name] = efforts, _baseline(efforts, cfg)
             ran = {}
             for method in cfg.methods:
                 try:
-                    ran[method] = run_method(method, ds, cfg.mopso, honest=cfg.mode == "honest",
-                                             fold_map=fold_map)
+                    ran[method] = next(shared) if _is_shared(method) else run_method(
+                        method, ds, cfg.mopso, honest=cfg.mode == "honest", fold_map=task_map)
                 except AbetuneError as exc:
                     raise AbetuneError(f"dataset {ds.name!r}, method {method!r}: {exc}") from exc
             suites, comparisons[ds.name], wtl[ds.name] = compare_methods(

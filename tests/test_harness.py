@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from concurrent import futures
 
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abetune import abe, cli, harness, metrics
-from abetune.errors import AbetuneError, ConfigError
+from abetune import abe, cli, harness, metrics, tuning
+from abetune.errors import AbetuneError, ConfigError, EvaluationError
 from abetune.harness import emit_report, parse_config, report_json, run_experiment
 from scalar_reference import numeric_std, solution
 
@@ -318,6 +319,56 @@ class TestWorkerPool:
         cfg = parse_config(dict(BASE_CONFIG) | {"methods": ["abe0", "gt"]})
         run_experiment(cfg, threads=2)
         assert pools == []
+
+    def test_gt_cells_and_lt_folds_share_one_pool(self, pools):
+        cfg = parse_config(dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
+                                                "methods": ["gt", "gt_star", "lt"]})
+        serial = run_experiment(cfg, threads=1)
+        assert pools == []
+        pooled = run_experiment(cfg, threads=2)
+        # one task per GT cell, then every fold of both LT cells
+        assert pools == [[min(2, os.cpu_count() or 1), 2 * 2 + 8 + 15]]
+        assert report_json(pooled) == report_json(serial)
+
+    def test_an_error_cancels_the_queued_tasks(self, tmp_path):
+        marks = [tmp_path / str(i) for i in range(20)]
+        with pytest.raises(RuntimeError, match="stop"):
+            with harness.worker_map(2) as fold_map:
+                fold_map(mark_slowly, marks)
+                raise RuntimeError("stop")
+        # only the tasks already handed to a worker ran
+        assert sum(m.exists() for m in marks) < len(marks)
+
+    def test_a_gt_cell_that_fails_in_a_worker_names_its_cell(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def fail(*args):
+            raise EvaluationError("non-finite objective")
+
+        # patched before the pool forks, so its workers inherit it
+        monkeypatch.setattr(tuning, "run_gt", fail)
+        raw = dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
+                                   "methods": ["abe0", "gt", "gt_star", "lt"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        errors, codes, stderr = [], [], []
+        for threads in (1, 2):
+            with pytest.raises(AbetuneError) as caught:
+                run_experiment(parse_config(raw), threads=threads)
+            errors.append(str(caught.value))
+            codes.append(cli.main(["run", "--config", str(path), "--threads", str(threads),
+                                   "--out", str(tmp_path / f"out{threads}")]))
+            stderr.append(capsys.readouterr().err)
+        assert errors == ["dataset 'synthetic_small', method 'gt': non-finite objective"] * 2
+        # a run-time error, not a validation error, at either thread count
+        assert codes == [2, 2]
+        assert stderr == [f"error: {errors[0]}\n"] * 2
+        assert not (tmp_path / "out1").exists() and not (tmp_path / "out2").exists()
+
+
+def mark_slowly(path):
+    """A slow pool task that leaves a file behind when it runs."""
+    time.sleep(0.2)
+    path.touch()
 
 
 class TestEmission:

@@ -1,11 +1,15 @@
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+import os
+from pathlib import Path
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from abetune import abe, metrics, mopso, tuning
+from abetune import abe, datasets, metrics, mopso, tuning
 from abetune.datasets import load_bundled
 from abetune.errors import BoundsError
 from abetune.tuning import (
@@ -482,3 +486,59 @@ class TestBestK:
         ds = numeric_std([[0.0], [1.0], [2.0]], [10, 20, 40])
         k, _ = tuning.best_k_abe0(ds)
         assert k in (1, 2)
+
+
+# GT predictions of every bundled dataset and GT variant, under a small
+# budget, with a digest of the predictions for 500 random positions: the
+# arithmetic of a GT swarm's evaluations.  The first line names the OpenBLAS
+# kernel that ran, or None where NumPy's BLAS is not a bundled scipy-openblas64.
+GT_BYTES_SCRIPT = """
+import ctypes, glob, hashlib, os
+import numpy as np
+from abetune import datasets, mopso, tuning
+
+core = None
+for path in glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*"):
+    get = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    core = get().decode()
+print(core)
+cfg = mopso.MopsoConfig(seed=1, pop_size=20, max_iter=10)
+for name in datasets.BUNDLED:
+    ds = datasets.load_bundled(name)
+    for method in ("gt", "gt_star", "gt_plus"):
+        variant = tuning.VARIANTS[method]
+        problem = tuning.GlobalProblem(ds, variant)
+        X = np.random.default_rng(1).uniform(problem.bounds.lower, problem.bounds.upper,
+                                             (500, problem.bounds.dim))
+        batch = problem.ctx.predict_batch(*problem.space.decode(X))
+        print(name, method, hashlib.sha256(batch.tobytes()).hexdigest(),
+              tuning.run_gt(ds, variant, cfg).predictions.tobytes().hex())
+"""
+
+
+def cpu_flags() -> set:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.split(":", 1)[1].split()}
+
+
+@pytest.mark.skipif(not {"avx2", "fma"} <= cpu_flags(), reason="the CPU lacks AVX2 or FMA")
+def test_gt_predictions_do_not_depend_on_the_blas_kernel():
+    """GT cells run in whichever process the pool picks; their bytes rest on
+    the adaptation's matrix product giving the same bits under the kernel
+    OpenBLAS picks at run time and under its Haswell kernel."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    native, haswell = (
+        subprocess.run([sys.executable, "-c", GT_BYTES_SCRIPT], env=env | forced,
+                       capture_output=True, text=True, check=True).stdout.splitlines()
+        for forced in ({}, {"OPENBLAS_CORETYPE": "Haswell"}))
+    if haswell[0] != "Haswell":
+        pytest.skip(f"cannot confirm the Haswell kernel ran (got {haswell[0]})")
+    assert len(native) == 1 + 3 * len(datasets.BUNDLED)
+    assert native[1:] == haswell[1:], f"native kernel {native[0]}"
