@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datasets, metrics, stats, tuning
-from .data import StandardizedDataset, load_dataset
+from .data import MAX_INPUT_FEATURES, StandardizedDataset, load_dataset
 from .errors import AbetuneError, BoundsError, ConfigError
 from .mopso import MopsoConfig
 
@@ -165,9 +165,34 @@ def _mopso_config(mraw, seed: int) -> MopsoConfig:
             raise ConfigError(f"mopso {key} must be {expected}, got {value!r}")
     values = {k: tuple(v) if _is_list(v) else v for k, v in mraw.items()}
     try:
-        return MopsoConfig(seed=seed, **values)
+        cfg = MopsoConfig(seed=seed, **values)
     except BoundsError as exc:
         raise ConfigError(f"bad mopso settings: {exc}") from exc
+    _check_velocity_range(cfg, [k for k in ("inertia", "c1", "c2") if k in mraw])
+    return cfg
+
+
+# The widest dimension of any tuning box: the mask's, [1, 2^m - 1] at the
+# most input features a dataset may have.
+WIDEST_RANGE = 2.0 ** MAX_INPUT_FEATURES - 2.0
+
+
+def _check_velocity_range(cfg: MopsoConfig, given: list) -> None:
+    """Reject swarm coefficients (the config's own: `given`) under which a
+    velocity step overflows.  Positions stay in the box and every step
+    clamps a velocity to a quarter of its range, so the step's terms w V,
+    c1 R1 (PB - X) and c2 R2 (G - X) add up to at most (|w|/4 + |c1| + |c2|)
+    times the widest range; that, and the inertia's decay w_end - w_start,
+    must be finite."""
+    w_start, w_end = cfg.inertia
+    if not math.isfinite(w_end - w_start):
+        raise ConfigError(f"mopso inertia {list(cfg.inertia)}: its decay w_end - w_start "
+                          "overflows")
+    w = max(abs(w_start), abs(w_end))
+    if not math.isfinite((w / 4 + abs(cfg.c1) + abs(cfg.c2)) * WIDEST_RANGE):
+        raise ConfigError(f"mopso settings {given} are too large: a velocity step, up to "
+                          f"(|w|/4 + |c1| + |c2|) x {WIDEST_RANGE:.0f} (the widest box "
+                          "range), overflows")
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -302,8 +327,6 @@ def run_method(name: str, ds: StandardizedDataset, cfg: MopsoConfig, honest: boo
     if name == "abe0":
         k, preds = tuning.best_k_abe0(ds)
         return tuning.TuningResult(predictions=preds, solutions=[{"k": k}], mode="best_k_scan")
-    if name not in tuning.VARIANTS:
-        raise ConfigError(f"unknown method {name!r}")
     variant = tuning.VARIANTS[name]
     if variant.shared:
         return tuning.run_gt(ds, variant, cfg)

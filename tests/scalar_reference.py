@@ -9,6 +9,9 @@ report-form dicts the program carries; the error measures use `math` alone.
 `numeric_std` and `solution` build the small tables and solutions the tests
 hand to both sides.
 
+`local_optimum` is the exact yardstick of local tuning: the least of each
+objective over every solution a local variant can decode to, per fold.
+
 `reference_run` is the swarm loop written with boolean-mask indexing and a
 fresh array per operation; the allocation-free `mopso.run` must match it
 byte for byte.
@@ -148,6 +151,76 @@ def error_means(actuals, predictions) -> tuple:
     divided by their count."""
     per_project = [errors(float(a), float(p)) for a, p in zip(actuals, predictions)]
     return tuple(math.fsum(col) / len(per_project) for col in zip(*per_project))
+
+
+def _reachable_masks(m: int, variant) -> list:
+    """The masks `local_optimum` enumerates: all ones when the mask is pinned
+    (or m = 1); with free weights all ones and the m masks that drop one
+    feature, whose reach holds that of every smaller mask; with pinned
+    weights every mask 1..2^m - 1."""
+    if not variant.optimize_features or m == 1:
+        return [[1] * m]
+    if variant.optimize_weights:
+        return [[1] * m] + [[int(j != drop) for j in range(m)] for drop in range(m)]
+    return [mask_bits(v, m) for v in range(1, 2 ** m)]
+
+
+def local_optimum(ds, variant) -> np.ndarray:
+    """The least (AE, BRE, IBRE) of each leave-one-out fold of `ds` over every
+    solution the local `variant` decodes to, one row per fold; each column
+    is its objective's own optimum.
+
+    A prediction is the ordered weighted mean of the k nearest efforts, rank
+    r's effort adjusted by sum_j w_j bit_j d_rj / m with its weight row w.
+    Free weights reach every point of the simplex, so rank r's adjustment
+    spans, independently of the other ranks, the interval between the least
+    and the greatest bit_j d_rj / m (0 among them when the mask drops a
+    feature), and the predictions of one (k, mask) fill the interval between
+    the weighted means of the lowest and of the highest adjusted efforts.
+    Pinned 1/m rows give one prediction per (k, mask).  Predictions are
+    floored at EPS_EFFORT.  Over one fold each objective grows with the
+    distance from the actual on either side of it, so its least value over
+    an interval is at the interval's point nearest the actual."""
+    rows, m = ds.n - 1, ds.m
+    owm = np.zeros((rows, rows))  # row k - 1 holds k's rank weights
+    for k in range(1, rows + 1):
+        owm[k - 1, :k] = owm_weights(k)
+    masks = np.array(_reachable_masks(m, variant), dtype=float)
+    best = []
+    for i in range(ds.n):
+        train, target_row, actual = ds.loocv_fold(i)
+        order = nearest(train, target_row, rows)
+        efforts = train.effort_vec[order]
+        diffs = np.where(train.categorical_mask, 0.0, target_row - train.matrix[order])
+        if variant.optimize_weights:
+            shifts = masks[:, None, :] * diffs[None, :, :] / m  # (mask, rank, feature)
+            low = owm @ (efforts + shifts.min(axis=2)).T  # (k, mask)
+            high = owm @ (efforts + shifts.max(axis=2)).T
+        else:
+            low = high = owm @ (efforts + masks @ (diffs / m).T / m).T
+        reach = np.clip(actual, np.maximum(low, EPS_EFFORT), np.maximum(high, EPS_EFFORT))
+        best.append(np.min([errors(actual, p) for p in reach.ravel()], axis=0))
+    return np.array(best)
+
+
+# How far a tuned fold's objective may sit below `local_optimum` before it
+# counts as beating it.  The kernel sums a prediction in BLAS and pairwise
+# order, the oracle in its own, so the two agree only to a few ulps of the
+# adjusted efforts: a k-only albrecht fold sat 2e-16 of its actual below the
+# oracle's AE.  1e-12 (times the actual for AE; BRE and IBRE are already
+# relative) leaves four orders of magnitude for that rounding, and lies far
+# below what the swarm typically leaves: on probed LT folds its median
+# shortfall from the optimum was 3e-6 to 7e-4 of the actual.
+OPTIMUM_TOLERANCE = 1e-12
+
+
+def folds_below_optimum(actuals, predictions, optimum) -> list:
+    """The folds whose (AE, BRE, IBRE) fall below their row of `optimum` on
+    some objective by more than OPTIMUM_TOLERANCE."""
+    got = np.array([errors(float(a), float(p)) for a, p in zip(actuals, predictions)])
+    slack = OPTIMUM_TOLERANCE * np.ones_like(got)
+    slack[:, 0] *= np.asarray(actuals, dtype=float)
+    return np.flatnonzero((got < optimum - slack).any(axis=1)).tolist()
 
 
 def gt_objectives(ds, sol: dict, baseline) -> np.ndarray:

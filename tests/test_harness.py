@@ -99,6 +99,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="contains a path separator"):
             parse_config(dict(BASE_CONFIG) | {"datasets": [entry]})
 
+    @pytest.mark.parametrize("mopso", [
+        {},
+        {"pop_size": 100, "max_iter": 100, "inertia": [0.9, 0.4], "c1": 2.0, "c2": 2.0,
+         "mutation_fraction": 0.5, "mutation_exponent": 5, "archive_capacity": 100,
+         "leader_fraction": 0.1},
+        {"inertia": [1e290, -1e290], "c1": 1e290, "c2": -1e290},
+    ], ids=["default", "paper", "large-but-finite"])
+    def test_swarm_coefficients_that_keep_velocities_finite_parse(self, mopso):
+        cfg = parse_config(dict(BASE_CONFIG) | {"mopso": mopso})
+        assert cfg.mopso.c1 == mopso.get("c1", 2.0)
+
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -452,6 +463,22 @@ class TestCli:
         proc = self.cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("validation error: "), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mopso,named", [
+        ({"c1": 1e308, "c2": 1e308}, "['c1', 'c2'] are too large"),
+        ({"inertia": [1e308, 1e308]}, "['inertia'] are too large"),
+        ({"inertia": [1e308, -1e308]}, "its decay w_end - w_start overflows"),
+    ], ids=["c1-c2", "inertia", "inertia-decay"])
+    def test_swarm_coefficients_that_overflow_are_a_validation_error(self, tmp_path, capsys,
+                                                                     monkeypatch, mopso, named):
+        # accepted before, these tuned from NaN positions
+        path = self.write_config(tmp_path, mopso=mopso)
+        monkeypatch.setattr(harness, "run_method", lambda *a, **k: pytest.fail("tuned a cell"))
+        for args in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli.main([*args, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("validation error: mopso ") and named in err, err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])

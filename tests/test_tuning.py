@@ -444,6 +444,35 @@ class TestRunners:
         res = tuning.run_lt(ds, K_ONLY,
                             mopso.MopsoConfig(pop_size=30, max_iter=20, seed=1))
         assert len({s["k"] for s in res.solutions}) > 1
+        assert ref.folds_below_optimum(ds.efforts(), res.predictions,
+                                       ref.local_optimum(ds, K_ONLY)) == []
+
+
+class TestLocalOptimum:
+    """`scalar_reference.local_optimum`, the exact yardstick of local tuning."""
+
+    def test_free_weights_need_only_the_drop_one_masks(self, monkeypatch):
+        ds = load_bundled("albrecht")
+        few = ref.local_optimum(ds, VARIANTS["lt"])
+        monkeypatch.setattr(ref, "_reachable_masks",
+                            lambda m, variant: [ref.mask_bits(v, m) for v in range(1, 2 ** m)])
+        assert np.array_equal(ref.local_optimum(ds, VARIANTS["lt"]), few)
+
+    @pytest.mark.parametrize("variant", [VARIANTS["lt_plus"], K_ONLY], ids=["lt_plus", "k_only"])
+    def test_pinned_weights_match_the_kernel_over_every_k_and_mask(self, variant):
+        # pinned weights leave a finite space: every (k, mask) scored by the
+        # problem the swarm tunes, then each objective's least value
+        ds = load_bundled("synthetic_small")
+        optimum = ref.local_optimum(ds, variant)
+        masks = np.array([ref.mask_bits(v, ds.m) for v in range(1, 2 ** ds.m)]
+                         if variant.optimize_features else [[1] * ds.m], dtype=float)
+        for i in range(ds.n):
+            train, row, actual = ds.loocv_fold(i)
+            problem = LocalProblem(train, row, actual, variant)
+            K = np.repeat(np.arange(1, train.n + 1), len(masks))
+            W = np.full((len(K), train.n, ds.m), 1.0 / ds.m)
+            scores = problem.score(K, np.tile(masks, (train.n, 1)), W)
+            np.testing.assert_allclose(scores.min(axis=0), optimum[i], rtol=1e-12, atol=0)
 
 
 class TestBestK:
