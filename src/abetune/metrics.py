@@ -11,6 +11,17 @@ One array kernel, `error_means`, computes the mean errors (MAE, MBRE,
 MIBRE): the tuning problems call it for the swarm's objectives over a stack
 of folds, and `aggregate` for the suite that `report.json` stores, which is
 a plain dict.
+
+The sampled random-guess baseline streams its draws instead of holding all
+runs x n of them.  It keeps the bits of `np.mean` and `np.std(ddof=1)` over
+the whole (runs, n) block because of two facts about NumPy's implementation
+(not API guarantees, so `tests/test_metrics.py` pins them):
+`Generator.integers` over a range below 2^32 gives the same values drawn in
+one call or in consecutive pieces, and `np.add.reduce` over a contiguous
+float64 vector is a pairwise sum whose value on each subtree depends only on
+that subtree.  So the baseline draws one leaf of the flat block at a time,
+sums it with `np.add.reduce`, and adds the leaves' sums along NumPy's own
+split; the squared deviations take a second pass over the same draws.
 """
 
 from __future__ import annotations
@@ -64,12 +75,75 @@ def lsd(actuals, predictions) -> float:
     return float(np.sqrt(np.sum((lam + s2 / 2.0) ** 2) / (len(lam) - 1)))
 
 
+# The most guesses the sampled baseline holds at once, about 128 KiB per
+# array.  It must be at least NumPy's pairwise block (128 elements), so that
+# no stretch NumPy sums as one block is ever split here.
+BASELINE_LEAF = 1 << 14
+
+
+def _pairwise_sum(length: int, leaf_sum):
+    """The sum of a virtual float64 vector of `length` elements, added as
+    `np.add.reduce` adds a contiguous one: halve any stretch longer than a
+    leaf, the left part rounded down to a multiple of 8, and add the halves'
+    sums.  `leaf_sum(size)` must return `np.add.reduce` of the next `size`
+    elements; leaves are asked for from left to right."""
+    if length <= BASELINE_LEAF:
+        return leaf_sum(length)
+    left = length // 2
+    left -= left % 8
+    return _pairwise_sum(left, leaf_sum) + _pairwise_sum(length - left, leaf_sum)
+
+
+def _sampled_baseline(e: np.ndarray, runs: int, seed: int) -> RandomGuessBaseline:
+    """`runs` guessing passes, streamed leaf by leaf in two passes over the
+    same draws: the first sums the errors for the mean, the second redraws
+    them from a fresh generator and sums the squared deviations from it."""
+    n = len(e)
+    size = runs * n
+    # flat index i = run * n + t targets project t and guesses (t + d) mod n
+    target = np.arange(min(size, BASELINE_LEAF) + n) % n
+    actual = e[target]
+    wrapped = np.concatenate([e, e])
+
+    def error_sum(center=None):
+        rng = np.random.default_rng(seed)
+        start = 0
+
+        def leaf_sum(length):
+            nonlocal start
+            t = start % n
+            start += length
+            guess = rng.integers(1, n, size=length)
+            guess += target[t:t + length]
+            errs = wrapped[guess]
+            errs -= actual[t:t + length]
+            np.abs(errs, out=errs)
+            if center is not None:
+                errs -= center
+                np.square(errs, out=errs)
+            return np.add.reduce(errs)
+
+        return _pairwise_sum(size, leaf_sum)
+
+    mean = error_sum() / size
+    return RandomGuessBaseline(mae_p0=float(mean),
+                               sp0=math.sqrt(error_sum(mean) / (size - 1)))
+
+
 def random_guess_baseline(efforts: Sequence[float], mode="exact", runs: int = 100_000,
                           seed: int = 0) -> RandomGuessBaseline:
     """Baseline error of predicting a project by another project's effort.
 
     Exact mode enumerates all ordered (target, guess) pairs; sampled mode
-    draws `runs` full guessing passes with a seeded generator.
+    draws `runs` full guessing passes with `default_rng(seed)`, one (runs, n)
+    block of offsets d in [1, n) with project t guessed by (t + d) mod n.
+
+    Sampled mode returns the bits of `np.mean` and `np.std(ddof=1)` over
+    that block's errors but never holds it: it draws and sums at most
+    BASELINE_LEAF guesses at a time, combining the sums as NumPy's pairwise
+    summation would (see the module docstring), and redraws the same stream
+    for the squared deviations.  Its memory does not depend on `runs`; its
+    time is linear in runs x n.
     """
     e = np.asarray(efforts, dtype=float)
     n = len(e)
@@ -78,21 +152,11 @@ def random_guess_baseline(efforts: Sequence[float], mode="exact", runs: int = 10
     if mode == "exact":
         diff = np.abs(e[:, None] - e[None, :])
         off = diff[~np.eye(n, dtype=bool)]  # the n*(n-1) ordered pairs
-        sd = float(np.std(off, ddof=1)) if len(off) > 1 else 0.0
-        return RandomGuessBaseline(mae_p0=float(off.mean()), sp0=sd)
+        return RandomGuessBaseline(mae_p0=float(off.mean()), sp0=float(np.std(off, ddof=1)))
     if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        # one run = guess every project once from the other n-1; built in
-        # place so only one (runs, n) array is alive at a time
-        idx = rng.integers(1, n, size=(runs, n))
-        idx += np.arange(n)
-        idx %= n
-        errs = e[idx]
-        del idx
-        errs -= e
-        np.abs(errs, out=errs)
-        errs = errs.ravel()
-        return RandomGuessBaseline(mae_p0=float(errs.mean()), sp0=float(np.std(errs, ddof=1)))
+        if runs < 1:
+            raise BoundsError("sampled baseline needs at least one run")
+        return _sampled_baseline(e, runs, seed)
     raise BoundsError(f"unknown baseline mode {mode!r}")
 
 

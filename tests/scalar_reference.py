@@ -12,6 +12,9 @@ hand to both sides.
 `local_optimum` is the exact yardstick of local tuning: the least of each
 objective over every solution a local variant can decode to, per fold.
 
+`sampled_baseline` is the one-shot NumPy expression of the sampled
+random-guess baseline, whose bits the streamed `metrics` version keeps.
+
 `reference_run` is the swarm loop written with boolean-mask indexing and a
 fresh array per operation; the allocation-free `mopso.run` must match it
 byte for byte.
@@ -231,6 +234,18 @@ def gt_objectives(ds, sol: dict, baseline) -> np.ndarray:
                                    [predict(train, row, sol) for train, row, _ in folds])
     sa = 1.0 - mae / max(baseline.mae_p0, EPS_EFFORT)
     return np.array([-sa, mbre, mibre])
+
+
+def sampled_baseline(efforts, runs: int, seed: int) -> tuple:
+    """(MAE_p0, SP0) of the sampled random-guess baseline in one shot: a
+    (runs, n) block of offsets from `default_rng(seed)`, project t guessed by
+    project (t + offset) mod n, then `np.mean` and `np.std(ddof=1)` over every
+    error.  The streamed `metrics` baseline must give these bits."""
+    e = np.asarray(efforts, dtype=float)
+    n = len(e)
+    guess = (np.arange(n) + np.random.default_rng(seed).integers(1, n, size=(runs, n))) % n
+    errs = np.abs(e[guess] - e).ravel()
+    return float(errs.mean()), float(np.std(errs, ddof=1))
 
 
 def reference_velocity(V, X, PB, G, R1, R2, w_t: float, c1: float, c2: float, v_max):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,84 @@ class TestBaseline:
     def test_too_few_efforts(self):
         with pytest.raises(BoundsError):
             metrics.random_guess_baseline([1])
+
+    def test_sampled_needs_a_run(self):
+        with pytest.raises(BoundsError):
+            metrics.random_guess_baseline([1, 2, 3], mode="sampled", runs=0)
+
+
+def _efforts(n: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    if kind == "ties":
+        return rng.integers(1, 4, n).astype(float)
+    return 10.0 ** rng.uniform(0, 6, n)  # efforts from 1 to 1e6
+
+
+class TestStreamedBaseline:
+    """The sampled baseline is summed leaf by leaf along NumPy's pairwise
+    tree; it must keep every bit of the one-shot `np.mean`/`np.std`."""
+
+    # runs * n spans: below one leaf (runs 1 and 7), not a multiple of 8
+    # (odd n at odd runs), and many leaves (runs 1001 at n >= 77; n = 300
+    # gives 19).  n = 2 draws nothing: its only guess is the other project.
+    @pytest.mark.parametrize("kind", ["ties", "spread"])
+    @pytest.mark.parametrize("runs", [1, 7, 1001])
+    @pytest.mark.parametrize("n", [2, 3, 15, 77, 129, 300])
+    def test_bits_match_the_one_shot_expression(self, n, runs, kind):
+        e = _efforts(n, kind)
+        for seed in (0, 7):
+            got = metrics.random_guess_baseline(e, mode="sampled", runs=runs, seed=seed)
+            assert (got.mae_p0, got.sp0) == ref.sampled_baseline(e, runs, seed), seed
+
+    def test_grid_sampled_inputs_keep_their_bits(self):
+        # the benchmark's grid-sampled baselines: every bundled dataset but
+        # synthetic_small at seeds 1-3 and 100,000 runs, as (mae_p0, sp0)
+        expected = {
+            "albrecht": [("0x1.9300e33c33456p+4", "0x1.f2e6f9a145f74p+4"),
+                         ("0x1.92f2d7199e7e5p+4", "0x1.f2e4846eb0e59p+4"),
+                         ("0x1.934df6608ba2ap+4", "0x1.f343157b22050p+4")],
+            "kemerer": [("0x1.c0c066a0ac40dp+7", "0x1.28b79cad61c4dp+8"),
+                        ("0x1.c162b8e8ea39cp+7", "0x1.28c2fef1c3e48p+8"),
+                        ("0x1.c14a6ef5ba653p+7", "0x1.28d4f2f33233ap+8")],
+            "nasa": [("0x1.984c373b76fe5p+5", "0x1.3dc8984592110p+5"),
+                     ("0x1.986fbc655ea00p+5", "0x1.3db5c112c7c97p+5"),
+                     ("0x1.984468bbdaf53p+5", "0x1.3dcfc29b2461ep+5")],
+            "telecom": [("0x1.15e24c00a16f1p+8", "0x1.04e3194972741p+8"),
+                        ("0x1.15d0fc8e2bbf2p+8", "0x1.04d564baf9bbcp+8"),
+                        ("0x1.15df9ee905417p+8", "0x1.0517846c36a08p+8")],
+            "desharnais": [("0x1.b2b9659ec3140p+11", "0x1.925a8cbeeaf73p+11"),
+                           ("0x1.b2b3e322abdb0p+11", "0x1.92811932e60cdp+11"),
+                           ("0x1.b2d15006ff05bp+11", "0x1.926587894e6e9p+11")],
+            "cocomo": [("0x1.1dc43a7cffe06p+9", "0x1.f0433c8da9f9bp+9"),
+                       ("0x1.1d9b97984c0d9p+9", "0x1.eff0c54acf8c0p+9"),
+                       ("0x1.1d83174e3b22cp+9", "0x1.efe6470760af2p+9")],
+            "china": [("0x1.18db1d61c9012p+12", "0x1.7a5494f246aecp+12"),
+                      ("0x1.18e153b379cdep+12", "0x1.7a726f91968f6p+12"),
+                      ("0x1.18e454b3da45fp+12", "0x1.7a6f88a302709p+12")],
+            "maxwell": [("0x1.2df2fb6c0c14fp+13", "0x1.777a4c524d0fep+13"),
+                        ("0x1.2dfd400c2d50ap+13", "0x1.776cfa9ebb687p+13"),
+                        ("0x1.2e2de08ada0ccp+13", "0x1.77c342927c88cp+13")],
+        }
+        got = {}
+        for name in expected:
+            e = load_bundled(name).efforts()
+            drawn = [metrics.random_guess_baseline(e, mode="sampled", runs=100_000, seed=seed)
+                     for seed in (1, 2, 3)]
+            got[name] = [(b.mae_p0.hex(), b.sp0.hex()) for b in drawn]
+        assert got == expected
+
+    @pytest.mark.parametrize("runs", [100_000, 400_000])
+    def test_memory_does_not_grow_with_runs(self, runs):
+        # the one-shot block of desharnais's 77 x 100,000 guesses peaks at
+        # about 118 MiB; streamed, the peak is a few leaves' arrays
+        e = load_bundled("desharnais").efforts()
+        tracemalloc.start()
+        try:
+            metrics.random_guess_baseline(e, mode="sampled", runs=runs, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSaAndEffectSize:
