@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundsError
 from .data import StandardizedDataset
 
 EPS_EFFORT = 1e-6  # floor for adapted predictions before ratio metrics
@@ -93,21 +92,9 @@ class _FoldContext:
         return np.maximum(pred, EPS_EFFORT, out=pred)
 
 
-def solution_rows(sol: dict, n_rows: int):
-    """A solution in report form ({"k", "mask", "weights_used", ...}) as the
-    one-row decoded batch (K, masks, W) of a problem that retrieves up to
-    n_rows analogies."""
-    k = sol["k"]
-    if not 1 <= k <= n_rows:
-        raise BoundsError(f"k={k} out of range 1..{n_rows}")
-    W = np.array([sol["weights_used"]], dtype=float)
-    if W.shape != (1, k, len(sol["mask"])):
-        raise BoundsError(f"weights_used must be k={k} rows of {len(sol['mask'])} weights")
-    return np.array([k]), np.array([sol["mask"]], dtype=float), W
-
-
-def predict_adapted(train: StandardizedDataset, target_row: np.ndarray, sol: dict) -> float:
-    """Adapt each of the k nearest analogies with its rank's weight row, then
-    aggregate with the ordered weighted mean.  Result is floored at EPS_EFFORT."""
-    rows = solution_rows(sol, train.n)
-    return float(_FoldContext([(train, target_row)]).predict_batch(*rows)[0, 0])
+def predict_adapted(train: StandardizedDataset, target_row: np.ndarray, K, masks, W) -> float:
+    """The prediction of one decoded solution (K, masks, W), a one-row batch
+    of shapes (1,), (1, m) and (1, rows, m) with K[0] <= train.n: adapt each
+    of the k nearest analogies with its rank's weight row, then aggregate
+    with the ordered weighted mean.  Result is floored at EPS_EFFORT."""
+    return float(_FoldContext([(train, target_row)]).predict_batch(K, masks, W)[0, 0])

@@ -56,6 +56,10 @@ class DatasetConfig:
 # seed, which is the config's own.
 MOPSO_SETTINGS = {f.name: f.default for f in fields(MopsoConfig) if f.name != "seed"}
 
+# The keys a config object may have; a key a run would ignore is a typo.
+CONFIG_KEYS = ("seed", "datasets", "methods", "mopso", "baseline", "mode", "output_dir")
+DATASET_KEYS = tuple(f.name for f in fields(DatasetConfig))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -109,6 +113,12 @@ def _misfit(value, default) -> str | None:
     return f"a list of {len(default)} finite numbers"
 
 
+def _check_keys(raw: dict, allowed, what: str) -> None:
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown}; choose from {sorted(allowed)}")
+
+
 def _string_list(entry: dict, key: str, where: str) -> tuple:
     value = entry.get(key, [])
     if not _is_list(value) or not all(isinstance(v, str) for v in value):
@@ -121,6 +131,7 @@ def _dataset_config(entry, base_dir: Path | None) -> DatasetConfig:
         entry = {"name": entry}
     if not isinstance(entry, dict):
         raise ConfigError("dataset entries must be a name or an object")
+    _check_keys(entry, DATASET_KEYS, "dataset keys")
     for key in ("name", "path", "effort_column"):
         if entry.get(key) is not None and not isinstance(entry[key], str):
             raise ConfigError(f"dataset {key} must be a string, got {entry[key]!r}")
@@ -156,9 +167,7 @@ def _dataset_config(entry, base_dir: Path | None) -> DatasetConfig:
 def _mopso_config(mraw, seed: int) -> MopsoConfig:
     if not isinstance(mraw, dict):
         raise ConfigError("mopso must be an object")
-    unknown = sorted(set(mraw) - set(MOPSO_SETTINGS))
-    if unknown:
-        raise ConfigError(f"unknown mopso settings {unknown}; choose from {sorted(MOPSO_SETTINGS)}")
+    _check_keys(mraw, MOPSO_SETTINGS, "mopso settings")
     for key, value in mraw.items():
         expected = _misfit(value, MOPSO_SETTINGS[key])
         if expected:
@@ -199,6 +208,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Validate a JSON config dict into an ExperimentConfig."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
+    _check_keys(raw, CONFIG_KEYS, "config keys")
     if "seed" not in raw:
         raise ConfigError("config must set an explicit seed (no wall-clock seeding)")
     seed = raw["seed"]
@@ -285,23 +295,20 @@ def load_dataset_from_config(cfg: DatasetConfig) -> StandardizedDataset:
 
 @contextmanager
 def worker_map(threads: int):
-    """The map every GT cell and LT fold of a run goes through: the builtin
-    `map` at one thread, otherwise the `map` of one pool of `threads` worker
-    processes, at most one per CPU, opened at the first map of two or more
-    tasks.  A map of one task (or none) runs lazily in this process, so a
-    run with a single GT cell and no LT cell starts no worker.  The pool is
-    shut down when the block ends; when it ends on an exception, the tasks
-    still queued are cancelled, so the error surfaces once the running ones
-    finish."""
-    if threads <= 1:
-        yield map
-        return
+    """The map every GT cell and LT fold of a run goes through: the `map`
+    of one pool of `threads` worker processes, at most one per CPU, opened
+    at the first map of two or more tasks.  At one thread, or for a map of
+    one task (or none), the tasks run lazily in this process, as the builtin
+    `map` runs them, so a run with a single GT cell and no LT cell starts no
+    worker.  The pool is shut down when the block ends; when it ends on an
+    exception, the tasks still queued are cancelled, so the error surfaces
+    once the running ones finish."""
     pool = None
 
     def pool_map(fn, items):
         nonlocal pool
         items = list(items)
-        if len(items) <= 1:
+        if threads <= 1 or len(items) <= 1:
             return map(fn, items)
         if pool is None:
             from concurrent.futures import ProcessPoolExecutor
@@ -353,13 +360,6 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-def _baseline(efforts, cfg: ExperimentConfig) -> metrics.RandomGuessBaseline:
-    if cfg.baseline == "exact":
-        return metrics.random_guess_baseline(efforts)
-    return metrics.random_guess_baseline(
-        efforts, mode="sampled", runs=cfg.baseline_runs, seed=cfg.seed)
-
-
 def compare_methods(actuals, predictions: dict, baseline) -> tuple[dict, list, dict]:
     """Score each method's predictions of one dataset against its actuals:
     per method the metric suite, then, with two or more methods, the
@@ -393,7 +393,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
                           [(m, ds) for ds in loaded for m in cfg.methods if _is_shared(m)])
         for ds in loaded:
             efforts = ds.efforts()
-            drawn[ds.name] = efforts, _baseline(efforts, cfg)
+            drawn[ds.name] = efforts, metrics.random_guess_baseline(
+                efforts, mode=cfg.baseline, runs=cfg.baseline_runs, seed=cfg.seed)
             ran = {}
             for method in cfg.methods:
                 try:

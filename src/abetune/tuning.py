@@ -1,7 +1,9 @@
 """Solution encoding and the local/global tuning drivers.
 
-A tuned solution is the triple (k, feature mask, weight matrix), carried
-from decode to `report.json` as one dict (see `decode_position`).  The swarm
+A tuned solution is the triple (k, feature mask, weight matrix).  It flows
+one way: the chosen position is decoded by the problem's `SolutionSpace` into
+the arrays the swarm scored, which make the final predictions, and by
+`decode_position` into the dict `report.json` carries (`_tune`).  The swarm
 works in a continuous box: one dimension for k, one for the integer-encoded
 mask, and one per weight cell; pinned variables (per variant, or where only
 one value is possible) are left out of the box entirely.  Local tuning runs
@@ -153,7 +155,8 @@ def decode_position(x: np.ndarray, n_rows: int, m: int, variant: VariantConfig) 
     then clamp, weight rows clamp to [0,1] and renormalize to sum 1 (all-zero
     -> uniform); pinned weights are uniform 1/m rows.  `mask` holds the
     decoded bits, `v` their big-endian value and `weights_used` the k rows a
-    prediction reads; `abe.solution_rows` turns the dict back into arrays."""
+    prediction reads.  The dict is for the report only; nothing reads it
+    back into arrays."""
     space = SolutionSpace(n_rows=n_rows, m=m, variant=variant)
     K, masks, W = space.decode(np.asarray(x, dtype=float)[None, :])
     k = int(K[0])
@@ -260,15 +263,17 @@ def _fold_seed(base_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(int(base_seed), spawn_key=(index,))
 
 
-def _tune(problem, cfg: mopso.MopsoConfig) -> dict:
+def _tune(problem, cfg: mopso.MopsoConfig) -> tuple:
     """The solution `select_from_front` picks from the swarm's final archive,
-    in report form; a box with no free dimension decodes its one point."""
-    x = np.zeros(0)
+    as ((K, masks, W), report form): the one-row batch the problem's own
+    `SolutionSpace.decode` gives, the layout the swarm scored, and its dict.
+    A box with no free dimension decodes its one point."""
+    x = np.zeros((1, 0))
     if problem.bounds.dim:
         archive = mopso.run(problem, cfg)
-        x = archive.positions[select_from_front(archive.fitnesses)]
+        x = archive.positions[[select_from_front(archive.fitnesses)]]
     space = problem.space
-    return decode_position(x, space.n_rows, space.m, space.variant)
+    return space.decode(x), decode_position(x[0], space.n_rows, space.m, space.variant)
 
 
 def _run_lt_fold(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
@@ -276,8 +281,8 @@ def _run_lt_fold(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.Mop
     train, target_row, actual = ds.loocv_fold(i)
     problem = (GlobalProblem(train, variant) if honest
                else LocalProblem(train, target_row, actual, variant))
-    sol = _tune(problem, replace(cfg, seed=_fold_seed(cfg.seed, i)))
-    return abe.predict_adapted(train, target_row, sol), sol
+    rows, sol = _tune(problem, replace(cfg, seed=_fold_seed(cfg.seed, i)))
+    return abe.predict_adapted(train, target_row, *rows), sol
 
 
 def run_lt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
@@ -297,8 +302,8 @@ def run_gt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConf
     applied to every project under leave-one-out, by the arithmetic that
     scored it, to produce predictions."""
     problem = GlobalProblem(ds, variant)
-    sol = _tune(problem, cfg)
-    preds = problem.ctx.predict_batch(*abe.solution_rows(sol, problem.space.n_rows))[0]
+    rows, sol = _tune(problem, cfg)
+    preds = problem.ctx.predict_batch(*rows)[0]
     return TuningResult(predictions=preds, solutions=[sol], mode="global")
 
 

@@ -7,7 +7,8 @@ effort adjusted by its rank's weighted masked differences divided by m, then
 aggregated with the ordered weights 2^(k-r) / (2^k - 1).  Solutions are the
 report-form dicts the program carries; the error measures use `math` alone.
 `numeric_std` and `solution` build the small tables and solutions the tests
-hand to both sides.
+hand to both sides, and `solution_arrays` turns such a solution into the
+decoded arrays the kernel reads.
 
 `local_optimum` is the exact yardstick of local tuning: the least of each
 objective over every solution a local variant can decode to, per fold.
@@ -50,6 +51,13 @@ def solution(k: int, bits, weights) -> dict:
     w = np.asarray(weights, dtype=float)
     return {"k": k, "v": v, "mask": [int(b) for b in bits], "n_rows": len(w),
             "weights_used": w[:k].tolist()}
+
+
+def solution_arrays(sol: dict) -> tuple:
+    """A solution in report form as the one-row decoded batch (K, masks, W)
+    of shapes (1,), (1, m) and (1, k, m)."""
+    return (np.array([sol["k"]]), np.array([sol["mask"]], dtype=float),
+            np.array([sol["weights_used"]], dtype=float))
 
 
 def numeric_std(rows, efforts):

@@ -103,7 +103,7 @@ def _owm_row(k: int) -> np.ndarray:
 
 def _score(problem, sol: dict) -> np.ndarray:
     """A problem's objectives for one solution in report form."""
-    return problem.score(*abe.solution_rows(sol, problem.space.n_rows))[0]
+    return problem.score(*ref.solution_arrays(sol))[0]
 
 
 def _floored(x):
@@ -225,9 +225,11 @@ def test_c1_metric_unit_exactness():
     train = tiny.subset([0, 1, 2])
     sol = ref.solution(2, [1, 1], np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
     chk("predict_adapted compositional oracle",
-        abe.predict_adapted(train, tiny.matrix[3], sol), ref.predict(train, tiny.matrix[3], sol))
+        abe.predict_adapted(train, tiny.matrix[3], *ref.solution_arrays(sol)),
+        ref.predict(train, tiny.matrix[3], sol))
     sol1 = ref.solution(1, [1, 1], np.ones((3, 2)))
-    chk("predict_adapted identity", abe.predict_adapted(train, train.matrix[1], sol1), 30.0)
+    chk("predict_adapted identity",
+        abe.predict_adapted(train, train.matrix[1], *ref.solution_arrays(sol1)), 30.0)
 
     # tuning codecs and selection
     # one weight row pins k to 1 and lt_plus the weights: a mask-only box
@@ -316,16 +318,14 @@ def test_c3_brute_force_pareto_equivalence():
 
         fold_cfg = replace(cfg, seed=tuning._fold_seed(cfg.seed, i))
         archive = mopso.run(problem, fold_cfg)
-        front = [tuning.decode_position(x, train.n, ds.m, variant) for x in archive.positions]
-        sol = tuning._tune(problem, fold_cfg)
-        chosen_obj = _score(problem, sol)
+        chosen_obj = problem.score(*tuning._tune(problem, fold_cfg)[0])[0]
         # dominance at the criterion's stated tolerance: an enumerated vector
         # must be at least 1e-9 better somewhere and no worse anywhere
         dominated = any(
             bool(np.all(e <= chosen_obj + 1e-9) and np.any(e < chosen_obj - 1e-9))
             for e in enumerated)
         assert not dominated, f"project {i}: selected vector dominated"
-        front_best_ae = min(_score(problem, s)[0] for s in front)
+        front_best_ae = problem.score(*problem.space.decode(archive.positions))[:, 0].min()
         assert abs(front_best_ae - enumerated[:, 0].min()) <= 1e-9, \
             f"project {i}: best front AE misses the enumerated optimum"
         checked += 1

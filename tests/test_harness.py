@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from abetune import abe, cli, harness, metrics, tuning
 from abetune.errors import AbetuneError, ConfigError, EvaluationError
 from abetune.harness import emit_report, parse_config, report_json, run_experiment
-from scalar_reference import numeric_std, solution
+from scalar_reference import numeric_std, solution, solution_arrays
 
 BASE_CONFIG = {
     "datasets": [{"name": "synthetic_small"}],
@@ -165,7 +165,8 @@ class TestRunLoocv:
 
     @staticmethod
     def predict_all(ds, sol):
-        return [abe.predict_adapted(*ds.loocv_fold(i)[:2], sol) for i in range(ds.n)]
+        rows = solution_arrays(sol)
+        return [abe.predict_adapted(*ds.loocv_fold(i)[:2], *rows) for i in range(ds.n)]
 
     def test_deterministic_predictor(self):
         ds = numeric_std([[0.0], [1.0], [2.0], [3.0]], [10, 20, 30, 40])
@@ -479,6 +480,31 @@ class TestCli:
             assert cli.main([*args, "--config", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("validation error: mopso ") and named in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change,unknown", [
+        ({"baselin": {"sampled": 5}}, "config keys ['baselin']"),
+        ({"mdoe": "honest"}, "config keys ['mdoe']"),
+        ({"Seed": 1, "threads": 2}, "config keys ['Seed', 'threads']"),
+        ({"datasets": [{"name": "synthetic_small", "bogus": 1}]}, "dataset keys ['bogus']"),
+        ({"datasets": ["synthetic_small", {"name": "x", "path": "x.csv", "effort_column": "e",
+                                           "categorical_column": ["a"]}]},
+         "dataset keys ['categorical_column']"),
+    ], ids=["baselin", "mdoe", "two-keys", "entry-bogus", "entry-role"])
+    def test_unknown_keys_are_a_validation_error(self, tmp_path, capsys, monkeypatch, change,
+                                                 unknown):
+        # accepted before and ignored: "mdoe" ran the oracle mode, and
+        # "categorical_column" scaled a categorical column as a numeric one
+        choices = ("['baseline', 'datasets', 'methods', 'mode', 'mopso', 'output_dir', 'seed']"
+                   if unknown.startswith("config") else
+                   "['categorical_columns', 'effort_column', 'excluded_columns', 'name', 'path']")
+        (tmp_path / "x.csv").write_text("a,e\n1,2\n3,4\n5,6\n")  # entry-role's table
+        path = self.write_config(tmp_path, **change)
+        monkeypatch.setattr(harness, "run_method", lambda *a, **k: pytest.fail("tuned a cell"))
+        for args in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli.main([*args, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == \
+                f"validation error: unknown {unknown}; choose from {choices}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])

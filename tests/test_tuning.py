@@ -131,7 +131,7 @@ class TestPositionCodec:
 
 def score(problem, sol: dict) -> np.ndarray:
     """A problem's objectives for one solution in report form."""
-    return problem.score(*abe.solution_rows(sol, problem.space.n_rows))[0]
+    return problem.score(*ref.solution_arrays(sol))[0]
 
 
 class TestObjectives:
@@ -156,14 +156,6 @@ class TestObjectives:
         sol = ref.solution(1, (1,), np.ones((3, 1)))
         obj = score(LocalProblem(train, np.array([0.0]), 10.0, VARIANTS["lt"]), sol)
         assert obj.tolist() == pytest.approx([5.0, 1.0, 0.5], abs=ATOL)
-
-    def test_k_beyond_the_training_set_rejected(self):
-        train = self.ds.subset([0, 1, 2])
-        with pytest.raises(BoundsError):
-            score(LocalProblem(train, self.ds.matrix[3], 22.0, VARIANTS["lt"]),
-                  self.full_sol(4, 2, k=4))
-        with pytest.raises(BoundsError):
-            score(GlobalProblem(self.ds, VARIANTS["gt"]), self.full_sol(6, 2, k=6))
 
     def test_lt_domination_ordering(self):
         a = np.array([1.0, 0.1, 0.05])
@@ -191,13 +183,6 @@ class TestObjectives:
         other = decode_position(other_x, space.n_rows, space.m, space.variant)
         assert decode_position(x, space.n_rows, space.m, space.variant) == other
         assert np.array_equal(score(problem, base), score(problem, other))
-
-    def test_weight_rows_other_than_k_rejected(self):
-        sol = self.full_sol(train_n=self.ds.n - 1, m=2, k=2)
-        for rows in (sol["weights_used"][:1], sol["weights_used"] * 2,
-                     [row[:1] for row in sol["weights_used"]]):
-            with pytest.raises(BoundsError):
-                score(GlobalProblem(self.ds, VARIANTS["gt"]), dict(sol, weights_used=rows))
 
     def test_gt_perfect_predictor_contrived(self):
         # duplicated projects: nearest neighbor always shares the effort
@@ -382,8 +367,11 @@ class TestRunners:
             archive = mopso.run(problem, fold_cfg)
             chosen = select_from_front(archive.fitnesses)
             sol = decode_position(archive.positions[chosen], train.n, ds.m, VARIANTS["lt"])
-            assert sol == res.solutions[i] == tuning._tune(problem, fold_cfg)
+            rows, tuned = tuning._tune(problem, fold_cfg)
+            assert sol == res.solutions[i] == tuned
+            assert res.predictions[i] == abe.predict_adapted(train, row, *rows)
             obj = archive.fitnesses[chosen]
+            assert np.allclose(problem.score(*rows)[0], obj, rtol=1e-12, atol=0)
             assert abs(abs(actual - res.predictions[i]) - obj[0]) <= 1e-12 * max(1.0, actual)
 
     def test_fold_streams_are_distinct(self):
