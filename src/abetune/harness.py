@@ -27,6 +27,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -354,12 +355,6 @@ def _shared_cell(cfg: MopsoConfig, cell: tuple) -> tuning.TuningResult:
 # report
 # ---------------------------------------------------------------------------
 
-def report_json(report: dict) -> str:
-    """The machine-format report: sorted keys, no whitespace, one line
-    (without its newline)."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
-
-
 def compare_methods(actuals, predictions: dict, baseline) -> tuple[dict, list, dict]:
     """Score each method's predictions of one dataset against its actuals:
     per method the metric suite, then, with two or more methods, the
@@ -375,7 +370,7 @@ def compare_methods(actuals, predictions: dict, baseline) -> tuple[dict, list, d
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Evaluate every (dataset, method) cell and assemble the full report,
-    as the dict that `report_json` serializes.
+    as the dict that `report_chunks` serializes.
 
     Every GT cell of the run is handed to the `worker_map` first, in
     (dataset, method) order, and its result is taken when the loop reaches
@@ -481,16 +476,58 @@ def comparison_line(dataset: str, comp: dict) -> str:
     return ",".join(row + [comp["outcomes"].get(e, "") for e in MEASURES])
 
 
+# The report's one serializer: `json.dumps(value, sort_keys=True,
+# separators=(",", ":"))`, with the default `ensure_ascii` and `allow_nan`,
+# built once instead of on every call.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def report_chunks(value, depth: int = 5):
+    """The machine-format report in pieces: their concatenation is
+    `json.dumps(value, sort_keys=True, separators=(",", ":"))`, one line
+    without its newline.  A non-empty dict, or a list of dicts, in the top
+    `depth` levels is written item by item, a dict in sorted key order;
+    every other value is one `_ENCODE` call.  The five levels reach a
+    method cell's `solutions`, so a piece is at most one tuned solution
+    (their `weights_used` rows make up almost all of a report), and neither
+    the whole text nor a cell's is ever held."""
+    if depth and isinstance(value, dict) and value:
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + _ENCODE(key) + ":"
+            yield from report_chunks(value[key], depth - 1)
+        yield "}"
+    elif depth and isinstance(value, list) and value and isinstance(value[0], dict):
+        for i, item in enumerate(value):
+            yield "," if i else "["
+            yield from report_chunks(item, depth - 1)
+        yield "]"
+    else:
+        yield _ENCODE(value)
+
+
+def _write(path: Path, pieces) -> None:
+    """Write the text `pieces` to `path` as they come.  When making or
+    writing a piece raises, the file is removed before the error goes on,
+    so no truncated file is left behind."""
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def write_files(out_dir, files: dict) -> list:
     """Write each {file name: lines} entry of `files` into `out_dir` (made
-    when missing), each line ended by a newline; returns the paths written,
-    in the order of `files`."""
+    when missing), line by line, each line ended by a newline; returns the
+    paths written, in the order of `files`.  A file whose write raises is
+    removed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for name, lines in files.items():
         path = out / name
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(path, (line + "\n" for line in lines))
         written.append(path)
     return written
 
@@ -498,7 +535,9 @@ def write_files(out_dir, files: dict) -> list:
 def emit_report(report: dict, out_dir) -> list:
     """Write report.json, its CSV and Markdown views and a gnuplot-style
     'k count' histogram per cell with per-project solutions; returns the
-    paths written."""
+    paths written, report.json first.  report.json is streamed from
+    `report_chunks` and written before the other files; when it cannot be
+    serialized, it is removed and nothing else is written."""
     results, wtl, ranks = report["results"], report["win_tie_loss"], report["rank_summaries"]
     methods = list(next(iter(results.values()))) if results else []
     grid = [(m, e) for m in methods for e in MEASURES]
@@ -506,7 +545,6 @@ def emit_report(report: dict, out_dir) -> list:
     rows = [[d] + [_human_value(e, cells[m]["metrics"][e]) for m, e in grid]
             for d, cells in results.items()]
     files = {
-        "report.json": [report_json(report)],
         "metrics.csv": [",".join(["dataset"] + [f"{m}_{e}" for m, e in grid])]
                        + [",".join(row) for row in rows],
         "comparisons.csv": [COMPARISON_HEADER] + [
@@ -537,4 +575,8 @@ def emit_report(report: dict, out_dir) -> list:
         f"SA shown as a percentage. Local tuning objective mode: "
         f"{report['config'].get('mode', 'oracle')}.",
     ]
-    return write_files(out_dir, files)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "report.json"
+    _write(path, chain(report_chunks(report), ["\n"]))
+    return [path, *write_files(out, files)]

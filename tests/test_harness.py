@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from concurrent import futures
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from abetune import abe, cli, harness, metrics, tuning
 from abetune.errors import AbetuneError, ConfigError, EvaluationError
-from abetune.harness import emit_report, parse_config, report_json, run_experiment
+from abetune.harness import emit_report, parse_config, run_experiment
 from scalar_reference import numeric_std, solution, solution_arrays
 
 BASE_CONFIG = {
@@ -23,6 +24,11 @@ BASE_CONFIG = {
     "seed": 99,
     "baseline": "exact",
 }
+
+
+def report_json(report: dict) -> str:
+    """The text `emit_report` streams into report.json, without its newline."""
+    return "".join(harness.report_chunks(report))
 
 
 class TestConfig:
@@ -381,6 +387,119 @@ def mark_slowly(path):
     """A slow pool task that leaves a file behind when it runs."""
     time.sleep(0.2)
     path.touch()
+
+
+def hand_report(results: dict, comparisons=None, wtl=None, ranks=None) -> dict:
+    """A report of hand-made cells, {dataset: {method: cell}}; a dataset's
+    comparisons and tallies default to empty, as in a one-method run."""
+    return {"engine_version": "0.4.0", "config": {"mode": "oracle", "seed": 1},
+            "results": results,
+            "comparisons": comparisons or {d: [] for d in results},
+            "win_tie_loss": wtl or {d: {} for d in results},
+            "rank_summaries": ranks or {}}
+
+
+def hand_cell(predictions, solutions, metric=0.5) -> dict:
+    actuals = [float(i + 1) for i in range(len(predictions))]
+    return {"metrics": dict.fromkeys((*harness.MEASURES, "effect_size"), metric)
+            | {"n": len(actuals)},
+            "actuals": actuals, "predictions": predictions, "solutions": solutions,
+            "mode": "local_oracle"}
+
+
+def tuned(rows, cols, rng) -> dict:
+    return {"k": rows, "v": 2 ** cols - 1, "mask": [1] * cols, "n_rows": rows,
+            "weights_used": rng.random((rows, cols)).tolist()}
+
+
+def non_finite_report():
+    inf = math.inf
+    sols = [{"k": 1, "v": 1, "mask": [1], "n_rows": 1, "weights_used": [[w]]}
+            for w in (math.nan, inf, -inf)]
+    return hand_report(
+        {"d": {"abe0": hand_cell([math.nan, inf, 2.0], [{"k": 1}], metric=math.nan),
+               "lt": hand_cell([-inf, 1.5, 2.0], sols, metric=-inf)}},
+        comparisons={"d": [{"method_a": "abe0", "method_b": "lt", "p_value": math.nan,
+                            "outcomes": dict.fromkeys(harness.MEASURES, "tie")}]},
+        ranks={"mae": [{"method": "abe0", "mean_rank": inf, "rank_sd": math.nan},
+                       {"method": "lt", "mean_rank": -inf, "rank_sd": 0.0}]})
+
+
+def case_order_report():
+    # insertion order is neither the code-point order of the dataset names
+    # ("B" < "a") nor that of the method keys (lt < lt_plus < lt_star)
+    rng = np.random.default_rng(3)
+    methods = ("lt_star", "lt", "lt_plus")
+    results = {d: {m: hand_cell([1.25, 2.5], [tuned(2, 3, rng), tuned(1, 3, rng)])
+                   for m in methods} for d in ("a", "B")}
+    outcomes = dict(zip(harness.MEASURES, ("win", "tie", "loss", "tie", "win")))
+    return hand_report(
+        results,
+        comparisons={d: [{"method_a": a, "method_b": b, "p_value": 0.5, "outcomes": outcomes}
+                         for a, b in (("lt_star", "lt"), ("lt_star", "lt_plus"),
+                                      ("lt", "lt_plus"))] for d in results},
+        wtl={d: {m: {e: {"win": 1, "tie": 0, "loss": 1} for e in harness.MEASURES}
+                 for m in methods} for d in results},
+        ranks={e: [{"method": m, "mean_rank": 2.0, "rank_sd": 0.5} for m in methods]
+               for e in harness.MEASURES})
+
+
+def one_method_report():
+    report = run_experiment(parse_config(dict(BASE_CONFIG) | {"methods": ["abe0"]}))
+    assert (report["comparisons"], report["win_tie_loss"], report["rank_summaries"]) == \
+        ({"synthetic_small": []}, {"synthetic_small": {}}, {})
+    return report
+
+
+REPORTS = {
+    "non-finite": non_finite_report,
+    "non-ascii": lambda: hand_report({name: {"abe0": hand_cell([1.0, 2.0], [{"k": 1}])}
+                                      for name in ("café", "Ωmega", "数据")}),
+    "case-order": case_order_report,
+    "one-method": one_method_report,
+    "no-results": lambda: hand_report({}),
+}
+
+
+def large_report():
+    """8 datasets of one LT cell, 60 solutions of 60 x 10 weights each: a
+    report.json of several MB, almost all of it `weights_used`."""
+    rng = np.random.default_rng(1)
+    return hand_report({f"d{i}": {"lt": hand_cell([1.0] * 60, [tuned(60, 10, rng)
+                                                                 for _ in range(60)])}
+                        for i in range(8)})
+
+
+class TestReportText:
+    @pytest.mark.parametrize("name", REPORTS)
+    def test_streamed_text_is_the_one_shot_text(self, tmp_path, name):
+        report = REPORTS[name]()
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        assert report_json(report) == text
+        emit_report(report, tmp_path)
+        assert (tmp_path / "report.json").read_bytes() == (text + "\n").encode("ascii")
+
+    def test_emission_memory_does_not_grow_with_the_report(self, tmp_path):
+        # holding the whole text (the string, a newline-joined copy, the
+        # encoded bytes) peaks at about three times report.json's size;
+        # streaming it peaks at about one tuned solution's text
+        report = large_report()
+        tracemalloc.start()  # traces what is allocated from here on
+        try:
+            emit_report(report, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "report.json").stat().st_size
+        assert size > 4 * 2**20
+        assert peak < size / 4
+
+    def test_a_report_that_fails_to_serialize_leaves_no_report_json(self, tmp_path):
+        report = large_report()
+        report["results"]["d7"]["lt"]["solutions"][-1]["weights_used"] = object()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_report(report, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEmission:
