@@ -370,7 +370,9 @@ def compare_methods(actuals, predictions: dict, baseline) -> tuple[dict, list, d
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Evaluate every (dataset, method) cell and assemble the full report,
-    as the dict that `report_chunks` serializes.
+    as the dict that `report_chunks` serializes.  A tuned solution keeps
+    its `weights_used` as the (k, m) float64 array `tuning.decode_position`
+    made, which `report.json` writes as lists of rows.
 
     Every GT cell of the run is handed to the `worker_map` first, in
     (dataset, method) order, and its result is taken when the loop reaches
@@ -476,10 +478,20 @@ def comparison_line(dataset: str, comp: dict) -> str:
     return ",".join(row + [comp["outcomes"].get(e, "") for e in MEASURES])
 
 
+def _float_rows(value) -> list:
+    """`_ENCODE`'s hook: a float64 array, a tuned solution's `weights_used`,
+    as the nested lists of Python floats whose text `report.json` holds.
+    Anything else is the encoder's TypeError."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 # The report's one serializer: `json.dumps(value, sort_keys=True,
 # separators=(",", ":"))`, with the default `ensure_ascii` and `allow_nan`,
-# built once instead of on every call.
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# built once instead of on every call, and with `_float_rows` for the
+# solutions' weight arrays.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_float_rows).encode
 
 
 def report_chunks(value, depth: int = 5):
@@ -490,7 +502,9 @@ def report_chunks(value, depth: int = 5):
     every other value is one `_ENCODE` call.  The five levels reach a
     method cell's `solutions`, so a piece is at most one tuned solution
     (their `weights_used` rows make up almost all of a report), and neither
-    the whole text nor a cell's is ever held."""
+    the whole text nor a cell's is ever held.  A solution's `weights_used`
+    array becomes lists only inside its own piece's `_ENCODE` call, so at
+    most one solution's lists exist at a time."""
     if depth and isinstance(value, dict) and value:
         for i, key in enumerate(sorted(value)):
             yield ("," if i else "{") + _ENCODE(key) + ":"

@@ -3,7 +3,8 @@
 A tuned solution is the triple (k, feature mask, weight matrix).  It flows
 one way: the chosen position is decoded by the problem's `SolutionSpace` into
 the arrays the swarm scored, which make the final predictions, and by
-`decode_position` into the dict `report.json` carries (`_tune`).  The swarm
+`decode_position` into the dict `report.json` carries (`_tune`), whose
+`weights_used` stays a float64 array until the report is written.  The swarm
 works in a continuous box: one dimension for k, one for the integer-encoded
 mask, and one per weight cell; pinned variables (per variant, or where only
 one value is possible) are left out of the box entirely.  Local tuning runs
@@ -155,14 +156,16 @@ def decode_position(x: np.ndarray, n_rows: int, m: int, variant: VariantConfig) 
     then clamp, weight rows clamp to [0,1] and renormalize to sum 1 (all-zero
     -> uniform); pinned weights are uniform 1/m rows.  `mask` holds the
     decoded bits, `v` their big-endian value and `weights_used` the k rows a
-    prediction reads.  The dict is for the report only; nothing reads it
-    back into arrays."""
+    prediction reads, as a (k, m) float64 array that owns them, so that a
+    kept solution holds neither Python floats nor the decode's (n_rows, m)
+    block; `report.json` writes its rows as lists.  The dict is for the
+    report only; nothing reads it back into arrays."""
     space = SolutionSpace(n_rows=n_rows, m=m, variant=variant)
     K, masks, W = space.decode(np.asarray(x, dtype=float)[None, :])
     k = int(K[0])
     bits = masks[0].astype(int).tolist()
     return {"k": k, "v": int("".join(map(str, bits)), 2), "mask": bits, "n_rows": n_rows,
-            "weights_used": W[0, :k].tolist()}
+            "weights_used": W[0, :k].copy()}
 
 
 def select_from_front(objectives) -> int:

@@ -5,10 +5,11 @@ Python, independently of the array kernels in `abetune`.  The estimator is
 written out from its definition: analogies sorted by (distance, index), each
 effort adjusted by its rank's weighted masked differences divided by m, then
 aggregated with the ordered weights 2^(k-r) / (2^k - 1).  Solutions are the
-report-form dicts the program carries; the error measures use `math` alone.
-`numeric_std` and `solution` build the small tables and solutions the tests
-hand to both sides, and `solution_arrays` turns such a solution into the
-decoded arrays the kernel reads.
+report-form dicts the program carries, `weights_used` a (k, m) float64
+array; the error measures use `math` alone.  `numeric_std` and `solution`
+build the small tables and solutions the tests hand to both sides,
+`solution_arrays` turns such a solution into the decoded arrays the kernel
+reads, and `assert_same_solution` compares two of them exactly.
 
 `local_optimum` is the exact yardstick of local tuning: the least of each
 objective over every solution a local variant can decode to, per fold.
@@ -44,13 +45,29 @@ def mask_bits(v: int, m: int) -> list:
 
 def solution(k: int, bits, weights) -> dict:
     """The report form of (k, mask bits, weight rows): `v` folds the bits
-    big-endian and `weights_used` keeps the first k rows."""
+    big-endian and `weights_used` keeps the first k rows, as a float64
+    array of its own."""
     v = 0
     for b in bits:
         v = 2 * v + int(b)
     w = np.asarray(weights, dtype=float)
     return {"k": k, "v": v, "mask": [int(b) for b in bits], "n_rows": len(w),
-            "weights_used": w[:k].tolist()}
+            "weights_used": w[:k].copy()}
+
+
+def assert_same_solution(got: dict, want: dict) -> None:
+    """Two report-form solutions are the same: the same keys, each value of
+    the same type and equal, and `weights_used` arrays of the same shape and
+    dtype with equal entries.  No tolerance: a solution's bits are what
+    `report.json` writes."""
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        assert type(got[key]) is type(value), key
+        if key == "weights_used":
+            assert (got[key].shape, got[key].dtype) == (value.shape, value.dtype)
+            assert np.array_equal(got[key], value)
+        else:
+            assert got[key] == value, key
 
 
 def solution_arrays(sol: dict) -> tuple:

@@ -407,9 +407,23 @@ def hand_cell(predictions, solutions, metric=0.5) -> dict:
             "mode": "local_oracle"}
 
 
-def tuned(rows, cols, rng) -> dict:
+def tuned(rows, cols, rng=None, weights=None) -> dict:
+    """A tuned solution in the form the program carries: `weights_used` is
+    the given (rows, cols) float64 array, or a random one."""
     return {"k": rows, "v": 2 ** cols - 1, "mask": [1] * cols, "n_rows": rows,
-            "weights_used": rng.random((rows, cols)).tolist()}
+            "weights_used": rng.random((rows, cols)) if weights is None else weights}
+
+
+def as_lists(value):
+    """`value` with every (k, m) array written out entry by entry as k lists
+    of Python floats: the report in the form `json.dumps` takes."""
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [as_lists(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return [[float(x) for x in row] for row in value]
+    return value
 
 
 def non_finite_report():
@@ -451,12 +465,28 @@ def one_method_report():
     return report
 
 
+def weight_arrays_report():
+    # one solution per kind of weights_used array: k = 1; m = 1; thirds and
+    # tenths; exact 0.0 and 1.0; the smallest and largest subnormals; a
+    # strided view and a transposed one, neither C-contiguous
+    strided = (np.arange(1.0, 25.0) / 7.0).reshape(4, 6)[::2, ::3]
+    transposed = np.array([[0.25, 0.5, 0.25], [0.6, 0.2, 0.2]]).T
+    assert not strided.flags.c_contiguous and not transposed.flags.c_contiguous
+    arrays = [np.array([[0.125, 0.875]]), np.ones((3, 1)),
+              np.array([[1 / 3, 2 / 3], [0.1, 0.9], [0.7, 0.3]]),
+              np.array([[0.0, 1.0], [1.0, 0.0]]),
+              np.array([[5e-324, 1.0], [2.2250738585072009e-308, 1.0]]), strided, transposed]
+    return hand_report({"d": {"lt": hand_cell([1.0] * len(arrays),
+                                              [tuned(*w.shape, weights=w) for w in arrays])}})
+
+
 REPORTS = {
     "non-finite": non_finite_report,
     "non-ascii": lambda: hand_report({name: {"abe0": hand_cell([1.0, 2.0], [{"k": 1}])}
                                       for name in ("café", "Ωmega", "数据")}),
     "case-order": case_order_report,
     "one-method": one_method_report,
+    "weight-arrays": weight_arrays_report,
     "no-results": lambda: hand_report({}),
 }
 
@@ -474,10 +504,18 @@ class TestReportText:
     @pytest.mark.parametrize("name", REPORTS)
     def test_streamed_text_is_the_one_shot_text(self, tmp_path, name):
         report = REPORTS[name]()
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(as_lists(report), sort_keys=True, separators=(",", ":"))
         assert report_json(report) == text
         emit_report(report, tmp_path)
         assert (tmp_path / "report.json").read_bytes() == (text + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("value", [np.ones((1, 2), dtype=np.float32),
+                                       np.ones((1, 2), dtype=np.int64), object()],
+                             ids=["float32", "int64", "object"])
+    def test_only_float64_arrays_are_written(self, value):
+        report = hand_report({"d": {"lt": hand_cell([1.0], [tuned(1, 2, weights=value)])}})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            report_json(report)
 
     def test_emission_memory_does_not_grow_with_the_report(self, tmp_path):
         # holding the whole text (the string, a newline-joined copy, the

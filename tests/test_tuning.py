@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from abetune import abe, datasets, metrics, mopso, tuning
+from abetune import abe, datasets, harness, metrics, mopso, tuning
 from abetune.datasets import load_bundled
 from abetune.errors import BoundsError
 from abetune.tuning import (
@@ -90,9 +90,9 @@ class TestPositionCodec:
         assert W.shape == (1, 5, 3)
         assert np.allclose(W, 1 / 3, atol=ATOL)
         assert np.allclose(W.sum(axis=2), 1.0, atol=ATOL)
-        sol = decode_position(np.array([2.6]), 5, 3, v)
-        assert (sol["k"], sol["v"], sol["mask"], sol["n_rows"]) == (3, 7, [1, 1, 1], 5)
-        assert sol["weights_used"] == W[0, :3].tolist()
+        ref.assert_same_solution(decode_position(np.array([2.6]), 5, 3, v),
+                                 {"k": 3, "v": 7, "mask": [1, 1, 1], "n_rows": 5,
+                                  "weights_used": W[0, :3]})
 
     def test_batch_decoder_matches_scalar_decode(self):
         # includes boxes where k (one row) or the mask (one feature) is pinned
@@ -111,15 +111,28 @@ class TestPositionCodec:
                     assert k == K[i]
                     assert list(masks[i]) == bits
                     assert np.array_equal(W[i], w)
-                    assert decode_position(X[i], n_rows, m, variant) == \
-                        ref.solution(k, bits, w)
+                    ref.assert_same_solution(decode_position(X[i], n_rows, m, variant),
+                                             ref.solution(k, bits, w))
 
     def test_degenerate_dimensions_are_pinned(self):
         # one weight row leaves only k = 1, one feature only the mask (1,)
         assert SolutionSpace(n_rows=1, m=2, variant=K_ONLY).bounds().dim == 0
         assert SolutionSpace(n_rows=3, m=1, variant=VARIANTS["lt_plus"]).bounds().dim == 1
-        sol = decode_position(np.zeros(0), 1, 1, VARIANTS["lt_plus"])
-        assert sol == {"k": 1, "v": 1, "mask": [1], "n_rows": 1, "weights_used": [[1.0]]}
+        ref.assert_same_solution(decode_position(np.zeros(0), 1, 1, VARIANTS["lt_plus"]),
+                                 {"k": 1, "v": 1, "mask": [1], "n_rows": 1,
+                                  "weights_used": np.array([[1.0]])})
+
+    @pytest.mark.parametrize("variant,n_rows,m,x", [
+        (VARIANTS["lt"], 4, 3, [2.6, 5.0] + [0.3, 0.0, 0.9] * 4),
+        (K_ONLY, 5, 3, [2.6]),
+        (VARIANTS["lt_plus"], 1, 1, []),
+    ], ids=["free", "pinned-weights", "no-box"])
+    def test_weights_used_owns_its_k_rows(self, variant, n_rows, m, x):
+        # a kept solution must not keep the decode's (1, n_rows, m) block alive
+        sol = decode_position(np.array(x), n_rows, m, variant)
+        w = sol["weights_used"]
+        assert type(w) is np.ndarray and w.dtype == np.float64
+        assert w.shape == (sol["k"], m) and w.base is None
 
     def test_mask_exact_at_the_feature_limit(self):
         m = 52
@@ -181,7 +194,7 @@ class TestObjectives:
         W = space.decode(np.stack([x, other_x]))[2]
         assert np.array_equal(W[0, :2], W[1, :2]) and not np.allclose(W[0, 2:], W[1, 2:])
         other = decode_position(other_x, space.n_rows, space.m, space.variant)
-        assert decode_position(x, space.n_rows, space.m, space.variant) == other
+        ref.assert_same_solution(decode_position(x, space.n_rows, space.m, space.variant), other)
         assert np.array_equal(score(problem, base), score(problem, other))
 
     def test_gt_perfect_predictor_contrived(self):
@@ -368,7 +381,8 @@ class TestRunners:
             chosen = select_from_front(archive.fitnesses)
             sol = decode_position(archive.positions[chosen], train.n, ds.m, VARIANTS["lt"])
             rows, tuned = tuning._tune(problem, fold_cfg)
-            assert sol == res.solutions[i] == tuned
+            ref.assert_same_solution(res.solutions[i], sol)
+            ref.assert_same_solution(tuned, sol)
             assert res.predictions[i] == abe.predict_adapted(train, row, *rows)
             obj = archive.fitnesses[chosen]
             assert np.allclose(problem.score(*rows)[0], obj, rtol=1e-12, atol=0)
@@ -399,6 +413,27 @@ class TestRunners:
         for sol in res.solutions:
             assert len(sol["weights_used"]) == sol["k"]
             assert np.allclose(np.sum(sol["weights_used"], axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_report_solutions_hold_their_own_rows(self, threads):
+        # a worker's solution arrives unpickled, its rows in a buffer of
+        # their own; in this process it is decode_position's array itself
+        cfg = harness.parse_config({"datasets": ["synthetic_small"], "seed": 5,
+                                    "methods": ["lt", "lt_plus", "gt"],
+                                    "mopso": {"pop_size": 8, "max_iter": 4}})
+        cells = harness.run_experiment(cfg, threads=threads)["results"]["synthetic_small"]
+        assert [len(cells[m]["solutions"]) for m in cfg.methods] == [8, 8, 1]
+        for cell in cells.values():
+            for sol in cell["solutions"]:
+                w = sol["weights_used"]
+                assert type(w) is np.ndarray and w.dtype == np.float64
+                assert w.shape == (sol["k"], len(sol["mask"]))
+                root = w
+                while root.base is not None:
+                    root = root.base
+                assert memoryview(root).nbytes == w.nbytes
+                if threads == 1:
+                    assert w.base is None
 
     def test_lt_honest_mode_runs(self):
         ds = numeric_std([[1, 2], [2, 1], [9, 8], [4, 4], [6, 7], [3, 3]],
