@@ -297,13 +297,14 @@ def load_dataset_from_config(cfg: DatasetConfig) -> StandardizedDataset:
 @contextmanager
 def worker_map(threads: int):
     """The map every GT cell and LT fold of a run goes through: the `map`
-    of one pool of `threads` worker processes, at most one per CPU, opened
-    at the first map of two or more tasks.  At one thread, or for a map of
-    one task (or none), the tasks run lazily in this process, as the builtin
-    `map` runs them, so a run with a single GT cell and no LT cell starts no
-    worker.  The pool is shut down when the block ends; when it ends on an
-    exception, the tasks still queued are cancelled, so the error surfaces
-    once the running ones finish."""
+    of one pool of `threads` worker processes, at most one per CPU this
+    process may run on (its affinity set, where the platform reports one),
+    opened at the first map of two or more tasks.  At one thread, or for a
+    map of one task (or none), the tasks run lazily in this process, as the
+    builtin `map` runs them, so a run with a single GT cell and no LT cell
+    starts no worker.  The pool is shut down when the block ends; when it
+    ends on an exception, the tasks still queued are cancelled, so the error
+    surfaces once the running ones finish."""
     pool = None
 
     def pool_map(fn, items):
@@ -314,7 +315,9 @@ def worker_map(threads: int):
         if pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            pool = ProcessPoolExecutor(max_workers=min(threads, cpus))
         return pool.map(fn, items)
 
     try:

@@ -258,7 +258,9 @@ def mutate(X, t: int, cfg: MopsoConfig, bounds: Bounds, rng, S: np.ndarray,
     bool block `picked` are consumed as scratch."""
     d = X.shape[1]
     rng.random(out=S)
-    rows, cols = np.nonzero(np.less(S, 1.0 / d, out=picked))
+    # the flat indices in row-major order, the order np.nonzero gives, split
+    # into (row, column) without its slower 2-D path
+    rows, cols = np.divmod(np.flatnonzero(np.less(S, 1.0 / d, out=picked)), d)
     if len(rows) == 0:
         return X
     up = rng.random(len(rows)) < 0.5  # toward UB, else toward LB

@@ -11,6 +11,9 @@ build the small tables and solutions the tests hand to both sides,
 `solution_arrays` turns such a solution into the decoded arrays the kernel
 reads, and `assert_same_solution` compares two of them exactly.
 
+`whole_block_predict` is the adaptation kernel as one block over every
+rank, without rank chunks; the chunked `predict_batch` must keep its bits.
+
 `local_optimum` is the exact yardstick of local tuning: the least of each
 objective over every solution a local variant can decode to, per fold.
 
@@ -137,6 +140,22 @@ def nearest(train, target_row, k: int) -> list:
 def owm_weights(k: int) -> list:
     """Rank r of k gets 2^(k-r) / (2^k - 1)."""
     return [2.0 ** (k - r) / (2.0 ** k - 1) for r in range(1, k + 1)]
+
+
+def whole_block_predict(ctx, K, masks, W) -> np.ndarray:
+    """`abe._FoldContext.predict_batch` as one (kmax, p, f) block of
+    adapted efforts over every rank of every solution, in fresh arrays:
+    masked weights, one matmul per rank, /m, +efforts, xOWM (0 past each
+    k), then the sum over ranks and the floor.  The chunked kernel must keep
+    its bits."""
+    kmax = int(K.max())
+    m = ctx.diffs.shape[1]
+    wv = W[:, :kmax, :].transpose(1, 0, 2) * masks[None, :, :]
+    adapted = np.matmul(wv, ctx.diffs[:kmax])
+    adapted /= m
+    adapted += ctx.efforts[:kmax, None, :]
+    adapted *= ctx.owm[K - 1, :kmax].T[:, :, None]
+    return np.maximum(adapted.sum(axis=0), EPS_EFFORT)
 
 
 def mean(efforts) -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -202,6 +203,14 @@ class TestFoldContext:
                 want = abe._owm_matrix(np.array([k]), kmax)[0]
                 assert ctx.owm[k - 1, :kmax].tobytes() == want.tobytes(), (k, kmax)
 
+    def test_contexts_with_r_analogies_share_one_read_only_table(self):
+        ds = load_bundled("china")
+        first, second = (abe._FoldContext([ds.loocv_fold(i)[:2]]) for i in (0, 1))
+        assert first.owm is second.owm
+        assert not first.owm.flags.writeable
+        with pytest.raises(ValueError):
+            first.owm[0, 0] = 0.5
+
     def test_predictions_share_no_memory_with_the_context(self):
         ds = load_bundled("desharnais")
         ctx = abe._FoldContext(ds.loocv_fold(i)[:2] for i in range(ds.n))
@@ -230,6 +239,141 @@ class TestFoldContext:
             d = row - train.matrix[order]
             d[:, train.categorical_mask] = 0.0
             assert np.array_equal(ctx.diffs[:, :, j], d)
+
+
+def decoded_batch(problem, p: int):
+    """A problem's fold context and p decoded random positions of its box,
+    as (ctx, K, masks, W)."""
+    b = problem.bounds
+    X = np.random.default_rng(4).uniform(b.lower, b.upper, size=(p, b.dim))
+    return (problem.ctx, *problem.space.decode(X))
+
+
+def gt_batch(name: str, method: str, p: int):
+    """A p-row batch of a bundled dataset's GT-variant problem."""
+    return decoded_batch(tuning.GlobalProblem(load_bundled(name), tuning.VARIANTS[method]), p)
+
+
+def lt_batch(p: int):
+    """A p-row batch of china's fourth LT fold."""
+    train, row, actual = load_bundled("china").loocv_fold(3)
+    return decoded_batch(tuning.LocalProblem(train, row, actual, tuning.VARIANTS["lt"]), p)
+
+
+def chunk_step(ctx, p: int) -> int:
+    """The ranks one chunk of a p-row batch holds at the module's CHUNK."""
+    return max(abe.CHUNK // (p * ctx.diffs.shape[2]), 1)
+
+
+def kmax_of(kmax_from_step):
+    """A case whose K draws 1..kmax, kmax set by the chunk length."""
+    def set_k(ctx, K):
+        kmax = kmax_from_step(chunk_step(ctx, len(K)))
+        K = np.random.default_rng(5).integers(1, kmax + 1, size=len(K))
+        K[17] = kmax
+        return K
+    return set_k
+
+
+def lone_particle(ctx, K):
+    """Every solution at k = 1 but one at the largest k, so only one
+    solution reaches the chunks past the first."""
+    K = np.ones_like(K)
+    K[len(K) // 3] = ctx.diffs.shape[0]
+    return K
+
+
+# id -> (batch, K override or None, CHUNK override or None, splits)
+CHUNK_CASES = {
+    "kmax-one-below-a-chunk": (lambda: gt_batch("desharnais", "gt", 100),
+                               kmax_of(lambda step: step - 1), None, False),
+    "kmax-a-chunk": (lambda: gt_batch("desharnais", "gt", 100), kmax_of(lambda step: step),
+                     None, False),
+    "kmax-one-above-a-chunk": (lambda: gt_batch("desharnais", "gt", 100),
+                               kmax_of(lambda step: step + 1), None, True),
+    "kmax-two-chunks-and-one": (lambda: gt_batch("desharnais", "gt", 100),
+                                kmax_of(lambda step: 2 * step + 1), None, True),
+    "decoded-k": (lambda: gt_batch("desharnais", "gt", 100), None, None, True),
+    "one-particle-past-the-first-chunk": (lambda: gt_batch("desharnais", "gt", 100),
+                                          lone_particle, None, True),
+    "all-k-equal": (lambda: gt_batch("maxwell", "gt_star", 100),
+                    lambda ctx, K: np.full_like(K, 40), None, True),
+    "k-one-everywhere": (lambda: gt_batch("desharnais", "gt", 100),
+                         lambda ctx, K: np.ones_like(K), None, False),
+    "pinned-weights": (lambda: gt_batch("desharnais", "gt_plus", 100), None, None, True),
+    "maxwell": (lambda: gt_batch("maxwell", "gt", 100), None, None, True),
+    "500-rows-one-rank-per-chunk": (lambda: gt_batch("desharnais", "gt", 500), None, None, True),
+    "local": (lambda: lt_batch(100), None, None, False),
+    # chunks of one rank would split this if p f = 1 did not forbid it
+    "one-row-local": (lambda: lt_batch(1), lambda ctx, K: np.full_like(K, 59), 1, False),
+    # desharnais has f = 77 folds: chunks of three and of four ranks
+    "one-row-global": (lambda: gt_batch("desharnais", "gt", 1),
+                       lambda ctx, K: np.full_like(K, 70), 3 * 77, True),
+    "two-rows-one-alive": (lambda: gt_batch("desharnais", "gt", 2),
+                           lambda ctx, K: np.array([1, 76]), 4 * 2 * 77, True),
+    # chunks of ten ranks: one alive solution alone would sum them pairwise
+    "local-split-one-alive": (lambda: lt_batch(3), lone_particle, 3 * 10, True),
+}
+
+
+class TestRankChunks:
+    """`predict_batch` walks the ranks in chunks and skips each solution's
+    ranks past its k; every prediction keeps the bits of the whole block."""
+
+    @pytest.mark.parametrize("case", list(CHUNK_CASES))
+    def test_chunks_keep_the_whole_blocks_bits(self, case, monkeypatch):
+        batch, set_k, chunk, splits = CHUNK_CASES[case]
+        ctx, K, masks, W = batch()
+        if chunk is not None:
+            monkeypatch.setattr(abe, "CHUNK", chunk)
+        if set_k is not None:
+            K = set_k(ctx, K)
+        p, f = len(K), ctx.diffs.shape[2]
+        assert (p * f > 1 and K.max() > chunk_step(ctx, p)) == splits
+        want = ref.whole_block_predict(ctx, K, masks, W).tobytes()
+        assert ctx.predict_batch(K, masks, W).tobytes() == want
+        # again, over the buffers the first call left
+        assert ctx.predict_batch(K, masks, W).tobytes() == want
+
+    def test_a_global_batch_allocates_less_than_the_whole_block(self):
+        ctx, K, masks, W = gt_batch("desharnais", "gt", 100)
+        K[0] = ctx.diffs.shape[0]
+        block = K.max() * len(K) * ctx.diffs.shape[2] * 8  # (kmax, p, f) floats
+        tracemalloc.start()
+        try:
+            ctx.predict_batch(K, masks, W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block
+
+
+def _spread(shape) -> np.ndarray:
+    return 10.0 ** np.random.default_rng(1).uniform(0, 6, shape)
+
+
+class TestNumpyRankSums:
+    """The two facts about NumPy's sum over the leading axis of a C-ordered
+    (r, q, f) block that the chunked kernel keeps bits by."""
+
+    @pytest.mark.parametrize("shape", [(200, 2, 1), (200, 1, 2), (37, 3, 5), (9, 100, 77)])
+    def test_two_or_more_per_rank_sum_left_to_right(self, shape):
+        a = _spread(shape)
+        acc = a[0].copy()
+        for row in a[1:]:
+            acc += row
+        assert a.sum(axis=0).tobytes() == acc.tobytes()
+        # a partial sum carried as row 0 continues it
+        carried = np.concatenate([a[:5].sum(axis=0)[None], a[5:]])
+        assert np.add.reduce(carried, axis=0).tobytes() == acc.tobytes()
+
+    def test_one_per_rank_sums_pairwise(self):
+        a = _spread((200, 1, 1))
+        acc = a[0].copy()
+        for row in a[1:]:
+            acc += row
+        assert a.sum(axis=0).tobytes() == np.array([[a.ravel().sum()]]).tobytes()
+        assert a.sum(axis=0).tobytes() != acc.tobytes()
 
 
 class TestAbe0Bytes:

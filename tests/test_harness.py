@@ -31,6 +31,14 @@ def report_json(report: dict) -> str:
     return "".join(harness.report_chunks(report))
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the
+    platform reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class TestConfig:
     def test_minimal_valid(self):
         cfg = parse_config(dict(BASE_CONFIG))
@@ -309,7 +317,7 @@ class TestWorkerPool:
         assert pools == []
         pooled = run_experiment(cfg, threads=2)
         # every fold of both LT cells of both datasets
-        assert pools == [[min(2, os.cpu_count() or 1), 2 * (8 + 15)]]
+        assert pools == [[min(2, usable_cpus()), 2 * (8 + 15)]]
         assert report_json(pooled) == report_json(serial)
 
     def test_the_pool_holds_at_most_one_worker_per_cpu(self, monkeypatch):
@@ -331,7 +339,24 @@ class TestWorkerPool:
         cfg = parse_config(dict(BASE_CONFIG))
         assert report_json(run_experiment(cfg, threads=5000)) == \
             report_json(run_experiment(cfg, threads=1))
-        assert built == [os.cpu_count() or 1]
+        assert built == [usable_cpus()]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_the_pool_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
+        # pinned to one CPU of a larger machine, as `taskset -c 0` does
+        built = []
+
+        class Recording(futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        with harness.worker_map(4) as fold_map:
+            assert list(fold_map(abs, [-1, -2, -3])) == [1, 2, 3]
+        assert built == [1]
 
     def test_a_run_without_lt_cells_builds_no_pool(self, pools):
         cfg = parse_config(dict(BASE_CONFIG) | {"methods": ["abe0", "gt"]})
@@ -345,7 +370,7 @@ class TestWorkerPool:
         assert pools == []
         pooled = run_experiment(cfg, threads=2)
         # one task per GT cell, then every fold of both LT cells
-        assert pools == [[min(2, os.cpu_count() or 1), 2 * 2 + 8 + 15]]
+        assert pools == [[min(2, usable_cpus()), 2 * 2 + 8 + 15]]
         assert report_json(pooled) == report_json(serial)
 
     def test_an_error_cancels_the_queued_tasks(self, tmp_path):
