@@ -21,6 +21,16 @@ into the archive and the pbests.  Reflections are branchless: a component
 is negated by multiplying it with 1 - 2 * mask, not through boolean-mask
 indexing, with the same bits as the indexed form.
 
+The bookkeeping around the archive costs O(archive x pop) per step, not
+O((archive + pop)^2).  `Archive.update` screens the candidates against the
+entries in one rectangular pass and runs the all-pairs test only over the
+entries and the candidates no entry dominates; by transitivity that keeps
+the rows, the order and the pruning of the all-pairs test over everything.
+Most steps of a small archive screen out every candidate, and then the
+archive keeps its arrays, so `run` recomputes the leader share (the
+crowding distances) only when the archive's `fitnesses` is a new array.
+`update_pbests` gets both dominance directions from two reductions.
+
 Every stochastic draw comes from one generator seeded by the run seed, in
 whole-swarm blocks whose order is fixed per step: the leader picks, R1, R2,
 then (while mutating) the mutation's selection mask, directions and steps,
@@ -88,18 +98,8 @@ class MopsoConfig:
             raise BoundsError("mutation_exponent must be >= 0")
         if not 0.0 <= self.mutation_fraction <= 1.0:
             raise BoundsError("mutation_fraction must lie in [0, 1]")
-
-
-def dominates(a, b):
-    """Row-wise: a is no worse than b in every objective and strictly better
-    in one.  Rows of two (pop, M) arrays give a (pop,) mask; two vectors
-    give one bool."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise BoundsError("objective vectors differ in length")
-    out = np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
-    return bool(out) if out.ndim == 0 else out
+        if not 0.0 < self.leader_fraction <= 1.0:
+            raise BoundsError("leader_fraction must lie in (0, 1]")
 
 
 def crowding_distances(fitnesses) -> np.ndarray:
@@ -122,20 +122,24 @@ def crowding_distances(fitnesses) -> np.ndarray:
     return cd
 
 
+def _dominated(by: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(rows),) mask of the rows strictly dominated by some row of `by`,
+    in one rectangular (len(by), len(rows)) pass per objective."""
+    le = np.ones((len(by), len(rows)), dtype=bool)
+    lt = np.zeros((len(by), len(rows)), dtype=bool)
+    # accumulate pairwise <=/< per objective to avoid a 3-d temporary
+    for j in range(rows.shape[1]):
+        b = by[:, j, None]
+        r = rows[None, :, j]
+        le &= b <= r
+        lt |= b < r
+    le &= lt
+    return np.any(le, axis=0)
+
+
 def _non_dominated_mask(f: np.ndarray) -> np.ndarray:
     """Boolean mask of entries not strictly dominated by any other entry."""
-    n = f.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    # accumulate pairwise <=/< per objective to avoid a 3-d temporary
-    le = np.ones((n, n), dtype=bool)
-    lt = np.zeros((n, n), dtype=bool)
-    for j in range(f.shape[1]):
-        col = f[:, j]
-        le &= col[:, None] <= col[None, :]
-        lt |= col[:, None] < col[None, :]
-    dominated = np.any(le & lt, axis=0)
-    return ~dominated
+    return ~_dominated(f, f)
 
 
 class Archive:
@@ -155,19 +159,33 @@ class Archive:
     def update(self, positions, fitnesses) -> "Archive":
         """Merge candidate rows, drop dominated entries, then prune the most
         crowded entries until back under capacity.  Kept candidate rows are
-        copied, so the caller may go on to overwrite `positions`."""
+        copied, so the caller may go on to overwrite `positions`.
+
+        The candidates are first screened against the entries in one
+        rectangular pass; only the entries and the survivors go through the
+        all-pairs test.  That keeps what the all-pairs test over entries and
+        every candidate keeps, in the same order, by transitivity: a row a
+        screened-out candidate dominates is dominated by the entry that
+        dominates the candidate.  When no candidate survives, the archive
+        is left as it is: `positions` and `fitnesses` stay the same arrays."""
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        pool_fit = np.atleast_2d(np.asarray(fitnesses, dtype=float))
+        fit = np.atleast_2d(np.asarray(fitnesses, dtype=float))
         n_old = len(self)
         if n_old:
-            pool_fit = np.vstack([self.fitnesses, pool_fit])
+            survivors = np.flatnonzero(~_dominated(self.fitnesses, fit))
+            if len(survivors) == 0:
+                return self
+            pool_fit = np.vstack([self.fitnesses, fit[survivors]])
+        else:
+            survivors = np.arange(len(fit))
+            pool_fit = fit
         keep = _non_dominated_mask(pool_fit)
         excess = int(keep.sum()) - self.capacity
         if excess > 0:
             kept = np.flatnonzero(keep)
             cd = crowding_distances(pool_fit[kept])
             keep[kept[np.argsort(cd, kind="stable")[:excess]]] = False
-        new_rows = positions[keep[n_old:]]
+        new_rows = positions[survivors[keep[n_old:]]]
         self.positions = np.vstack([self.positions[keep[:n_old]], new_rows]) if n_old else new_rows
         self.fitnesses = pool_fit[keep]
         return self
@@ -277,9 +295,18 @@ def update_pbests(PB, PBF, X, F, rng) -> None:
     """Per particle, the dominating side of (current, pbest) becomes the
     pbest; on mutual non-dominance a coin decides.  One (pop,) block of
     coins is drawn whether or not a particle needs its coin.  Updates PB
-    and PBF in place."""
+    and PBF in place.
+
+    Both directions come from two reductions over the objectives,
+    le = all(F <= PBF) and ge = all(F >= PBF).  On finite rows (`run`
+    rejects any other) F dominates PBF iff le and not ge, and PBF dominates
+    F iff ge and not le.  So where exactly one of le and ge holds, le names
+    the winner; where both hold (equal rows) or neither (incomparable rows),
+    the coin decides."""
     coin = rng.random(len(F)) < 0.5
-    take = dominates(F, PBF) | (coin & ~dominates(PBF, F))
+    le = np.all(F <= PBF, axis=1)
+    ge = np.all(F >= PBF, axis=1)
+    take = np.where(le == ge, coin, le)
     PB[take] = X[take]
     PBF[take] = F[take]
 
@@ -326,12 +353,17 @@ def run(problem, cfg: MopsoConfig) -> Archive:
     PBF = F.copy()
 
     archive = Archive(cfg.archive_capacity).update(X, F)
+    # the leader share of the archive whose fitnesses are `scored`; an
+    # update that changes the archive replaces its fitnesses array
+    scored = leaders = None
 
     w_start, w_end = cfg.inertia
     T = cfg.max_iter
     for t in range(T):
         w_t = w_start if T == 1 else w_start + (w_end - w_start) * (t / (T - 1))
-        leaders = leader_share(archive.crowding(), cfg.leader_fraction)
+        if archive.fitnesses is not scored:
+            scored = archive.fitnesses
+            leaders = leader_share(archive.crowding(), cfg.leader_fraction)
         pick = swarm_draws(rng, len(leaders), R1, R2)
         # mode="clip" lets take write straight into G; every index is in range
         np.take(archive.positions, leaders[pick], axis=0, out=G, mode="clip")

@@ -124,12 +124,17 @@ class SolutionSpace:
             W = self.weight_buffer(pop * n_rows * m).reshape(pop, n_rows, m)
         i = 0
         if self.free_k:
-            K = np.clip(np.floor(X[:, i] + 0.5).astype(int), 1, n_rows)
+            # clamped in place: np.clip's integers without its Python wrapper
+            K = np.floor(X[:, i] + 0.5).astype(int)
+            np.minimum(K, n_rows, out=K)
+            np.maximum(K, 1, out=K)
             i += 1
         else:
             K = np.ones(pop, dtype=int)
         if self.free_mask:
-            vint = np.clip(np.floor(X[:, i] + 0.5).astype(np.int64), 1, 2 ** m - 1)
+            vint = np.floor(X[:, i] + 0.5).astype(np.int64)
+            np.minimum(vint, 2 ** m - 1, out=vint)
+            np.maximum(vint, 1, out=vint)
             shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
             masks = ((vint[:, None] >> shifts[None, :]) & 1).astype(float)
             i += 1

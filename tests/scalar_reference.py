@@ -22,7 +22,13 @@ random-guess baseline, whose bits the streamed `metrics` version keeps.
 
 `reference_run` is the swarm loop written with boolean-mask indexing and a
 fresh array per operation; the allocation-free `mopso.run` must match it
-byte for byte.
+byte for byte.  `dominates` is Pareto dominance written out, and the
+package has no copy of it.  The loop's archive merge (`reference_merge`)
+tests every candidate against every row with `non_dominated`, and its pbest
+rule (`reference_pbests`) calls `dominates` once per direction, so neither
+shares the screen or the paired reductions of `mopso`.  It recomputes the
+leader share every step, so a share `mopso.run` keeps past a change to the
+archive shows as different bytes.
 """
 
 import math
@@ -34,6 +40,7 @@ import numpy as np
 from abetune import mopso
 from abetune.abe import EPS_EFFORT
 from abetune.data import load_dataset
+from abetune.errors import BoundsError
 from abetune.tuning import SolutionSpace
 
 
@@ -327,12 +334,33 @@ def reference_mutate(X, t: int, cfg, bounds, rng):
     return X
 
 
+def dominates(a, b):
+    """Pareto dominance with every objective minimized: a is no worse than
+    b in every objective and strictly better in one.  Rows of two (pop, M)
+    arrays give a (pop,) mask; two vectors give one bool."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise BoundsError("objective vectors differ in length")
+    out = np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
+    return bool(out) if out.ndim == 0 else out
+
+
+def non_dominated(fit) -> np.ndarray:
+    """Mask of the rows of `fit` that no row strictly dominates: every row
+    tested against all rows with `dominates`, one row at a time."""
+    fit = np.asarray(fit, dtype=float)
+    return np.array([not dominates(fit, np.broadcast_to(row, fit.shape)).any()
+                     for row in fit], dtype=bool)
+
+
 def reference_merge(positions, fitnesses, pos, fit, capacity: int):
-    """Archive merge over the stacked (archive + candidates) position block."""
+    """Archive merge over the stacked (archive + candidates) block, every
+    candidate in the all-pairs test."""
     if len(fitnesses):
         pos = np.vstack([positions, pos])
         fit = np.vstack([fitnesses, fit])
-    keep = mopso._non_dominated_mask(fit)
+    keep = non_dominated(fit)
     excess = int(keep.sum()) - capacity
     if excess > 0:
         kept = np.flatnonzero(keep)
@@ -341,9 +369,21 @@ def reference_merge(positions, fitnesses, pos, fit, capacity: int):
     return pos[keep], fit[keep]
 
 
+def reference_pbests(PB, PBF, X, F, rng) -> tuple:
+    """The pbest rule with one `dominates` call per direction; returns new
+    (PB, PBF)."""
+    coin = rng.random(len(F)) < 0.5
+    take = dominates(F, PBF) | (coin & ~dominates(PBF, F))
+    PB, PBF = PB.copy(), PBF.copy()
+    PB[take] = X[take]
+    PBF[take] = F[take]
+    return PB, PBF
+
+
 def reference_run(problem, cfg) -> tuple:
-    """The swarm loop with the draw order of `mopso.run`; returns the final
-    archive's (positions, fitnesses)."""
+    """The swarm loop with the draw order of `mopso.run`, the leader share
+    recomputed every step; returns the final archive's (positions,
+    fitnesses)."""
     bounds = problem.bounds
     pop, d = cfg.pop_size, bounds.dim
     rng = np.random.default_rng(cfg.seed)
@@ -369,5 +409,5 @@ def reference_run(problem, cfg) -> tuple:
             X = reference_mutate(X, t, cfg, bounds, rng)
         F = np.asarray(problem.evaluate_batch(X), dtype=float)
         positions, fitnesses = reference_merge(positions, fitnesses, X, F, cfg.archive_capacity)
-        mopso.update_pbests(PB, PBF, X, F, rng)
+        PB, PBF = reference_pbests(PB, PBF, X, F, rng)
     return positions, fitnesses

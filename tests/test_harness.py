@@ -119,7 +119,8 @@ class TestConfig:
          "mutation_fraction": 0.5, "mutation_exponent": 5, "archive_capacity": 100,
          "leader_fraction": 0.1},
         {"inertia": [1e290, -1e290], "c1": 1e290, "c2": -1e290},
-    ], ids=["default", "paper", "large-but-finite"])
+        {"leader_fraction": 1.0},
+    ], ids=["default", "paper", "large-but-finite", "every-entry-a-leader"])
     def test_swarm_coefficients_that_keep_velocities_finite_parse(self, mopso):
         cfg = parse_config(dict(BASE_CONFIG) | {"mopso": mopso})
         assert cfg.mopso.c1 == mopso.get("c1", 2.0)
@@ -662,6 +663,18 @@ class TestCli:
             assert cli.main([*args, "--config", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("validation error: mopso ") and named in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fraction", [-1, 0, 0.0, 1.5])
+    def test_leader_fraction_outside_zero_one_is_a_validation_error(self, tmp_path, capsys,
+                                                                   monkeypatch, fraction):
+        # accepted before: -1 ran as a share of one leader
+        path = self.write_config(tmp_path, mopso={"leader_fraction": fraction})
+        monkeypatch.setattr(harness, "run_method", lambda *a, **k: pytest.fail("tuned a cell"))
+        for args in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli.main([*args, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == ("validation error: bad mopso settings: "
+                                               "leader_fraction must lie in (0, 1]\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("change,unknown", [

@@ -45,19 +45,21 @@ class RecordingRng:
 
 
 class TestDominates:
+    """The oracle's dominance, which its archive merge and pbest rule use."""
+
     def test_strict_improvement(self):
-        assert mopso.dominates((1, 2), (2, 3))
+        assert ref.dominates((1, 2), (2, 3))
 
     def test_incomparable(self):
-        assert not mopso.dominates((1, 3), (3, 1))
-        assert not mopso.dominates((3, 1), (1, 3))
+        assert not ref.dominates((1, 3), (3, 1))
+        assert not ref.dominates((3, 1), (1, 3))
 
     def test_equal_vectors(self):
-        assert not mopso.dominates((1, 2), (1, 2))
+        assert not ref.dominates((1, 2), (1, 2))
 
     def test_length_mismatch(self):
         with pytest.raises(BoundsError):
-            mopso.dominates((1, 2), (1, 2, 3))
+            ref.dominates((1, 2), (1, 2, 3))
 
 
 class TestCrowding:
@@ -235,6 +237,18 @@ class TestMutation:
         assert rng.uniforms == []
 
 
+# (entries, candidates, capacity): merges where the screen must keep
+# exactly what the all-pairs test over entries and candidates keeps
+MERGES = {
+    "first-update": ([], [[2, 1], [1, 2], [2, 2], [1, 2]], 10),
+    "duplicate-rows": ([[1, 2], [2, 1]], [[1, 2], [1, 2], [0, 3], [0, 3]], 10),
+    "tie-on-one-objective": ([[1, 2], [3, 0]], [[1, 3], [1, 1], [2, 0], [3, 0.5]], 10),
+    "candidate-equals-entry": ([[1, 1]], [[1, 1], [2, 1], [1, 1]], 10),
+    "at-capacity": ([[0, 4], [4, 0]], [[1, 3], [2, 2], [3, 1], [2, 2], [5, 5]], 3),
+    "dominates-every-entry": ([[1, 3], [3, 1]], [[0, 0], [4, 4]], 10),
+}
+
+
 class TestArchive:
     def test_dominating_insert_clears_archive(self):
         a = Archive(capacity=10)
@@ -271,7 +285,36 @@ class TestArchive:
             for i in range(len(a)):
                 for j in range(len(a)):
                     if i != j:
-                        assert not mopso.dominates(f[i], f[j])
+                        assert not ref.dominates(f[i], f[j])
+
+    @pytest.mark.parametrize("case", sorted(MERGES))
+    def test_screened_merge_is_the_all_pairs_merge(self, case):
+        entries, candidates, capacity = MERGES[case]
+        a = Archive(capacity=capacity)
+        if entries:
+            a.update(np.arange(len(entries), dtype=float)[:, None], entries)
+        pos = 10.0 + np.arange(len(candidates), dtype=float)[:, None]
+        fit = np.array(candidates, dtype=float)
+        positions, fitnesses = ref.reference_merge(a.positions, a.fitnesses, pos, fit, capacity)
+        a.update(pos, fit)
+        assert a.positions.shape == positions.shape
+        assert a.positions.tobytes() == positions.tobytes()
+        assert a.fitnesses.tobytes() == fitnesses.tobytes()
+
+    def test_no_surviving_candidate_leaves_the_archive_as_it_is(self, monkeypatch):
+        a = Archive(capacity=10)
+        a.update([[0.0], [1.0]], [[1.0, 3.0], [3.0, 1.0]])
+        positions, fitnesses = a.positions, a.fitnesses
+        before = positions.tobytes(), fitnesses.tobytes()
+        monkeypatch.setattr(mopso, "crowding_distances", lambda f: pytest.fail("crowding"))
+        # each candidate is dominated by the second entry and not by the first
+        a.update([[2.0], [3.0]], [[4.0, 2.0], [3.0, 1.5]])
+        assert a.positions is positions and a.fitnesses is fitnesses
+        assert (positions.tobytes(), fitnesses.tobytes()) == before
+        a.update([[4.0]], [[2.0, 2.0]])
+        assert a.fitnesses is not fitnesses
+        assert a.fitnesses.tolist() == [[1.0, 3.0], [3.0, 1.0], [2.0, 2.0]]
+        assert a.positions.tolist() == [[0.0], [1.0], [4.0]]
 
 
 class TestLeaderSelection:
@@ -337,6 +380,18 @@ class TestPbest:
         assert PBF.tolist() == [[1, 1], [2, 2], [1, 3], [3, 1]]
         assert PB.ravel().tolist() == [1.0, 0.0, 1.0, 0.0]
 
+    def test_ties_and_equal_rows_follow_the_two_dominates_rule(self):
+        # equal rows, ties on one objective in either direction, and
+        # incomparable rows, each with a coin of either side
+        F = [[1, 2], [1, 2], [1, 3], [1, 1], [2, 2], [0, 2], [0, 3], [0, 3]]
+        PBF = [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2], [1, 2]]
+        for seed in range(8):
+            PB, got = self.update(F, PBF, np.random.default_rng(seed))
+            want_pb, want = ref.reference_pbests(np.zeros((8, 1)), np.array(PBF, dtype=float),
+                                                 np.ones((8, 1)), np.array(F, dtype=float),
+                                                 np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes() and PB.tobytes() == want_pb.tobytes()
+
 
 class BiObjective:
     bounds = Bounds(lower=np.array([-5.0]), upper=np.array([5.0]))
@@ -382,6 +437,31 @@ class TestRun:
         expected = {tuple(v) for v in all_f[keep].tolist()}
         got = {tuple(v) for v in arc.fitnesses.tolist()}
         assert got == expected
+
+    @pytest.mark.parametrize("better_at,sizes", [(None, [4]), (3, [4, 1])],
+                             ids=["never-changes", "changes-once"])
+    def test_leader_share_is_recomputed_only_when_the_archive_changes(self, monkeypatch,
+                                                                     better_at, sizes):
+        class Scripted:
+            # the first batch fills the archive with equal rows; every later
+            # batch is dominated by them, but for one better row in batch
+            # `better_at`
+            bounds = Bounds(lower=np.zeros(1), upper=np.ones(1))
+            calls = 0
+
+            def evaluate_batch(self, X):
+                F = np.full((len(X), 2), 1.0 if self.calls == 0 else 2.0)
+                if self.calls == better_at:
+                    F[0] = 0.5
+                self.calls += 1
+                return F
+
+        scored, crowding = [], mopso.crowding_distances
+        monkeypatch.setattr(mopso, "crowding_distances",
+                            lambda f: scored.append(len(f)) or crowding(f))
+        archive = mopso.run(Scripted(), MopsoConfig(pop_size=4, max_iter=6, seed=0))
+        assert scored == sizes
+        assert len(archive) == sizes[-1]
 
     def test_fixed_seed_reproducible(self):
         a1 = mopso.run(BiObjective(), MopsoConfig(pop_size=30, max_iter=40, seed=8))

@@ -11,6 +11,7 @@ import scalar_reference as ref
 MANY = settings(max_examples=1000, deadline=None, derandomize=True)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+GRID = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0])
 
 
 def objective_rows(draw, pop: int, n_obj: int) -> np.ndarray:
@@ -22,14 +23,14 @@ def swarm_shape(draw):
 
 
 class TestDominanceLaws:
-    """Row-wise laws of `dominates` over swarms of objective rows, the form
-    in which the pbest update applies it."""
+    """Row-wise laws of the oracle's `dominates` over swarms of objective
+    rows, the form in which its pbest rule applies it."""
 
     @MANY
     @given(st.data())
     def test_irreflexive(self, data):
         a = objective_rows(data.draw, *swarm_shape(data.draw))
-        assert not mopso.dominates(a, a).any()
+        assert not ref.dominates(a, a).any()
 
     @MANY
     @given(st.data())
@@ -40,15 +41,15 @@ class TestDominanceLaws:
         # shared values per cell make dominance in either direction likely
         b = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=a.size,
                                                  max_size=a.size))).reshape(a.shape), a, b)
-        assert not (mopso.dominates(a, b) & mopso.dominates(b, a)).any()
+        assert not (ref.dominates(a, b) & ref.dominates(b, a)).any()
 
     @MANY
     @given(st.data())
     def test_transitive(self, data):
         pop = data.draw(st.integers(min_value=2, max_value=6))
         a, b, c = (objective_rows(data.draw, pop, 3) for _ in range(3))
-        chain = mopso.dominates(a, b) & mopso.dominates(b, c)
-        assert mopso.dominates(a, c)[chain].all()
+        chain = ref.dominates(a, b) & ref.dominates(b, c)
+        assert ref.dominates(a, c)[chain].all()
 
 
 class TestArchiveProperties:
@@ -70,7 +71,46 @@ class TestArchiveProperties:
             for i in range(len(archive)):
                 for j in range(len(archive)):
                     if i != j:
-                        assert not mopso.dominates(f[i], f[j])
+                        assert not ref.dominates(f[i], f[j])
+
+    @MANY
+    @given(st.data())
+    def test_screened_update_is_the_all_pairs_merge(self, data):
+        # objective values on a coarse grid, so duplicate rows, ties on one
+        # objective and candidates equal to entries are common
+        n_obj = data.draw(st.integers(min_value=1, max_value=3))
+        capacity = data.draw(st.integers(min_value=1, max_value=6))
+        archive = mopso.Archive(capacity=capacity)
+        for t in range(data.draw(st.integers(min_value=1, max_value=4))):
+            n = data.draw(st.integers(min_value=1, max_value=6))
+            fit = np.array([[data.draw(GRID) for _ in range(n_obj)] for _ in range(n)])
+            pos = 10.0 * t + np.arange(n, dtype=float)[:, None]
+            positions, fitnesses = archive.positions, archive.fitnesses
+            screened_out = len(archive) > 0 and all(
+                any(ref.dominates(e, c) for e in fitnesses) for c in fit)
+            want_pos, want_fit = ref.reference_merge(positions, fitnesses, pos, fit, capacity)
+            archive.update(pos, fit)
+            assert archive.positions.shape == want_pos.shape
+            assert archive.positions.tobytes() == want_pos.tobytes()
+            assert archive.fitnesses.tobytes() == want_fit.tobytes()
+            if screened_out:
+                assert archive.positions is positions and archive.fitnesses is fitnesses
+
+
+class TestPbestProperties:
+    @MANY
+    @given(st.data())
+    def test_paired_reductions_are_the_two_dominates_rule(self, data):
+        pop = data.draw(st.integers(min_value=1, max_value=8))
+        n_obj = data.draw(st.integers(min_value=1, max_value=3))
+        F, PBF = (np.array([[data.draw(GRID) for _ in range(n_obj)] for _ in range(pop)])
+                  for _ in range(2))
+        PB, X = np.zeros((pop, 2)), np.arange(2.0 * pop).reshape(pop, 2)
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+        want_pb, want_pbf = ref.reference_pbests(PB, PBF, X, F, np.random.default_rng(seed))
+        mopso.update_pbests(PB, PBF, X, F, np.random.default_rng(seed))
+        assert PB.tobytes() == want_pb.tobytes()
+        assert PBF.tobytes() == want_pbf.tobytes()
 
 
 class TestEncodingProperties:

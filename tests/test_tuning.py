@@ -173,7 +173,7 @@ class TestObjectives:
     def test_lt_domination_ordering(self):
         a = np.array([1.0, 0.1, 0.05])
         b = np.array([2.0, 0.2, 0.10])
-        assert mopso.dominates(a, b)
+        assert ref.dominates(a, b)
 
     def test_gt_matches_stepwise_composition(self):
         sol = self.full_sol(train_n=self.ds.n - 1, m=2, k=3)
