@@ -36,11 +36,14 @@ def neighbor_order(train: StandardizedDataset, target_row: np.ndarray) -> np.nda
 
 def _owm_matrix(K: np.ndarray, kmax: int) -> np.ndarray:
     """Ordered-weighted-mean weights, one row per entry of K, zero past
-    each k: the nearest gets 2**(k-1)/(2**k - 1)."""
+    each k: rank r gets 2**(k-1-r)/(2**k - 1), computed as 2**(-1-r) /
+    (1 - 2**-k), the same real quotient of exactly scaled operands and so
+    the same bits for k <= 1023, but without 2**k, which overflows to inf
+    from k = 1024 on."""
     ranks = np.arange(kmax)[None, :]
-    exps = K[:, None] - 1.0 - ranks
-    denom = np.power(2.0, K.astype(float))[:, None] - 1.0
-    return np.where(ranks < K[:, None], np.power(2.0, exps) / denom, 0.0)
+    K = K[:, None]
+    weights = np.ldexp(1.0, -1 - ranks) / (1.0 - np.ldexp(1.0, -K))
+    return np.where(ranks < K, weights, 0.0)
 
 
 @functools.lru_cache(maxsize=8)

@@ -2,10 +2,11 @@
 
 An experiment is a (datasets x methods) grid evaluated under leave-one-out
 cross validation; `run_experiment` turns a config into its report, the whole
-grid for `abetune run` and one cell for `abetune tune`.  The run's work goes
-through one `worker_map`: every GT cell is one task and every LT fold
-another, while the ABE0 scans, the baselines and the scoring stay in this
-process.  Every stochastic step is seeded from the single config seed,
+grid for `abetune run` and one cell for `abetune tune`.  The run's tuning
+goes through one `worker_map`, every GT cell and every LT fold of the run
+mapped when it starts; a pool runs them in guided chunks while the ABE0
+scans, the baselines and the scoring stay in this process and overlap them.
+Every stochastic step is seeded from the single config seed,
 reports are recomputed from the stored per-project prediction pairs before
 emission, and the machine-format JSON report is byte-identical for a given
 (config, seed) regardless of thread count.
@@ -294,21 +295,50 @@ def load_dataset_from_config(cfg: DatasetConfig) -> StandardizedDataset:
 # cells
 # ---------------------------------------------------------------------------
 
+# Guided self-scheduling's divisor: a chunk takes 1 / (GUIDE_DIVISOR x
+# workers) of the items not yet handed out, rounded up.
+GUIDE_DIVISOR = 4
+
+
+def guided_chunks(items: list, workers: int) -> list:
+    """`items` split, in order, into the chunks of guided self-scheduling
+    (Polychronopoulos & Kuck, IEEE TC 1987): each takes ceil(left /
+    (GUIDE_DIVISOR x workers)) of the `left` items not yet taken, so the
+    sizes shrink from about n / (GUIDE_DIVISOR x workers) to 1, and once at
+    most GUIDE_DIVISOR x workers items are left they go one by one."""
+    chunks, start = [], 0
+    while start < len(items):
+        size = -(-(len(items) - start) // (GUIDE_DIVISOR * workers))
+        chunks.append(items[start:start + size])
+        start += size
+    return chunks
+
+
+def _run_chunk(fn, chunk: list) -> list:
+    """One pool task: `fn` of each item of a chunk, in order."""
+    return [fn(item) for item in chunk]
+
+
 @contextmanager
 def worker_map(threads: int):
-    """The map every GT cell and LT fold of a run goes through: the `map`
-    of one pool of `threads` worker processes, at most one per CPU this
-    process may run on (its affinity set, where the platform reports one),
-    opened at the first map of two or more tasks.  At one thread, or for a
-    map of one task (or none), the tasks run lazily in this process, as the
+    """The map every GT cell and LT fold of a run goes through.  With a
+    pool, a map submits every task at once and returns an iterator over the
+    results in item order, like the `map` of a process pool; its items are
+    handed out in `guided_chunks`, one pool task per chunk, so that a
+    thousand two-millisecond folds are not a thousand round trips.  The
+    pool has `threads` worker processes, at most one per CPU this process
+    may run on (its affinity set, where the platform reports one), and is
+    opened at the first map of two or more items.  At one thread, or for a
+    map of one item (or none), the items run lazily in this process, as the
     builtin `map` runs them, so a run with a single GT cell and no LT cell
     starts no worker.  The pool is shut down when the block ends; when it
     ends on an exception, the tasks still queued are cancelled, so the error
     surfaces once the running ones finish."""
     pool = None
+    workers = 1
 
     def pool_map(fn, items):
-        nonlocal pool
+        nonlocal pool, workers
         items = list(items)
         if threads <= 1 or len(items) <= 1:
             return map(fn, items)
@@ -317,8 +347,9 @@ def worker_map(threads: int):
 
             cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
-            pool = ProcessPoolExecutor(max_workers=min(threads, cpus))
-        return pool.map(fn, items)
+            workers = min(threads, cpus)
+            pool = ProcessPoolExecutor(max_workers=workers)
+        return chain.from_iterable(pool.map(partial(_run_chunk, fn), guided_chunks(items, workers)))
 
     try:
         yield pool_map
@@ -348,10 +379,21 @@ def _is_shared(method: str) -> bool:
     return method in tuning.VARIANTS and tuning.VARIANTS[method].shared
 
 
+def _is_local(method: str) -> bool:
+    return method in tuning.VARIANTS and not tuning.VARIANTS[method].shared
+
+
 def _shared_cell(cfg: MopsoConfig, cell: tuple) -> tuning.TuningResult:
     """A (method, dataset) cell of a shared variant, as one `worker_map` task."""
     method, ds = cell
     return run_method(method, ds, cfg)
+
+
+def _mapped(results):
+    """A `fold_map` for `tuning.run_lt` whose folds were handed to the
+    `worker_map` in advance: it returns `results`, the map of the cell's
+    `tuning.lt_folds` over its project indices, whatever it is given."""
+    return lambda fn, items: results
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +419,29 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     its `weights_used` as the (k, m) float64 array `tuning.decode_position`
     made, which `report.json` writes as lists of rows.
 
-    Every GT cell of the run is handed to the `worker_map` first, in
-    (dataset, method) order, and its result is taken when the loop reaches
-    the cell; the other cells run in that order meanwhile, so with a pool
-    the LT folds queue behind the GT swarms.  A GT swarm draws only from
-    `default_rng(cfg.seed)`, so where it runs does not move the bytes."""
+    The whole run is handed to the `worker_map` before the first cell is
+    assembled: every GT cell, then the folds of every LT cell, each in
+    (dataset, method) order.  With a pool, the sampled baselines, the ABE0
+    scans and the scoring, which stay in this process, overlap the workers'
+    tuning; at one thread the maps are lazy and every cell computes when
+    the loop reaches it.  Either way the loop assembles the cells in
+    (dataset, method) order, an LT cell through `run_method` and
+    `tuning.run_lt` with the cell's already mapped folds.  A GT swarm draws
+    only from `default_rng(cfg.seed)` and fold i from `tuning._fold_seed`,
+    so where and when a task runs does not move the bytes."""
     results: dict = {}
     comparisons: dict = {}
     wtl: dict = {}
     drawn: dict = {}
 
+    honest = cfg.mode == "honest"
     loaded = [load_dataset_from_config(d) for d in cfg.datasets]  # fail before any tuning
     with worker_map(threads) as task_map:
         shared = task_map(partial(_shared_cell, cfg.mopso),
                           [(m, ds) for ds in loaded for m in cfg.methods if _is_shared(m)])
+        local = {(ds.name, m): task_map(tuning.lt_folds(ds, tuning.VARIANTS[m], cfg.mopso, honest),
+                                        range(ds.n))
+                 for ds in loaded for m in cfg.methods if _is_local(m)}
         for ds in loaded:
             efforts = ds.efforts()
             drawn[ds.name] = efforts, metrics.random_guess_baseline(
@@ -399,7 +450,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
             for method in cfg.methods:
                 try:
                     ran[method] = next(shared) if _is_shared(method) else run_method(
-                        method, ds, cfg.mopso, honest=cfg.mode == "honest", fold_map=task_map)
+                        method, ds, cfg.mopso, honest=honest,
+                        fold_map=_mapped(local.pop((ds.name, method), None)))
                 except AbetuneError as exc:
                     raise AbetuneError(f"dataset {ds.name!r}, method {method!r}: {exc}") from exc
             suites, comparisons[ds.name], wtl[ds.name] = compare_methods(

@@ -293,14 +293,22 @@ def _run_lt_fold(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.Mop
     return abe.predict_adapted(train, target_row, *rows), sol
 
 
+def lt_folds(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
+             honest: bool = False):
+    """The fold task of `run_lt`: project index i -> (the held-out
+    project's prediction, its solution in report form)."""
+    return partial(_run_lt_fold, ds, variant, cfg, honest)
+
+
 def run_lt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
            honest: bool = False, fold_map=map) -> TuningResult:
     """One optimizer run per held-out project, each seeded by `_fold_seed`
     from the base seed and the project index, so neither fold order nor the
-    worker a fold runs on matters.  The folds go through `fold_map`, which
-    must behave like the builtin `map` (a process pool's `map` does); the
-    held-out project is predicted by `abe.predict_adapted`."""
-    preds, sols = zip(*fold_map(partial(_run_lt_fold, ds, variant, cfg, honest), range(ds.n)))
+    worker a fold runs on matters.  The folds, `lt_folds` over the project
+    indices, go through `fold_map`, which must behave like the builtin `map`
+    (a process pool's `map` does); the held-out project is predicted by
+    `abe.predict_adapted`."""
+    preds, sols = zip(*fold_map(lt_folds(ds, variant, cfg, honest), range(ds.n)))
     return TuningResult(predictions=np.array(preds), solutions=list(sols),
                         mode="local_honest" if honest else "local_oracle")
 

@@ -123,6 +123,24 @@ class TestAggregation:
     def test_owm_constant_fixed_point(self):
         assert owm_row(7) @ np.full(7, 3.5) == pytest.approx(3.5, abs=ATOL)
 
+    def test_owm_table_bits_up_to_k_1023(self):
+        # the weights as 2**(k-1-r) / (2**k - 1) literally, which is finite
+        # up to k = 1023: the table must hold exactly these bits
+        K = np.arange(1, 1024)[:, None]
+        ranks = np.arange(1023)[None, :]
+        want = np.where(ranks < K, 2.0 ** (K - 1.0 - ranks) / (2.0 ** K.astype(float) - 1.0), 0.0)
+        assert abe._owm_matrix(np.arange(1, 1024), 1023).tobytes() == want.tobytes()
+
+    def test_owm_weights_stay_finite_past_k_1023(self):
+        # 2**k overflows from k = 1024 on; the weights must not (the
+        # deepest ranks' weights underflow to 0, as they should)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            table = abe._owm_matrix(np.arange(1, 1201), 1200)
+        assert np.isfinite(table).all()
+        assert (table[np.tril_indices(1200)] >= 0.0).all()
+        assert np.abs(table.sum(axis=1) - 1.0).max() <= 2 * np.finfo(float).eps
+        assert table[1099, 0] == 0.5 and table[1099, 1] == 0.25
+
 
 def adapted_effort(target, analogy, effort, mask, cat=(False, False)):
     """One analogy adapted with weight row (1, 1) by a one-fold context at

@@ -293,6 +293,28 @@ def test_efforts_at_the_range_edges_are_tuned_and_scored(tmp_path, efforts):
         assert all(math.isfinite(v) for v in cell["metrics"].values()), (method, cell["metrics"])
 
 
+def test_a_dataset_past_1023_projects_is_tuned_and_scored(tmp_path):
+    # at k >= 1024 the OWM weights used to overflow to 0 (k = 1024) or NaN;
+    # a swarm's first positions spread k over [1, 1099], so it scores such k
+    rng = np.random.default_rng(5)
+    size = rng.uniform(1.0, 100.0, (1100, 2))
+    effort = 10.0 * size[:, 0] + size[:, 1] + rng.uniform(0.0, 5.0, 1100)
+    csv = tmp_path / "big.csv"
+    csv.write_text("a,b,effort\n" + "".join(
+        f"{a!r},{b!r},{e!r}\n" for (a, b), e in zip(size.tolist(), effort.tolist())))
+    cfg = parse_config(dict(BASE_CONFIG) | {
+        "datasets": [{"name": "big", "path": str(csv), "effort_column": "effort"}],
+        "methods": ["gt_plus"], "mopso": {"pop_size": 20, "max_iter": 1}})
+    ds = harness.load_dataset_from_config(cfg.datasets[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow or invalid value
+        cell = run_experiment(cfg)["results"]["big"]["gt_plus"]
+        pred, sol = tuning.lt_folds(ds, tuning.VARIANTS["lt_plus"], cfg.mopso)(0)
+    assert all(math.isfinite(v) for v in cell["metrics"].values()), cell["metrics"]
+    assert math.isfinite(pred) and pred > abe.EPS_EFFORT
+    assert np.isclose(sol["weights_used"].sum(axis=1), 1.0).all()
+
+
 class TestWorkerPool:
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -317,8 +339,9 @@ class TestWorkerPool:
         serial = run_experiment(cfg, threads=1)
         assert pools == []
         pooled = run_experiment(cfg, threads=2)
-        # every fold of both LT cells of both datasets
-        assert pools == [[min(2, usable_cpus()), 2 * (8 + 15)]]
+        # every fold of both LT cells of both datasets, one task per chunk
+        workers = min(2, usable_cpus())
+        assert pools == [[workers, 2 * (chunk_count(8, workers) + chunk_count(15, workers))]]
         assert report_json(pooled) == report_json(serial)
 
     def test_the_pool_holds_at_most_one_worker_per_cpu(self, monkeypatch):
@@ -370,9 +393,66 @@ class TestWorkerPool:
         serial = run_experiment(cfg, threads=1)
         assert pools == []
         pooled = run_experiment(cfg, threads=2)
-        # one task per GT cell, then every fold of both LT cells
-        assert pools == [[min(2, usable_cpus()), 2 * 2 + 8 + 15]]
+        # the four GT cells, then every fold of both LT cells, one task per chunk
+        workers = min(2, usable_cpus())
+        assert pools == [[workers, chunk_count(2 * 2, workers) + chunk_count(8, workers)
+                          + chunk_count(15, workers)]]
         assert report_json(pooled) == report_json(serial)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_guided_chunks_shrink_to_single_items(self, workers):
+        for n in range(200):
+            items = [f"item{i}" for i in range(n)]
+            chunks = harness.guided_chunks(items, workers)
+            sizes = [len(c) for c in chunks]
+            assert [item for c in chunks for item in c] == items
+            assert sum(sizes) == n and all(sizes)
+            assert sizes == sorted(sizes, reverse=True)
+            spread = harness.GUIDE_DIVISOR * workers
+            if n <= spread:
+                assert sizes == [1] * n
+            else:
+                # the first chunk takes ceil(n / spread); once at most
+                # spread items are left, they go one by one
+                assert sizes[0] == -(-n // spread) > 1
+                assert sizes[-(spread - 1):] == [1] * (spread - 1)
+
+    def test_every_task_is_submitted_before_the_first_baseline(self, pools, monkeypatch):
+        submitted = []
+        baseline = metrics.random_guess_baseline
+
+        def counting_baseline(*args, **kwargs):
+            if not submitted:
+                submitted.append(pools[-1][1])
+            return baseline(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "random_guess_baseline", counting_baseline)
+        cfg = parse_config(dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
+                                                "methods": ["abe0", "gt", "lt", "lt_star"],
+                                                "baseline": {"sampled": 1000}})
+        run_experiment(cfg, threads=2)
+        assert submitted == [pools[0][1]]
+
+    def test_an_lt_fold_that_fails_in_a_later_dataset_names_its_cell(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # patched before the pool forks, so its workers inherit it
+        monkeypatch.setattr(tuning, "_run_lt_fold", fail_on_kemerer_fold_3)
+        raw = dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
+                                   "methods": ["abe0", "gt", "lt_star", "lt"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        errors, codes, stderr = [], [], []
+        for threads in (1, 2):
+            with pytest.raises(AbetuneError) as caught:
+                run_experiment(parse_config(raw), threads=threads)
+            errors.append(str(caught.value))
+            codes.append(cli.main(["run", "--config", str(path), "--threads", str(threads),
+                                   "--out", str(tmp_path / f"out{threads}")]))
+            stderr.append(capsys.readouterr().err)
+        assert errors == ["dataset 'kemerer', method 'lt_star': non-finite objective"] * 2
+        assert codes == [2, 2]
+        assert stderr == [f"error: {errors[0]}\n"] * 2
+        assert not (tmp_path / "out1").exists() and not (tmp_path / "out2").exists()
 
     def test_an_error_cancels_the_queued_tasks(self, tmp_path):
         marks = [tmp_path / str(i) for i in range(20)]
@@ -407,6 +487,22 @@ class TestWorkerPool:
         assert codes == [2, 2]
         assert stderr == [f"error: {errors[0]}\n"] * 2
         assert not (tmp_path / "out1").exists() and not (tmp_path / "out2").exists()
+
+
+RUN_LT_FOLD = tuning._run_lt_fold
+
+
+def fail_on_kemerer_fold_3(ds, variant, cfg, honest, i):
+    """`tuning._run_lt_fold`, except that fold 3 of kemerer raises; defined
+    at module level so that a pool can pickle it."""
+    if ds.name == "kemerer" and i == 3:
+        raise EvaluationError("non-finite objective")
+    return RUN_LT_FOLD(ds, variant, cfg, honest, i)
+
+
+def chunk_count(n: int, workers: int) -> int:
+    """The pool tasks a map of n items makes on `workers` workers."""
+    return len(harness.guided_chunks(list(range(n)), workers))
 
 
 def mark_slowly(path):

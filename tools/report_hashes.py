@@ -8,13 +8,16 @@ telecom x abe0, lt, gt, lt_star and gt_plus, with an 8-particle swarm run
 for 6 iterations); and `honest-split`, honest LT on china and cocomo with a
 100-particle swarm run for 2 iterations, whose inner leave-one-out batches
 are the only ones here that `abe._FoldContext.predict_batch` splits into
-rank chunks outside the GT cells.  Each line is `<config> <sha256>`.  Two checkouts that
+rank chunks outside the GT cells.  Each line is `<config> <sha256>`, with
+one sha256 per thread count given, in the order given.  Two checkouts that
 print the same lines at the same `--threads` write the same report bytes.
+The exit status is 1 when a config's report differs between the thread
+counts, so one command checks that a change to scheduling moves no byte.
 
 `perfbench/run.py` is only imported, for `workload_config`; no bytecode is
 written next to it.
 
-Usage: python tools/report_hashes.py [--threads N]
+Usage: python tools/report_hashes.py [--threads N [N ...]]
 """
 
 from __future__ import annotations
@@ -70,14 +73,26 @@ def report_hash(config: dict, threads: int, work: Path) -> str:
     return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=1, help="worker processes per run")
+    parser.add_argument("--threads", type=int, nargs="+", default=[1],
+                        help="worker processes per run; several counts run each config at each")
     args = parser.parse_args()
+    differ = []
     for name, config in configs().items():
-        with tempfile.TemporaryDirectory() as tmp:
-            print(name, report_hash(config, args.threads, Path(tmp)), flush=True)
+        hashes = []
+        for threads in args.threads:
+            with tempfile.TemporaryDirectory() as tmp:
+                hashes.append(report_hash(config, threads, Path(tmp)))
+        print(name, *hashes, flush=True)
+        if len(set(hashes)) > 1:
+            differ.append(name)
+    if differ:
+        print(f"report.json differs between --threads {args.threads}: {', '.join(differ)}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
