@@ -31,7 +31,8 @@ FLAGS = {
     "config": dict(type=Path, help="experiment config (JSON)"),
     "seed": dict(type=int, help="override the config seed (u64)"),
     "out": dict(type=Path, help="output directory override"),
-    "threads": dict(type=int, default=1, help="worker processes for GT cells and LT folds"),
+    "threads": dict(type=int, default=1,
+                    help="worker processes for sampled baselines, GT cells and LT folds"),
     "mode": dict(choices=("oracle", "honest"), help="local tuning objective mode override"),
 }
 

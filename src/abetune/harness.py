@@ -2,10 +2,11 @@
 
 An experiment is a (datasets x methods) grid evaluated under leave-one-out
 cross validation; `run_experiment` turns a config into its report, the whole
-grid for `abetune run` and one cell for `abetune tune`.  The run's tuning
-goes through one `worker_map`, every GT cell and every LT fold of the run
-mapped when it starts; a pool runs them in guided chunks while the ABE0
-scans, the baselines and the scoring stay in this process and overlap them.
+grid for `abetune run` and one cell for `abetune tune`.  The run's work
+goes through one `worker_map`, every sampled baseline, GT cell and LT fold
+of the run mapped when it starts; a pool runs them in guided chunks while
+the ABE0 scans, the exact baselines and the scoring stay in this process
+and overlap them.
 Every stochastic step is seeded from the single config seed,
 reports are recomputed from the stored per-project prediction pairs before
 emission, and the machine-format JSON report is byte-identical for a given
@@ -321,19 +322,20 @@ def _run_chunk(fn, chunk: list) -> list:
 
 @contextmanager
 def worker_map(threads: int):
-    """The map every GT cell and LT fold of a run goes through.  With a
-    pool, a map submits every task at once and returns an iterator over the
-    results in item order, like the `map` of a process pool; its items are
-    handed out in `guided_chunks`, one pool task per chunk, so that a
-    thousand two-millisecond folds are not a thousand round trips.  The
-    pool has `threads` worker processes, at most one per CPU this process
-    may run on (its affinity set, where the platform reports one), and is
-    opened at the first map of two or more items.  At one thread, or for a
-    map of one item (or none), the items run lazily in this process, as the
-    builtin `map` runs them, so a run with a single GT cell and no LT cell
-    starts no worker.  The pool is shut down when the block ends; when it
-    ends on an exception, the tasks still queued are cancelled, so the error
-    surfaces once the running ones finish."""
+    """The map every sampled baseline, GT cell and LT fold of a run goes
+    through.  With a pool, a map submits every task at once and returns an
+    iterator over the results in item order, like the `map` of a process
+    pool; its items are handed out in `guided_chunks`, one pool task per
+    chunk, so that a thousand two-millisecond folds are not a thousand round
+    trips.  The pool has `threads` worker processes, at most one per CPU
+    this process may run on (its affinity set, where the platform reports
+    one), and is opened at the first map of two or more items.  At one
+    thread, or for a map of one item (or none), the items run lazily in this
+    process, as the builtin `map` runs them, so a run with a single GT cell,
+    no LT cell and an exact baseline or a single dataset starts no worker.
+    The pool is shut down when the block ends; when it ends on an exception,
+    the tasks still queued are cancelled, so the error surfaces once the
+    running ones finish."""
     pool = None
     workers = 1
 
@@ -389,6 +391,13 @@ def _shared_cell(cfg: MopsoConfig, cell: tuple) -> tuning.TuningResult:
     return run_method(method, ds, cfg)
 
 
+def _baseline(cfg: ExperimentConfig, efforts) -> metrics.RandomGuessBaseline:
+    """A dataset's random-guess baseline, as `cfg` asks for it; a sampled
+    one is a `worker_map` task."""
+    return metrics.random_guess_baseline(efforts, mode=cfg.baseline, runs=cfg.baseline_runs,
+                                         seed=cfg.seed)
+
+
 def _mapped(results):
     """A `fold_map` for `tuning.run_lt` whose folds were handed to the
     `worker_map` in advance: it returns `results`, the map of the cell's
@@ -420,15 +429,18 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     made, which `report.json` writes as lists of rows.
 
     The whole run is handed to the `worker_map` before the first cell is
-    assembled: every GT cell, then the folds of every LT cell, each in
-    (dataset, method) order.  With a pool, the sampled baselines, the ABE0
-    scans and the scoring, which stay in this process, overlap the workers'
-    tuning; at one thread the maps are lazy and every cell computes when
-    the loop reaches it.  Either way the loop assembles the cells in
-    (dataset, method) order, an LT cell through `run_method` and
-    `tuning.run_lt` with the cell's already mapped folds.  A GT swarm draws
-    only from `default_rng(cfg.seed)` and fold i from `tuning._fold_seed`,
-    so where and when a task runs does not move the bytes."""
+    assembled: every dataset's sampled baseline, then every GT cell, then
+    the folds of every LT cell, each in (dataset, method) order, so that
+    this process only assembles.  An exact baseline costs less than a pool
+    round trip and is computed here when the loop reaches its dataset.
+    With a pool, the ABE0 scans and the scoring, which stay in this process,
+    overlap the workers; at one thread the maps are lazy and every baseline
+    and cell computes when the loop reaches it.  Either way the loop takes
+    each dataset's baseline, then assembles its cells in method order, an
+    LT cell through `run_method` and `tuning.run_lt` with the cell's already
+    mapped folds.  A sampled baseline draws only from `default_rng(cfg.seed)`,
+    as a GT swarm does, and fold i from `tuning._fold_seed`, so where and
+    when a task runs does not move the bytes."""
     results: dict = {}
     comparisons: dict = {}
     wtl: dict = {}
@@ -437,6 +449,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     honest = cfg.mode == "honest"
     loaded = [load_dataset_from_config(d) for d in cfg.datasets]  # fail before any tuning
     with worker_map(threads) as task_map:
+        # an exact baseline costs less than a pool round trip
+        baselines = (task_map if cfg.baseline == "sampled" else map)(
+            partial(_baseline, cfg), [ds.efforts() for ds in loaded])
         shared = task_map(partial(_shared_cell, cfg.mopso),
                           [(m, ds) for ds in loaded for m in cfg.methods if _is_shared(m)])
         local = {(ds.name, m): task_map(tuning.lt_folds(ds, tuning.VARIANTS[m], cfg.mopso, honest),
@@ -444,8 +459,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
                  for ds in loaded for m in cfg.methods if _is_local(m)}
         for ds in loaded:
             efforts = ds.efforts()
-            drawn[ds.name] = efforts, metrics.random_guess_baseline(
-                efforts, mode=cfg.baseline, runs=cfg.baseline_runs, seed=cfg.seed)
+            drawn[ds.name] = efforts, next(baselines)
             ran = {}
             for method in cfg.methods:
                 try:

@@ -417,21 +417,124 @@ class TestWorkerPool:
                 assert sizes[0] == -(-n // spread) > 1
                 assert sizes[-(spread - 1):] == [1] * (spread - 1)
 
-    def test_every_task_is_submitted_before_the_first_baseline(self, pools, monkeypatch):
-        submitted = []
-        baseline = metrics.random_guess_baseline
+    def test_the_sampled_baselines_are_the_first_pool_tasks(self, monkeypatch):
+        built, maps, taken, calls = [], [], [], []
 
-        def counting_baseline(*args, **kwargs):
-            if not submitted:
-                submitted.append(pools[-1][1])
-            return baseline(*args, **kwargs)
+        class Counting(futures.ProcessPoolExecutor):
+            """Counts its submits, as [worker count, tasks submitted], and
+            records each map's submits and items; the first map's results
+            record the submit count when this process takes the first."""
 
-        monkeypatch.setattr(metrics, "random_guess_baseline", counting_baseline)
+            def __init__(self, max_workers):
+                built.append([max_workers, 0])
+                super().__init__(max_workers=max_workers)
+
+            def submit(self, *args, **kwargs):
+                built[-1][1] += 1
+                return super().submit(*args, **kwargs)
+
+            def map(self, fn, chunks, **kwargs):
+                before = built[-1][1]
+                results = super().map(fn, chunks, **kwargs)
+                maps.append((before, built[-1][1], [item for chunk in chunks for item in chunk]))
+                if len(maps) > 1:
+                    return results
+
+                def taking():
+                    taken.append(built[-1][1])
+                    yield from results
+
+                return taking()
+
+        real = metrics.random_guess_baseline
+
+        def counted(efforts, mode="exact", **kwargs):
+            calls.append((mode, list(efforts)))  # a worker appends to its own copy
+            return real(efforts, mode=mode, **kwargs)
+
+        # patched before the pool forks, so its workers inherit them
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(metrics, "random_guess_baseline", counted)
         cfg = parse_config(dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
                                                 "methods": ["abe0", "gt", "lt", "lt_star"],
                                                 "baseline": {"sampled": 1000}})
-        run_experiment(cfg, threads=2)
-        assert submitted == [pools[0][1]]
+        efforts = [list(harness.load_dataset_from_config(d).efforts()) for d in cfg.datasets]
+        serial = run_experiment(cfg, threads=1)
+        # one thread: no pool, and one sampled baseline per dataset, in
+        # dataset order (the GT cells draw their exact ones too)
+        assert built == [] and [e for mode, e in calls if mode == "sampled"] == efforts
+        calls.clear()
+        pooled = run_experiment(cfg, threads=2)
+        workers = min(2, usable_cpus())
+        # the baselines are the first submits, one dataset per task
+        assert maps[0][:2] == (0, chunk_count(2, workers))
+        assert [list(e) for e in maps[0][2]] == efforts
+        # every task was submitted before this process took the first
+        # baseline, and none was drawn here
+        assert len(built) == 1 and built[0][1] > maps[0][1]
+        assert taken == [built[0][1]]
+        assert calls == []
+        assert report_json(pooled) == report_json(serial)
+
+    def test_sampled_baselines_in_the_pool_keep_the_report_bytes(self, pools):
+        cfg = parse_config(dict(BASE_CONFIG) | {
+            "datasets": ["synthetic_small", "kemerer", "albrecht"],
+            "methods": ["abe0", "gt", "lt"], "baseline": {"sampled": 1000}})
+        serial = run_experiment(cfg, threads=1)
+        assert pools == []
+        pooled = run_experiment(cfg, threads=2)
+        # the three baselines, the three GT cells, then every LT fold
+        workers = min(2, usable_cpus())
+        assert pools == [[workers, 2 * chunk_count(3, workers) + chunk_count(8, workers)
+                          + chunk_count(15, workers) + chunk_count(24, workers)]]
+        assert report_json(pooled) == report_json(serial)
+
+    def test_only_a_sampled_baseline_opens_a_pool_for_an_abe0_run(self, pools):
+        raw = dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"], "methods": ["abe0"]}
+        run_experiment(parse_config(raw), threads=2)
+        assert pools == []
+        run_experiment(parse_config(raw | {"baseline": {"sampled": 1000}}), threads=2)
+        workers = min(2, usable_cpus())
+        assert pools == [[workers, chunk_count(2, workers)]]
+
+    def test_a_baseline_that_fails_in_a_later_dataset_stops_the_run(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        real = metrics.random_guess_baseline
+
+        def fail_on_kemerer(efforts, **kwargs):
+            if len(efforts) == 15:
+                raise AbetuneError("baseline failed")
+            return real(efforts, **kwargs)
+
+        # patched before the pool forks, so its workers inherit them
+        monkeypatch.setattr(metrics, "random_guess_baseline", fail_on_kemerer)
+        monkeypatch.setattr(tuning, "_run_lt_fold", mark_fold_slowly)
+        raw = dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
+                                   "methods": ["abe0", "lt"], "baseline": {"sampled": 1000}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        errors, ran, codes, stderr = [], [], [], []
+        for threads in (1, 2):
+            marks = tmp_path / f"marks{threads}"
+            marks.mkdir()
+            monkeypatch.setitem(globals(), "FOLD_MARKS", marks)
+            with pytest.raises(AbetuneError) as caught:
+                run_experiment(parse_config(raw), threads=threads)
+            errors.append(str(caught.value))
+            ran.append({p.name for p in marks.iterdir()})
+            codes.append(cli.main(["run", "--config", str(path), "--threads", str(threads),
+                                   "--out", str(tmp_path / f"out{threads}")]))
+            stderr.append(capsys.readouterr().err)
+        assert errors == ["baseline failed"] * 2
+        assert codes == [2, 2]
+        assert stderr == ["error: baseline failed\n"] * 2
+        assert not (tmp_path / "out1").exists() and not (tmp_path / "out2").exists()
+        # the first dataset's folds all ran before its cells were assembled;
+        # of kemerer's, none at one thread, and at two the queued ones were
+        # cancelled
+        first = {f"synthetic_small-{i}" for i in range(8)}
+        assert ran[0] == first
+        assert first <= ran[1] and len(ran[1] - first) < 15
 
     def test_an_lt_fold_that_fails_in_a_later_dataset_names_its_cell(self, tmp_path, capsys,
                                                                      monkeypatch):
@@ -497,6 +600,19 @@ def fail_on_kemerer_fold_3(ds, variant, cfg, honest, i):
     at module level so that a pool can pickle it."""
     if ds.name == "kemerer" and i == 3:
         raise EvaluationError("non-finite objective")
+    return RUN_LT_FOLD(ds, variant, cfg, honest, i)
+
+
+# Where `mark_fold_slowly` leaves its marks; a test sets it before a pool forks.
+FOLD_MARKS = None
+
+
+def mark_fold_slowly(ds, variant, cfg, honest, i):
+    """`tuning._run_lt_fold`, slowed down, leaving the mark `<dataset>-<i>`
+    in FOLD_MARKS when it runs; defined at module level so that a pool can
+    pickle it."""
+    time.sleep(0.05)
+    (FOLD_MARKS / f"{ds.name}-{i}").touch()
     return RUN_LT_FOLD(ds, variant, cfg, honest, i)
 
 
