@@ -10,12 +10,14 @@ the nearest boundary, and early iterations apply a non-uniform mutation
 whose reach shrinks with iteration count.
 
 `run` steps the whole swarm at once, one row per particle, through the
-operators below: `leader_share`, `swarm_draws`, `step_velocity`,
-`step_position`, `mutate` and `update_pbests`.  `run` owns the workspace: it
-allocates the (pop, d) blocks X, V, R1, R2, one float scratch block G and
-two bool scratch blocks once per run, and the operators write into them in
-place (each operator's docstring names what it writes); the mutation draws
-its selection block into the scratch blocks too.  Apart from the fitness
+operators below: `leader_share`, `cognitive_pull`, `social_pull`,
+`cap_velocity`, `step_position`, `mutate` and `update_pbests`.  `run` owns
+the workspace, five float (pop, d) blocks and two bool ones allocated once
+per run: the state X, V and PB, one draw block R, one float scratch block C
+and the bool scratch.  The operators write into them in place (each
+operator's docstring names what it writes).  R holds R1 until the cognitive
+pull is in V, and R2 is then drawn into the same block; the mutation draws
+its selection block into the scratch blocks.  Apart from the fitness
 evaluation, a step allocates nothing (pop, d)-sized but the rows it copies
 into the archive and the pbests.  Reflections are branchless: a component
 is negated by multiplying it with 1 - 2 * mask, not through boolean-mask
@@ -36,9 +38,10 @@ whole-swarm blocks whose order is fixed per step: the leader picks, R1, R2,
 then (while mutating) the mutation's selection mask, directions and steps,
 then the pbest coins.  Drawing R1, R2 and the selection block into the
 workspace takes the same numbers from the stream as drawing fresh (pop, d)
-arrays.  Every yes/no draw is a uniform compared with its probability.  A
-run is a pure function of its seed, however fitness evaluations are
-scheduled.
+arrays, and each pull keeps its operands and their order, so one draw
+block gives the bits of two.  Every yes/no draw is a uniform compared with
+its probability.  A run is a pure function of its seed, however fitness
+evaluations are scheduled.
 """
 
 from __future__ import annotations
@@ -194,38 +197,40 @@ class Archive:
         return crowding_distances(self.fitnesses)
 
 
-def swarm_draws(rng, n_leaders: int, R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
-    """One step's velocity draws, in this order: each particle's leader
-    index within the leader share, then the (pop, d) R1 and R2 blocks,
-    written into R1 and R2.  Returns the leader indices."""
-    pick = rng.integers(0, n_leaders, size=len(R1))
-    rng.random(out=R1)
-    rng.random(out=R2)
-    return pick
-
-
-def step_velocity(V, X, PB, G, R1, R2, w_t: float, c1: float, c2: float, v_max,
-                  over: np.ndarray) -> np.ndarray:
-    """Inertia plus cognitive and social pull, one row per particle: V
-    becomes w_t V + c1 R1 (PB - X) + c2 R2 (G - X).  A component past its cap
-    is negated, then clamped into the cap, which is the same as clamping and
-    then multiplying by -1 where it was over (multiplying by +-1 is exact).
-    Updates V in place; the leaders' positions G, the uniforms R1 and R2 and
-    the bool block `over` are consumed as scratch."""
-    G -= X
-    R2 *= G
-    R2 *= c2
-    np.subtract(PB, X, out=G)
-    R1 *= G
-    R1 *= c1
+def cognitive_pull(V, X, PB, R, C, w_t: float, c1: float) -> np.ndarray:
+    """Inertia plus cognitive pull, one row per particle: V becomes
+    w_t V + c1 R1 (PB - X), with the uniforms R1 in R.  Updates V in place;
+    R and the float block C are consumed as scratch, so R is free for R2
+    afterwards."""
+    np.subtract(PB, X, out=C)
+    R *= C
+    R *= c1
     V *= w_t
-    V += R1
-    V += R2
-    np.abs(V, out=G)
-    np.greater(G, v_max, out=over)
-    np.minimum(G, v_max, out=G)
-    np.copysign(G, V, out=V)  # V clamped into [-v_max, v_max], signed zeros kept
-    _flip_signs(V, over, G)
+    V += R
+    return V
+
+
+def social_pull(V, X, R, C, c2: float) -> np.ndarray:
+    """Social pull, one row per particle: V becomes V + c2 R2 (G - X), with
+    the uniforms R2 in R and the leaders' positions G in C.  Updates V in
+    place; R and C are consumed as scratch."""
+    C -= X
+    R *= C
+    R *= c2
+    V += R
+    return V
+
+
+def cap_velocity(V, v_max, S: np.ndarray, over: np.ndarray) -> np.ndarray:
+    """A component past its cap is negated, then clamped into the cap, which
+    is the same as clamping and then multiplying by -1 where it was over
+    (multiplying by +-1 is exact).  Updates V in place; the float block S
+    and the bool block `over` are consumed as scratch."""
+    np.abs(V, out=S)
+    np.greater(S, v_max, out=over)
+    np.minimum(S, v_max, out=S)
+    np.copysign(S, V, out=V)  # V clamped into [-v_max, v_max], signed zeros kept
+    _flip_signs(V, over, S)
     return V
 
 
@@ -320,11 +325,14 @@ def leader_share(cds: np.ndarray, fraction: float) -> np.ndarray:
     return np.argsort(-cds, kind="stable")[:top]
 
 
-def _check_finite(fit: np.ndarray, t: int) -> None:
+def _check_finite(fit: np.ndarray, t: int | None) -> None:
+    """Rejects non-finite objective rows of iteration t's swarm, or of the
+    initial swarm when t is None."""
     if not np.all(np.isfinite(fit)):
         bad = np.flatnonzero(~np.all(np.isfinite(fit), axis=1))
+        where = "in the initial swarm" if t is None else f"at iteration {t}"
         raise EvaluationError(
-            f"non-finite objective values at iteration {t} for particles {bad.tolist()}"
+            f"non-finite objective values {where} for particles {bad.tolist()}"
         )
 
 
@@ -339,16 +347,20 @@ def run(problem, cfg: MopsoConfig) -> Archive:
     pop = cfg.pop_size
     rng = np.random.default_rng(cfg.seed)
 
-    # the workspace: every (pop, d) block the steps write, allocated once
+    # the workspace: every (pop, d) block the steps write, allocated once.
+    # X, V and PB are state; R is the one draw block, holding R1 until the
+    # cognitive pull is in V and then R2; C is the float scratch (PB - X,
+    # then the leaders' positions, then the cap's, position's and mutation's
+    # scratch); viol and below are the bool scratch
     X = rng.random((pop, d))
     X *= bounds.upper - bounds.lower
     X += bounds.lower
     V = np.zeros_like(X)
-    R1, R2, G = (np.empty_like(X) for _ in range(3))
+    R, C = (np.empty_like(X) for _ in range(2))
     viol, below = (np.empty(X.shape, dtype=bool) for _ in range(2))
 
     F = np.asarray(problem.evaluate_batch(X), dtype=float)
-    _check_finite(F, t=-1)
+    _check_finite(F, t=None)
     PB = X.copy()
     PBF = F.copy()
 
@@ -364,13 +376,17 @@ def run(problem, cfg: MopsoConfig) -> Archive:
         if archive.fitnesses is not scored:
             scored = archive.fitnesses
             leaders = leader_share(archive.crowding(), cfg.leader_fraction)
-        pick = swarm_draws(rng, len(leaders), R1, R2)
-        # mode="clip" lets take write straight into G; every index is in range
-        np.take(archive.positions, leaders[pick], axis=0, out=G, mode="clip")
-        step_velocity(V, X, PB, G, R1, R2, w_t, cfg.c1, cfg.c2, bounds.v_max, viol)
-        step_position(X, V, bounds, G, viol, below)
+        pick = rng.integers(0, len(leaders), size=pop)
+        rng.random(out=R)  # R1
+        cognitive_pull(V, X, PB, R, C, w_t, cfg.c1)
+        rng.random(out=R)  # R2, into R1's block
+        # mode="clip" lets take write straight into C; every index is in range
+        np.take(archive.positions, leaders[pick], axis=0, out=C, mode="clip")
+        social_pull(V, X, R, C, cfg.c2)
+        cap_velocity(V, bounds.v_max, C, viol)
+        step_position(X, V, bounds, C, viol, below)
         if t < T * cfg.mutation_fraction:
-            mutate(X, t, cfg, bounds, rng, G, viol)
+            mutate(X, t, cfg, bounds, rng, C, viol)
 
         F = np.asarray(problem.evaluate_batch(X), dtype=float)
         _check_finite(F, t)

@@ -29,14 +29,17 @@ class ScriptedRng:
 
 
 class RecordingRng:
-    """A real generator that logs each call's method and requested shape."""
+    """A real generator that logs each call's method and requested shape, and
+    in `outs` the `out` array of each `random` call (None when it allocates)."""
 
-    def __init__(self, seed, log):
+    def __init__(self, seed, log, outs):
         self._rng = _default_rng(seed)
         self.log = log
+        self.outs = outs
 
     def random(self, size=None, out=None):
         self.log.append(("random", out.shape if out is not None else np.empty(size).shape))
+        self.outs.append(out)
         return self._rng.random(size, out=out)
 
     def integers(self, low, high, size):
@@ -85,11 +88,11 @@ def rows(*values):
 class TestDrawOrder:
     def test_one_generator_draws_whole_swarm_blocks_in_step_order(self, monkeypatch):
         pop, d = 6, 5
-        seeds, log = [], []
+        seeds, log, outs = [], [], []
 
         def default_rng(seed):
             seeds.append(seed)
-            return RecordingRng(seed, log)
+            return RecordingRng(seed, log, outs)
 
         monkeypatch.setattr(np.random, "default_rng", default_rng)
 
@@ -109,6 +112,12 @@ class TestDrawOrder:
                        ("random", (pop,)),
                        *velocity,
                        ("random", (pop,))]
+        # each step draws R1 and R2 into one block, the same every step, and
+        # the selection block into another
+        R = outs[1]
+        assert isinstance(R, np.ndarray) and R.shape == (pop, d)
+        assert all(out is R for out in (outs[2], outs[7], outs[8]))
+        assert isinstance(outs[3], np.ndarray) and outs[3] is not R
 
 
 def scratch(X):
@@ -116,10 +125,20 @@ def scratch(X):
     return np.empty_like(X), np.empty(X.shape, dtype=bool), np.empty(X.shape, dtype=bool)
 
 
+def velocity_step(V, X, PB, G, R1, R2, w_t, c1, c2, v_max):
+    """The velocity operators composed in `run`'s order, with R2 written into
+    R1's block after the cognitive pull; updates V in place and returns it."""
+    R, C, over = np.array(R1, dtype=float), np.empty_like(V), np.empty(V.shape, dtype=bool)
+    mopso.cognitive_pull(V, X, PB, R, C, w_t, c1)
+    R[...] = R2
+    C[...] = G
+    mopso.social_pull(V, X, R, C, c2)
+    return mopso.cap_velocity(V, v_max, C, over)
+
+
 class TestVelocity:
     def step(self, V, X, PB, G, R1, R2, w_t, c1, c2, cap):
-        return mopso.step_velocity(V, X, PB, G, R1, R2, w_t, c1, c2, np.array([cap]),
-                                   scratch(V)[1])
+        return velocity_step(V, X, PB, G, R1, R2, w_t, c1, c2, np.array([cap]))
 
     def test_zero_attraction_at_both_bests(self):
         X = rows(0.5, 0.2)
@@ -338,9 +357,9 @@ class TestLeaderSelection:
         cds = self.make_archive(20).crowding()
         share = mopso.leader_share(cds, 0.1)
         assert share.tolist() == np.argsort(-cds, kind="stable")[:2].tolist()
-        R1, R2 = np.empty((200, 1)), np.empty((200, 1))
-        pick = mopso.swarm_draws(np.random.default_rng(0), len(share), R1, R2)
-        assert set(pick.tolist()) == {0, 1}
+        # the picks as `run` draws them, one per particle within the share
+        pick = np.random.default_rng(0).integers(0, len(share), size=200)
+        assert set(share[pick].tolist()) == set(share.tolist())
 
     def test_empty_archive_rejected(self):
         with pytest.raises(BoundsError):
@@ -486,8 +505,48 @@ class TestRun:
             def evaluate_batch(self, X):
                 return np.full((len(X), 2), np.nan)
 
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError,
+                           match=r"in the initial swarm for particles \[0, 1, 2, 3\]$"):
             mopso.run(Bad(), MopsoConfig(pop_size=4, max_iter=2, seed=0))
+
+    def test_nonfinite_fitness_names_its_iteration(self):
+        class LateBad:
+            # evaluation 0 is the initial swarm, evaluation 2 iteration 1
+            bounds = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
+            calls = 0
+
+            def evaluate_batch(self, X):
+                F = np.zeros((len(X), 2))
+                if self.calls == 2:
+                    F[1, 0] = np.inf
+                self.calls += 1
+                return F
+
+        with pytest.raises(EvaluationError, match=r"at iteration 1 for particles \[1\]$"):
+            mopso.run(LateBad(), MopsoConfig(pop_size=4, max_iter=3, seed=0))
+
+    def test_workspace_holds_under_five_and_a_half_blocks(self):
+        # X, V, PB, the draw block R and the scratch C, plus two bool blocks
+        # of an eighth each.  Every evaluation scores worse than the last,
+        # so no step replaces a pbest or adds to the one-entry archive, and
+        # no step copies rows
+        pop, d = 20, 20_000
+
+        class Wide:
+            bounds = Bounds(lower=np.zeros(d), upper=np.ones(d))
+            calls = 0
+
+            def evaluate_batch(self, X):
+                self.calls += 1
+                return np.full((len(X), 2), float(self.calls))
+
+        tracemalloc.start()
+        try:
+            mopso.run(Wide(), MopsoConfig(pop_size=pop, max_iter=2, archive_capacity=1, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * pop * d * 8
 
     def test_inertia_decays_linearly(self):
         start, end = 0.9, 0.4
@@ -544,10 +603,12 @@ class TestFrozenOracle:
         assert archive.fitnesses.tobytes() == fitnesses.tobytes()
 
     def test_draws_into_a_block_continue_the_same_stream(self):
+        # a step of `run`: the picks, then R1 and R2 drawn into one block R,
+        # against the oracle's fresh arrays
         a, b = np.random.default_rng(3), np.random.default_rng(3)
-        R1, R2 = np.empty((7, 5)), np.empty((7, 5))
-        pick = mopso.swarm_draws(a, 4, R1, R2)
-        assert pick.tolist() == b.integers(0, 4, size=7).tolist()
-        assert R1.tobytes() == b.random((7, 5)).tobytes()
-        assert R2.tobytes() == b.random((7, 5)).tobytes()
+        R = np.empty((7, 5))
+        assert a.integers(0, 4, size=7).tolist() == b.integers(0, 4, size=7).tolist()
+        for _ in range(2):
+            a.random(out=R)
+            assert R.tobytes() == b.random((7, 5)).tobytes()
         assert a.random() == b.random()

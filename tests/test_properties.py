@@ -198,7 +198,9 @@ def uniforms(u):
 class TestStepsMatchMaskedOracle:
     """The branchless velocity and position steps against the masked-indexing
     arithmetic of `scalar_reference`, compared as bytes so that the sign of a
-    zero counts."""
+    zero counts.  The velocity operators run composed in `run`'s order, R2
+    written into R1's block after the cognitive pull; the oracle takes R1
+    and R2 as separate arrays."""
 
     @MANY
     @given(st.data())
@@ -213,8 +215,12 @@ class TestStepsMatchMaskedOracle:
         c1, c2 = (data.draw(st.sampled_from([0.0, 2.0]) | st.floats(0, 4)) for _ in range(2))
         expected = ref.reference_velocity(V.copy(), X, PB, G, R1.copy(), R2.copy(),
                                           w_t, c1, c2, bounds.v_max)
-        got = mopso.step_velocity(V.copy(), X, PB, G.copy(), R1.copy(), R2.copy(),
-                                  w_t, c1, c2, bounds.v_max, np.empty(V.shape, bool))
+        got, R, C = V.copy(), R1.copy(), np.empty_like(V)
+        mopso.cognitive_pull(got, X, PB, R, C, w_t, c1)
+        R[...] = R2
+        C[...] = G
+        mopso.social_pull(got, X, R, C, c2)
+        mopso.cap_velocity(got, bounds.v_max, C, np.empty(V.shape, bool))
         assert got.tobytes() == expected.tobytes()
 
     @MANY
@@ -282,11 +288,11 @@ class TestWilcoxonProperties:
     @given(st.data())
     def test_exact_and_approx_agree_at_boundary(self, data):
         # pooled size 16, continuous draws so ties are absent
-        a = np.array([data.draw(st.floats(0, 1, allow_nan=False,
-                                          exclude_min=True)) for _ in range(8)])
+        sample = st.lists(st.floats(0, 1, allow_nan=False, exclude_min=True),
+                          min_size=8, max_size=8)
+        a = np.array(data.draw(sample))
         shift = data.draw(st.floats(-0.5, 0.5, allow_nan=False))
-        b = np.array([data.draw(st.floats(0, 1, allow_nan=False,
-                                          exclude_min=True)) + shift for _ in range(8)])
+        b = np.array(data.draw(sample)) + shift
         pooled = np.concatenate([a, b])
         assume(len(np.unique(pooled)) == 16)
         ranks = stats._midranks(pooled)
