@@ -16,7 +16,7 @@ std = datasets.load_bundled("albrecht")
 print(f"albrecht: {std.n} projects, {std.m} input features")
 print("features:", ", ".join(std.features))
 print("efforts (months): min=%.1f max=%.1f median=%.1f"
-      % (std.efforts().min(), std.efforts().max(), np.median(std.efforts())))
+      % (std.effort_vec.min(), std.effort_vec.max(), np.median(std.effort_vec)))
 print("categorical mask:", std.categorical_mask.astype(int).tolist())
 print("\nscaled column ranges:")
 for name, col in zip(std.features, std.matrix.T):

@@ -11,7 +11,7 @@ import numpy as np
 from abetune import abe, datasets, metrics, tuning
 
 ds = datasets.load_bundled("albrecht")
-efforts = ds.efforts()
+efforts = ds.effort_vec
 baseline = metrics.random_guess_baseline(efforts)
 print(f"random-guess baseline MAE: {baseline.mae_p0:.2f} months")
 

@@ -16,7 +16,7 @@ K_ONLY = tuning.VariantConfig(optimize_features=False, optimize_weights=False)
 with harness.worker_map(2) as fold_map:  # one pool of two workers for every fold
     for name in ("albrecht", "kemerer"):
         ds = datasets.load_bundled(name)
-        baseline = metrics.random_guess_baseline(ds.efforts())
+        baseline = metrics.random_guess_baseline(ds.effort_vec)
         print(f"\n{name} (n={ds.n}, m={ds.m})")
         print(f"{'variant':28s} {'SA%':>7s} {'MBRE%':>8s} {'MIBRE%':>8s}")
         for label, variant in (("full (k, mask, weights)", tuning.VARIANTS["lt"]),
@@ -24,6 +24,6 @@ with harness.worker_map(2) as fold_map:  # one pool of two workers for every fol
                                ("weights pinned to 1/m", tuning.VARIANTS["lt_plus"]),
                                ("k only", K_ONLY)):
             res = tuning.run_lt(ds, variant, cfg, fold_map=fold_map)
-            s = metrics.aggregate(ds.efforts(), res.predictions, baseline)
+            s = metrics.aggregate(ds.effort_vec, res.predictions, baseline)
             print(f"{label:28s} {100 * s['sa']:7.1f} {100 * s['mbre']:8.1f} "
                   f"{100 * s['mibre']:8.1f}")

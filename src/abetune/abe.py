@@ -148,9 +148,10 @@ class _FoldContext:
         return np.maximum(pred, EPS_EFFORT, out=pred)
 
 
-def predict_adapted(train: StandardizedDataset, target_row: np.ndarray, K, masks, W) -> float:
+def predict_adapted(ctx: _FoldContext, K, masks, W) -> float:
     """The prediction of one decoded solution (K, masks, W), a one-row batch
-    of shapes (1,), (1, m) and (1, rows, m) with K[0] <= train.n: adapt each
-    of the k nearest analogies with its rank's weight row, then aggregate
-    with the ordered weighted mean.  Result is floored at EPS_EFFORT."""
-    return float(_FoldContext([(train, target_row)]).predict_batch(K, masks, W)[0, 0])
+    of shapes (1,), (1, m) and (1, rows, m), read off the one-fold context
+    `ctx`, whose r analogies are at least K[0]: adapt each of the k nearest
+    analogies with its rank's weight row, then aggregate with the ordered
+    weighted mean.  Result is floored at EPS_EFFORT."""
+    return float(ctx.predict_batch(K, masks, W)[0, 0])

@@ -59,9 +59,6 @@ class StandardizedDataset:
     def m(self) -> int:
         return self.matrix.shape[1]
 
-    def efforts(self) -> np.ndarray:
-        return self.effort_vec
-
     def subset(self, indices) -> "StandardizedDataset":
         """Row subset sharing this dataset's scaling (used for LOOCV folds)."""
         idx = np.asarray(indices, dtype=int)

@@ -401,7 +401,7 @@ def _baseline(cfg: ExperimentConfig, efforts) -> metrics.RandomGuessBaseline:
 def _mapped(results):
     """A `fold_map` for `tuning.run_lt` whose folds were handed to the
     `worker_map` in advance: it returns `results`, the map of the cell's
-    `tuning.lt_folds` over its project indices, whatever it is given."""
+    `tuning.lt_fold` over its project indices, whatever it is given."""
     return lambda fn, items: results
 
 
@@ -425,14 +425,16 @@ def compare_methods(actuals, predictions: dict, baseline) -> tuple[dict, list, d
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Evaluate every (dataset, method) cell and assemble the full report,
     as the dict that `report_chunks` serializes.  A tuned solution keeps
-    its `weights_used` as the (k, m) float64 array `tuning.decode_position`
-    made, which `report.json` writes as lists of rows.
+    its `weights_used` as the (k, m) float64 array that
+    `tuning.decode_position` made from the same decode as its predictions,
+    which `report.json` writes as lists of rows.
 
     The whole run is handed to the `worker_map` before the first cell is
     assembled: every dataset's sampled baseline, then every GT cell, then
-    the folds of every LT cell, each in (dataset, method) order, so that
-    this process only assembles.  An exact baseline costs less than a pool
-    round trip and is computed here when the loop reaches its dataset.
+    the folds of every LT cell (`tuning.lt_fold`), each in (dataset, method)
+    order, so that this process only assembles.  An exact baseline costs
+    less than a pool round trip and is computed here when the loop reaches
+    its dataset.
     With a pool, the ABE0 scans and the scoring, which stay in this process,
     overlap the workers; at one thread the maps are lazy and every baseline
     and cell computes when the loop reaches it.  Either way the loop takes
@@ -451,14 +453,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     with worker_map(threads) as task_map:
         # an exact baseline costs less than a pool round trip
         baselines = (task_map if cfg.baseline == "sampled" else map)(
-            partial(_baseline, cfg), [ds.efforts() for ds in loaded])
+            partial(_baseline, cfg), [ds.effort_vec for ds in loaded])
         shared = task_map(partial(_shared_cell, cfg.mopso),
                           [(m, ds) for ds in loaded for m in cfg.methods if _is_shared(m)])
-        local = {(ds.name, m): task_map(tuning.lt_folds(ds, tuning.VARIANTS[m], cfg.mopso, honest),
-                                        range(ds.n))
+        local = {(ds.name, m): task_map(partial(tuning.lt_fold, ds, tuning.VARIANTS[m],
+                                                cfg.mopso, honest), range(ds.n))
                  for ds in loaded for m in cfg.methods if _is_local(m)}
         for ds in loaded:
-            efforts = ds.efforts()
+            efforts = ds.effort_vec
             drawn[ds.name] = efforts, next(baselines)
             ran = {}
             for method in cfg.methods:

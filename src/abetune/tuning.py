@@ -1,9 +1,9 @@
 """Solution encoding and the local/global tuning drivers.
 
 A tuned solution is the triple (k, feature mask, weight matrix).  It flows
-one way: the chosen position is decoded by the problem's `SolutionSpace` into
-the arrays the swarm scored, which make the final predictions, and by
-`decode_position` into the dict `report.json` carries (`_tune`), whose
+one way: `_tune` decodes the chosen position once, by `decode_position` in
+the problem's own `SolutionSpace`, into the arrays the swarm scored, which
+make the final predictions, and the dict `report.json` carries, whose
 `weights_used` stays a float64 array until the report is written.  The swarm
 works in a continuous box: one dimension for k, one for the integer-encoded
 mask, and one per weight cell; pinned variables (per variant, or where only
@@ -14,9 +14,11 @@ kinds of problem decode the swarm with `SolutionSpace.decode` and predict
 through one `abe._FoldContext`, and differ only in their first objective: a
 local problem's AE, a global problem's -SA.  A local fold scores on the
 held-out actual (oracle mode, the published protocol, which leaks the label)
-or, when `run_lt` is `honest`, as a global problem over its training set.
-Every driver selects on the final archive's objective rows and decodes only
-the chosen position (`_tune`).
+or, when `run_lt` is `honest`, as a global problem over its training set;
+either way it predicts on the held-out project's local fold context, as a
+global cell predicts on its own problem's.  Every driver selects on the
+final archive's objective rows and decodes only the chosen position
+(`_tune`).
 
 Seeds are common random numbers on purpose: every global run starts its
 swarm from `default_rng(cfg.seed)`, and fold i of every dataset and local
@@ -156,21 +158,22 @@ class SolutionSpace:
         return K, masks, W
 
 
-def decode_position(x: np.ndarray, n_rows: int, m: int, variant: VariantConfig) -> dict:
-    """Continuous position -> solution in report form: k and v round half-up
-    then clamp, weight rows clamp to [0,1] and renormalize to sum 1 (all-zero
-    -> uniform); pinned weights are uniform 1/m rows.  `mask` holds the
-    decoded bits, `v` their big-endian value and `weights_used` the k rows a
-    prediction reads, as a (k, m) float64 array that owns them, so that a
-    kept solution holds neither Python floats nor the decode's (n_rows, m)
-    block; `report.json` writes its rows as lists.  The dict is for the
-    report only; nothing reads it back into arrays."""
-    space = SolutionSpace(n_rows=n_rows, m=m, variant=variant)
-    K, masks, W = space.decode(np.asarray(x, dtype=float)[None, :])
+def decode_position(x: np.ndarray, space: SolutionSpace) -> tuple:
+    """One continuous position -> ((K, masks, W), solution in report form),
+    from one `space.decode`.  The arrays are the one-row batch the swarm
+    scored, which make the final predictions.  In the solution, k and v
+    round half-up then clamp, weight rows clamp to [0,1] and renormalize to
+    sum 1 (all-zero -> uniform); pinned weights are uniform 1/m rows.
+    `mask` holds the decoded bits, `v` their big-endian value and
+    `weights_used` the k rows a prediction reads, as a (k, m) float64 array
+    that owns them, so that a kept solution holds neither Python floats nor
+    the decode's (n_rows, m) block; `report.json` writes its rows as lists.
+    Nothing reads the solution back into arrays."""
+    rows = K, masks, W = space.decode(np.reshape(x, (1, -1)))
     k = int(K[0])
     bits = masks[0].astype(int).tolist()
-    return {"k": k, "v": int("".join(map(str, bits)), 2), "mask": bits, "n_rows": n_rows,
-            "weights_used": W[0, :k].copy()}
+    return rows, {"k": k, "v": int("".join(map(str, bits)), 2), "mask": bits,
+                  "n_rows": space.n_rows, "weights_used": W[0, :k].copy()}
 
 
 def select_from_front(objectives) -> int:
@@ -238,7 +241,7 @@ class GlobalProblem(_Problem):
 
     def __init__(self, ds: StandardizedDataset, variant: VariantConfig):
         super().__init__(SolutionSpace(n_rows=ds.n - 1, m=ds.m, variant=variant),
-                         (ds.loocv_fold(i)[:2] for i in range(ds.n)), ds.efforts())
+                         (ds.loocv_fold(i)[:2] for i in range(ds.n)), ds.effort_vec)
         self.baseline = metrics.random_guess_baseline(self.actuals)
 
     def score(self, K, masks, W) -> np.ndarray:
@@ -272,43 +275,39 @@ def _fold_seed(base_seed: int, index: int) -> np.random.SeedSequence:
 
 
 def _tune(problem, cfg: mopso.MopsoConfig) -> tuple:
-    """The solution `select_from_front` picks from the swarm's final archive,
-    as ((K, masks, W), report form): the one-row batch the problem's own
-    `SolutionSpace.decode` gives, the layout the swarm scored, and its dict.
-    A box with no free dimension decodes its one point."""
-    x = np.zeros((1, 0))
+    """The position `select_from_front` picks from the swarm's final
+    archive, as `decode_position` gives it in the problem's own space:
+    ((K, masks, W), report form).  A box with no free dimension decodes its
+    one point."""
+    x = np.zeros(0)
     if problem.bounds.dim:
         archive = mopso.run(problem, cfg)
-        x = archive.positions[[select_from_front(archive.fitnesses)]]
-    space = problem.space
-    return space.decode(x), decode_position(x[0], space.n_rows, space.m, space.variant)
+        x = archive.positions[select_from_front(archive.fitnesses)]
+    return decode_position(x, problem.space)
 
 
-def _run_lt_fold(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
-                 honest: bool, i: int) -> tuple:
-    train, target_row, actual = ds.loocv_fold(i)
-    problem = (GlobalProblem(train, variant) if honest
-               else LocalProblem(train, target_row, actual, variant))
-    rows, sol = _tune(problem, replace(cfg, seed=_fold_seed(cfg.seed, i)))
-    return abe.predict_adapted(train, target_row, *rows), sol
-
-
-def lt_folds(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
-             honest: bool = False):
+def lt_fold(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
+            honest: bool, i: int) -> tuple:
     """The fold task of `run_lt`: project index i -> (the held-out
-    project's prediction, its solution in report form)."""
-    return partial(_run_lt_fold, ds, variant, cfg, honest)
+    project's prediction, its solution in report form).  The held-out
+    project's `LocalProblem` is built once: oracle mode tunes it, honest
+    mode a `GlobalProblem` over the training set, and either way the chosen
+    solution is predicted on its fold context by `abe.predict_adapted`."""
+    train, target_row, actual = ds.loocv_fold(i)
+    target = LocalProblem(train, target_row, actual, variant)
+    problem = GlobalProblem(train, variant) if honest else target
+    rows, sol = _tune(problem, replace(cfg, seed=_fold_seed(cfg.seed, i)))
+    return abe.predict_adapted(target.ctx, *rows), sol
 
 
 def run_lt(ds: StandardizedDataset, variant: VariantConfig, cfg: mopso.MopsoConfig,
            honest: bool = False, fold_map=map) -> TuningResult:
     """One optimizer run per held-out project, each seeded by `_fold_seed`
     from the base seed and the project index, so neither fold order nor the
-    worker a fold runs on matters.  The folds, `lt_folds` over the project
+    worker a fold runs on matters.  The folds, `lt_fold` over the project
     indices, go through `fold_map`, which must behave like the builtin `map`
-    (a process pool's `map` does); the held-out project is predicted by
-    `abe.predict_adapted`."""
-    preds, sols = zip(*fold_map(lt_folds(ds, variant, cfg, honest), range(ds.n)))
+    (a process pool's `map` does)."""
+    preds, sols = zip(*fold_map(partial(lt_fold, ds, variant, cfg, honest), range(ds.n)))
     return TuningResult(predictions=np.array(preds), solutions=list(sols),
                         mode="local_honest" if honest else "local_oracle")
 
@@ -334,6 +333,6 @@ def best_k_abe0(ds: StandardizedDataset) -> tuple[int, np.ndarray]:
     # the k scan does not depend on the context's layout (a transposed view
     # would sum pairwise and change the MAE bits)
     preds = np.cumsum(ctx.efforts, axis=0).T.copy() / np.arange(1, n)
-    mae_per_k = np.abs(preds - ds.efforts()[:, None]).mean(axis=0)
+    mae_per_k = np.abs(preds - ds.effort_vec[:, None]).mean(axis=0)
     best = int(np.argmin(mae_per_k))  # first minimum = smallest k
     return best + 1, preds[:, best]

@@ -192,21 +192,24 @@ class TestPredict:
         # k=1, all-ones mask and weights, target equals a training project
         train = self.ds.subset([0, 1, 2])
         sol = ref.solution(1, (1, 1), np.ones((3, 2)))
-        pred = abe.predict_adapted(train, train.matrix[1], *ref.solution_arrays(sol))
+        pred = abe.predict_adapted(abe._FoldContext([(train, train.matrix[1])]),
+                                   *ref.solution_arrays(sol))
         assert pred == pytest.approx(30.0, abs=ATOL)
 
     def test_adapted_compositional_oracle(self):
         train = self.ds.subset([0, 1, 2])
         target = self.ds.matrix[3]
         sol = ref.solution(2, (1, 1), np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
-        assert abe.predict_adapted(train, target, *ref.solution_arrays(sol)) == \
+        assert abe.predict_adapted(abe._FoldContext([(train, target)]),
+                                   *ref.solution_arrays(sol)) == \
             pytest.approx(ref.predict(train, target, sol), abs=1e-12)
 
     def test_adapted_clamps_at_epsilon(self):
         ds = numeric_std([[0.0], [10.0], [5.0]], [1e-5, 2e-5, 1e-5])
         train = ds.subset([0, 1])
         sol = ref.solution(2, (1,), np.ones((2, 1)))
-        pred = abe.predict_adapted(train, ds.matrix[2], *ref.solution_arrays(sol))
+        pred = abe.predict_adapted(abe._FoldContext([(train, ds.matrix[2])]),
+                                   *ref.solution_arrays(sol))
         assert pred >= abe.EPS_EFFORT
 
 

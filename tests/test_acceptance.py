@@ -120,10 +120,10 @@ def _gt_sa_ceiling(ds) -> float:
     ranked = [_ranked_fold(ds, i) for i in range(ds.n)]
     owm = np.array([[_owm_row(k) @ efforts[:k] for k in range(1, ds.n)]
                     for _, efforts, _ in ranked])  # (project, k)
-    actual = ds.efforts()[:, None]
+    actual = ds.effort_vec[:, None]
     pred = np.clip(actual, _floored(owm - 1.0 / ds.m), _floored(owm + 1.0 / ds.m))
     mae = np.abs(actual - pred).mean(axis=0)
-    mae_p0 = metrics.random_guess_baseline(ds.efforts()).mae_p0
+    mae_p0 = metrics.random_guess_baseline(ds.effort_vec).mae_p0
     return 100.0 * float(np.max(1.0 - mae / mae_p0))
 
 
@@ -224,29 +224,34 @@ def test_c1_metric_unit_exactness():
     tiny = ref.numeric_std([[1.0, 2.0], [2.0, 1.0], [9.0, 8.0], [1.5, 1.5]], [10, 30, 80, 22])
     train = tiny.subset([0, 1, 2])
     sol = ref.solution(2, [1, 1], np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
+
+    def predicted(target, sol):
+        # a solution predicted on the one-fold context of (train, target)
+        return abe.predict_adapted(abe._FoldContext([(train, target)]),
+                                   *ref.solution_arrays(sol))
+
     chk("predict_adapted compositional oracle",
-        abe.predict_adapted(train, tiny.matrix[3], *ref.solution_arrays(sol)),
-        ref.predict(train, tiny.matrix[3], sol))
+        predicted(tiny.matrix[3], sol), ref.predict(train, tiny.matrix[3], sol))
     sol1 = ref.solution(1, [1, 1], np.ones((3, 2)))
-    chk("predict_adapted identity",
-        abe.predict_adapted(train, train.matrix[1], *ref.solution_arrays(sol1)), 30.0)
+    chk("predict_adapted identity", predicted(train.matrix[1], sol1), 30.0)
 
     # tuning codecs and selection
+    def decoded(x, n_rows, m, variant):
+        # the report-form solution of position x in an (n_rows, m) space
+        return tuning.decode_position(x, tuning.SolutionSpace(n_rows, m, variant))[1]
+
     # one weight row pins k to 1 and lt_plus the weights: a mask-only box
     plus = tuning.VARIANTS["lt_plus"]
-    chk("decode mask 15/6",
-        tuning.decode_position([15.0], 1, 6, plus)["mask"], [0, 0, 1, 1, 1, 1])
-    chk("decode mask full", tuning.decode_position([7.0], 1, 3, plus)["mask"], [1, 1, 1])
-    chk("decode mask left-first", tuning.decode_position([1.0], 1, 3, plus)["mask"], [0, 0, 1])
+    chk("decode mask 15/6", decoded([15.0], 1, 6, plus)["mask"], [0, 0, 1, 1, 1, 1])
+    chk("decode mask full", decoded([7.0], 1, 3, plus)["mask"], [1, 1, 1])
+    chk("decode mask left-first", decoded([1.0], 1, 3, plus)["mask"], [0, 0, 1])
     v = tuning.VariantConfig()
-    chk("round half up 3.4", tuning.decode_position(
-        np.array([3.4, 3.0] + [0.5] * 8), 4, 2, v)["k"], 3)
-    chk("round half up 3.5", tuning.decode_position(
-        np.array([3.5, 3.0] + [0.5] * 8), 4, 2, v)["k"], 4)
+    chk("round half up 3.4", decoded(np.array([3.4, 3.0] + [0.5] * 8), 4, 2, v)["k"], 3)
+    chk("round half up 3.5", decoded(np.array([3.5, 3.0] + [0.5] * 8), 4, 2, v)["k"], 4)
     # one weight row pins k to 1, so the box has no k dimension
-    chk("weight row fixed point", tuning.decode_position(
+    chk("weight row fixed point", decoded(
         np.array([7.0, 0.2, 0.2, 0.6]), 1, 3, v)["weights_used"][0], [0.2, 0.2, 0.6])
-    chk("weight row clamp+normalize", tuning.decode_position(
+    chk("weight row clamp+normalize", decoded(
         np.array([7.0, 2.0, 0.0, 0.0]), 1, 3, v)["weights_used"][0], [1.0, 0.0, 0.0])
     train = ref.numeric_std([[0.0], [0.5], [1.0]], [5, 5, 5])
     chk("lt objectives substitution",

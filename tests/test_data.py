@@ -30,7 +30,7 @@ class TestLoad:
         assert ds.n == 3 and ds.m == 2 and ds.features == ("size", "lang")
         assert ds.categorical_mask.tolist() == [False, True]
         assert ds.matrix.tolist() == [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]]
-        assert ds.efforts().tolist() == [10.0, 20.0, 30.0]
+        assert ds.effort_vec.tolist() == [10.0, 20.0, 30.0]
 
     def test_duplicate_headers_rejected(self, tmp_path):
         path = write(tmp_path, "a,a,effort\n1,2,3\n1,2,3\n1,2,3\n")
@@ -74,7 +74,7 @@ class TestLoad:
     def test_efforts_at_the_range_edges_load(self, tmp_path):
         low, high = EFFORT_RANGE
         path = write(tmp_path, f"a,effort\n1,{low!r}\n2,{high!r}\n3,30\n")
-        assert load_dataset(path).efforts().tolist() == [low, high, 30.0]
+        assert load_dataset(path).effort_vec.tolist() == [low, high, 30.0]
 
     def test_feature_limit_enforced_at_load(self, tmp_path):
         def csv(m):
@@ -88,7 +88,7 @@ class TestLoad:
     def test_header_inference_uses_effort_name(self, tmp_path):
         path = write(tmp_path, "a,Effort\n1,10\n2,20\n3,30\n")
         ds = load_dataset(path)
-        assert ds.m == 1 and ds.efforts().tolist() == [10.0, 20.0, 30.0]
+        assert ds.m == 1 and ds.effort_vec.tolist() == [10.0, 20.0, 30.0]
 
     @pytest.mark.parametrize("roles,missing", [
         ({"effort_column": "Effort"}, "Effort"),
@@ -112,7 +112,7 @@ class TestLoad:
 
     def test_missing_tokens_still_mean_missing(self, tmp_path):
         path = write(tmp_path, "a,effort\n1,10\n,20\n?,25\n3,?\n4,\n5,30\n6,40\n")
-        assert load_dataset(path).efforts().tolist() == [10.0, 30.0, 40.0]
+        assert load_dataset(path).effort_vec.tolist() == [10.0, 30.0, 40.0]
 
     def test_unreadable_file(self, tmp_path):
         for path in (tmp_path / "absent.csv", tmp_path):
@@ -196,7 +196,7 @@ class TestBundled:
         by_path = harness.load_dataset_from_config(cfg.datasets[0])
         bundled = load_bundled("kemerer")
         assert np.array_equal(by_path.matrix, bundled.matrix)
-        assert np.array_equal(by_path.efforts(), bundled.efforts())
+        assert np.array_equal(by_path.effort_vec, bundled.effort_vec)
         assert np.array_equal(by_path.categorical_mask, bundled.categorical_mask)
         assert by_path.features == bundled.features
 
@@ -220,7 +220,7 @@ class TestPreprocess:
     def test_identity_when_complete(self, tmp_path):
         path = write(tmp_path, self.make(5))
         ds = load_dataset(path)
-        assert ds.efforts().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert ds.effort_vec.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert ds.matrix[:, 0].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_all_rows_missing_is_an_error(self, tmp_path):
@@ -290,7 +290,7 @@ def test_pipeline_preserves_row_order(tmp_path):
     path = write(tmp_path, "\n".join(rows) + "\n")
     std = load_dataset(path)
     kept = [100 + i for i in range(10) if i not in (2, 7)]
-    assert std.efforts().tolist() == kept
+    assert std.effort_vec.tolist() == kept
 
 
 CELLS = st.one_of(
@@ -341,7 +341,7 @@ def test_loaders_raise_only_typed_errors(tmp_path_factory, case):
         return
     assert np.isfinite(std.matrix).all()
     low, high = EFFORT_RANGE
-    assert ((low <= std.efforts()) & (std.efforts() <= high)).all()
+    assert ((low <= std.effort_vec) & (std.effort_vec <= high)).all()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -355,7 +355,7 @@ def test_accepted_files_are_tuned_by_every_method(tmp_path_factory, case, mode):
     path = tmp_path_factory.getbasetemp() / "tune.csv"
     path.write_bytes(content)
     try:
-        efforts = load_dataset(path, **roles).efforts()
+        efforts = load_dataset(path, **roles).effort_vec
     except AbetuneError:
         return
     cfg = harness.ExperimentConfig(

@@ -7,11 +7,13 @@ import time
 import tracemalloc
 import warnings
 from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abetune
 from abetune import abe, cli, harness, metrics, tuning
 from abetune.errors import AbetuneError, ConfigError, EvaluationError
 from abetune.harness import emit_report, parse_config, run_experiment
@@ -167,7 +169,7 @@ def test_parse_config_raises_only_typed_errors(raw):
 
 class TestRunLoocv:
     """The leave-one-out folds a run predicts, through `loocv_fold` and
-    `abe.predict_adapted`."""
+    `abe.predict_adapted` on each fold's context."""
 
     def test_fold_count_and_train_size(self):
         ds = numeric_std([[0.0], [1.0], [2.0]], [10, 20, 30])
@@ -175,13 +177,14 @@ class TestRunLoocv:
         assert [train.n for train, _, _ in folds] == [2, 2, 2]
         assert [actual for _, _, actual in folds] == [10.0, 20.0, 30.0]
         assert [row.tolist() for _, row, _ in folds] == ds.matrix.tolist()
-        assert [train.efforts().tolist() for train, _, _ in folds] == \
+        assert [train.effort_vec.tolist() for train, _, _ in folds] == \
             [[20.0, 30.0], [10.0, 30.0], [10.0, 20.0]]
 
     @staticmethod
     def predict_all(ds, sol):
         rows = solution_arrays(sol)
-        return [abe.predict_adapted(*ds.loocv_fold(i)[:2], *rows) for i in range(ds.n)]
+        return [abe.predict_adapted(abe._FoldContext([ds.loocv_fold(i)[:2]]), *rows)
+                for i in range(ds.n)]
 
     def test_deterministic_predictor(self):
         ds = numeric_std([[0.0], [1.0], [2.0], [3.0]], [10, 20, 30, 40])
@@ -212,6 +215,17 @@ class TestRunExperiment:
         assert len(report["comparisons"]["synthetic_small"]) == 1
         suite = cells["abe0"]["metrics"]
         assert set(suite) == {"mae", "sa", "mbre", "mibre", "lsd", "effect_size", "n"}
+
+    def test_engine_version_is_the_package_version(self):
+        # report.json's engine_version is abetune.__version__, which must be
+        # the version the package is installed under
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            version = tomllib.load(f)["project"]["version"]
+        assert abetune.__version__ == version
+        report = run_experiment(parse_config(dict(BASE_CONFIG) | {"methods": ["abe0"]}))
+        assert report["engine_version"] == version
 
     def test_rerun_identical(self):
         cfg = parse_config(dict(BASE_CONFIG))
@@ -309,7 +323,7 @@ def test_a_dataset_past_1023_projects_is_tuned_and_scored(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no overflow or invalid value
         cell = run_experiment(cfg)["results"]["big"]["gt_plus"]
-        pred, sol = tuning.lt_folds(ds, tuning.VARIANTS["lt_plus"], cfg.mopso)(0)
+        pred, sol = tuning.lt_fold(ds, tuning.VARIANTS["lt_plus"], cfg.mopso, False, 0)
     assert all(math.isfinite(v) for v in cell["metrics"].values()), cell["metrics"]
     assert math.isfinite(pred) and pred > abe.EPS_EFFORT
     assert np.isclose(sol["weights_used"].sum(axis=1), 1.0).all()
@@ -458,7 +472,7 @@ class TestWorkerPool:
         cfg = parse_config(dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
                                                 "methods": ["abe0", "gt", "lt", "lt_star"],
                                                 "baseline": {"sampled": 1000}})
-        efforts = [list(harness.load_dataset_from_config(d).efforts()) for d in cfg.datasets]
+        efforts = [list(harness.load_dataset_from_config(d).effort_vec) for d in cfg.datasets]
         serial = run_experiment(cfg, threads=1)
         # one thread: no pool, and one sampled baseline per dataset, in
         # dataset order (the GT cells draw their exact ones too)
@@ -508,7 +522,7 @@ class TestWorkerPool:
 
         # patched before the pool forks, so its workers inherit them
         monkeypatch.setattr(metrics, "random_guess_baseline", fail_on_kemerer)
-        monkeypatch.setattr(tuning, "_run_lt_fold", mark_fold_slowly)
+        monkeypatch.setattr(tuning, "lt_fold", mark_fold_slowly)
         raw = dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
                                    "methods": ["abe0", "lt"], "baseline": {"sampled": 1000}}
         path = tmp_path / "cfg.json"
@@ -539,7 +553,7 @@ class TestWorkerPool:
     def test_an_lt_fold_that_fails_in_a_later_dataset_names_its_cell(self, tmp_path, capsys,
                                                                      monkeypatch):
         # patched before the pool forks, so its workers inherit it
-        monkeypatch.setattr(tuning, "_run_lt_fold", fail_on_kemerer_fold_3)
+        monkeypatch.setattr(tuning, "lt_fold", fail_on_kemerer_fold_3)
         raw = dict(BASE_CONFIG) | {"datasets": ["synthetic_small", "kemerer"],
                                    "methods": ["abe0", "gt", "lt_star", "lt"]}
         path = tmp_path / "cfg.json"
@@ -592,15 +606,15 @@ class TestWorkerPool:
         assert not (tmp_path / "out1").exists() and not (tmp_path / "out2").exists()
 
 
-RUN_LT_FOLD = tuning._run_lt_fold
+LT_FOLD = tuning.lt_fold
 
 
 def fail_on_kemerer_fold_3(ds, variant, cfg, honest, i):
-    """`tuning._run_lt_fold`, except that fold 3 of kemerer raises; defined
+    """`tuning.lt_fold`, except that fold 3 of kemerer raises; defined
     at module level so that a pool can pickle it."""
     if ds.name == "kemerer" and i == 3:
         raise EvaluationError("non-finite objective")
-    return RUN_LT_FOLD(ds, variant, cfg, honest, i)
+    return LT_FOLD(ds, variant, cfg, honest, i)
 
 
 # Where `mark_fold_slowly` leaves its marks; a test sets it before a pool forks.
@@ -608,12 +622,12 @@ FOLD_MARKS = None
 
 
 def mark_fold_slowly(ds, variant, cfg, honest, i):
-    """`tuning._run_lt_fold`, slowed down, leaving the mark `<dataset>-<i>`
+    """`tuning.lt_fold`, slowed down, leaving the mark `<dataset>-<i>`
     in FOLD_MARKS when it runs; defined at module level so that a pool can
     pickle it."""
     time.sleep(0.05)
     (FOLD_MARKS / f"{ds.name}-{i}").touch()
-    return RUN_LT_FOLD(ds, variant, cfg, honest, i)
+    return LT_FOLD(ds, variant, cfg, honest, i)
 
 
 def chunk_count(n: int, workers: int) -> int:

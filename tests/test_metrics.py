@@ -133,7 +133,7 @@ class TestBaseline:
         assert abs(sampled.mae_p0 - exact.mae_p0) <= band * 5  # slack for correlation
 
     def test_sampled_matches_the_direct_expression(self):
-        e = load_bundled("desharnais").efforts()
+        e = load_bundled("desharnais").effort_vec
         got = metrics.random_guess_baseline(e, mode="sampled", runs=100_000, seed=1)
         n = len(e)
         guess_idx = (np.arange(n)[None, :]
@@ -205,7 +205,7 @@ class TestStreamedBaseline:
         }
         got = {}
         for name in expected:
-            e = load_bundled(name).efforts()
+            e = load_bundled(name).effort_vec
             drawn = [metrics.random_guess_baseline(e, mode="sampled", runs=100_000, seed=seed)
                      for seed in (1, 2, 3)]
             got[name] = [(b.mae_p0.hex(), b.sp0.hex()) for b in drawn]
@@ -215,7 +215,7 @@ class TestStreamedBaseline:
     def test_memory_does_not_grow_with_runs(self, runs):
         # the one-shot block of desharnais's 77 x 100,000 guesses peaks at
         # about 118 MiB; streamed, the peak is a few leaves' arrays
-        e = load_bundled("desharnais").efforts()
+        e = load_bundled("desharnais").effort_vec
         tracemalloc.start()
         try:
             metrics.random_guess_baseline(e, mode="sampled", runs=runs, seed=1)

@@ -24,12 +24,18 @@ ATOL = 1e-9
 K_ONLY = VariantConfig(optimize_features=False, optimize_weights=False)
 
 
+def report_form(x, n_rows: int, m: int, variant: VariantConfig) -> dict:
+    """The report-form solution `decode_position` gives for the position x
+    in a fresh (n_rows, m, variant) space."""
+    return decode_position(np.asarray(x, dtype=float), SolutionSpace(n_rows, m, variant))[1]
+
+
 class TestDecodeMask:
     # One weight row pins k and lt_plus pins the weights, so these boxes hold
     # only the mask dimension.
     @staticmethod
     def decode(v: int, m: int) -> dict:
-        return decode_position(np.array([float(v)]), 1, m, VARIANTS["lt_plus"])
+        return report_form(np.array([float(v)]), 1, m, VARIANTS["lt_plus"])
 
     def test_fifteen_of_six(self):
         sol = self.decode(15, 6)
@@ -50,33 +56,33 @@ class TestPositionCodec:
 
     def test_round_half_up(self):
         x = np.array([3.4, 3.0] + [0.5] * 8)
-        sol = decode_position(x, n_rows=4, m=2, variant=self.variant())
+        sol = report_form(x, n_rows=4, m=2, variant=self.variant())
         assert sol["k"] == 3
         x[0] = 3.5
-        assert decode_position(x, 4, 2, self.variant())["k"] == 4
+        assert report_form(x, 4, 2, self.variant())["k"] == 4
 
     # With one weight row k can only be 1, so the box holds no k dimension
     # and these positions start at the mask.
     def test_weight_row_already_normalized(self):
         x = np.array([7.0, 0.2, 0.2, 0.6])
-        sol = decode_position(x, n_rows=1, m=3, variant=self.variant())
+        sol = report_form(x, n_rows=1, m=3, variant=self.variant())
         assert sol["weights_used"][0] == pytest.approx([0.2, 0.2, 0.6], abs=ATOL)
 
     def test_weight_row_clamped_then_normalized(self):
         x = np.array([7.0, 2.0, 0.0, 0.0])
-        sol = decode_position(x, n_rows=1, m=3, variant=self.variant())
+        sol = report_form(x, n_rows=1, m=3, variant=self.variant())
         assert sol["weights_used"][0] == pytest.approx([1.0, 0.0, 0.0], abs=ATOL)
 
     def test_zero_row_becomes_uniform(self):
         x = np.array([7.0, 0.0, 0.0, 0.0])
-        sol = decode_position(x, n_rows=1, m=3, variant=self.variant())
+        sol = report_form(x, n_rows=1, m=3, variant=self.variant())
         assert sol["weights_used"][0] == pytest.approx([1 / 3] * 3, abs=ATOL)
 
     def test_roundtrip_identity(self):
         w = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
         sol = ref.solution(2, (1, 0), w)
         x = ref.encode_position(sol, SolutionSpace(n_rows=3, m=2, variant=self.variant()))
-        back = decode_position(x, n_rows=3, m=2, variant=self.variant())
+        back = report_form(x, n_rows=3, m=2, variant=self.variant())
         assert (back["k"], back["v"], back["mask"], back["n_rows"]) == (2, 2, [1, 0], 3)
         assert np.allclose(back["weights_used"], sol["weights_used"], atol=ATOL)
 
@@ -90,7 +96,7 @@ class TestPositionCodec:
         assert W.shape == (1, 5, 3)
         assert np.allclose(W, 1 / 3, atol=ATOL)
         assert np.allclose(W.sum(axis=2), 1.0, atol=ATOL)
-        ref.assert_same_solution(decode_position(np.array([2.6]), 5, 3, v),
+        ref.assert_same_solution(report_form(np.array([2.6]), 5, 3, v),
                                  {"k": 3, "v": 7, "mask": [1, 1, 1], "n_rows": 5,
                                   "weights_used": W[0, :3]})
 
@@ -111,14 +117,18 @@ class TestPositionCodec:
                     assert k == K[i]
                     assert list(masks[i]) == bits
                     assert np.array_equal(W[i], w)
-                    ref.assert_same_solution(decode_position(X[i], n_rows, m, variant),
-                                             ref.solution(k, bits, w))
+                    rows, sol = decode_position(X[i], space)
+                    ref.assert_same_solution(sol, ref.solution(k, bits, w))
+                    # the one decode's rows are the batch's row i, bit for bit
+                    for got, batch in zip(rows, (K, masks, W)):
+                        assert got.dtype == batch.dtype
+                        assert np.array_equal(got, batch[i:i + 1])
 
     def test_degenerate_dimensions_are_pinned(self):
         # one weight row leaves only k = 1, one feature only the mask (1,)
         assert SolutionSpace(n_rows=1, m=2, variant=K_ONLY).bounds().dim == 0
         assert SolutionSpace(n_rows=3, m=1, variant=VARIANTS["lt_plus"]).bounds().dim == 1
-        ref.assert_same_solution(decode_position(np.zeros(0), 1, 1, VARIANTS["lt_plus"]),
+        ref.assert_same_solution(report_form(np.zeros(0), 1, 1, VARIANTS["lt_plus"]),
                                  {"k": 1, "v": 1, "mask": [1], "n_rows": 1,
                                   "weights_used": np.array([[1.0]])})
 
@@ -129,7 +139,7 @@ class TestPositionCodec:
     ], ids=["free", "pinned-weights", "no-box"])
     def test_weights_used_owns_its_k_rows(self, variant, n_rows, m, x):
         # a kept solution must not keep the decode's (1, n_rows, m) block alive
-        sol = decode_position(np.array(x), n_rows, m, variant)
+        sol = report_form(np.array(x), n_rows, m, variant)
         w = sol["weights_used"]
         assert type(w) is np.ndarray and w.dtype == np.float64
         assert w.shape == (sol["k"], m) and w.base is None
@@ -137,7 +147,7 @@ class TestPositionCodec:
     def test_mask_exact_at_the_feature_limit(self):
         m = 52
         for v in (2 ** m - 1, 2 ** m - 3):
-            sol = decode_position(np.array([1.0, float(v)]), 2, m, VARIANTS["lt_plus"])
+            sol = report_form(np.array([1.0, float(v)]), 2, m, VARIANTS["lt_plus"])
             assert sol["v"] == v
             assert sol["mask"] == ref.mask_bits(v, m)
 
@@ -178,7 +188,7 @@ class TestObjectives:
     def test_gt_matches_stepwise_composition(self):
         sol = self.full_sol(train_n=self.ds.n - 1, m=2, k=3)
         got = score(GlobalProblem(self.ds, VARIANTS["gt"]), sol)
-        baseline = metrics.random_guess_baseline(self.ds.efforts())
+        baseline = metrics.random_guess_baseline(self.ds.effort_vec)
         want = ref.gt_objectives(self.ds, sol, baseline)
         assert got.tolist() == pytest.approx(want.tolist(), abs=1e-12)
 
@@ -193,8 +203,8 @@ class TestObjectives:
         other_x[-6:] = [0.9, 0.1, 0.3, 0.7, 0.2, 0.8]  # rows 3 to 5 of 5, all beyond k
         W = space.decode(np.stack([x, other_x]))[2]
         assert np.array_equal(W[0, :2], W[1, :2]) and not np.allclose(W[0, 2:], W[1, 2:])
-        other = decode_position(other_x, space.n_rows, space.m, space.variant)
-        ref.assert_same_solution(decode_position(x, space.n_rows, space.m, space.variant), other)
+        other = decode_position(other_x, space)[1]
+        ref.assert_same_solution(decode_position(x, space)[1], other)
         assert np.array_equal(score(problem, base), score(problem, other))
 
     def test_gt_perfect_predictor_contrived(self):
@@ -379,14 +389,54 @@ class TestRunners:
             fold_cfg = replace(cfg, seed=tuning._fold_seed(cfg.seed, i))
             archive = mopso.run(problem, fold_cfg)
             chosen = select_from_front(archive.fitnesses)
-            sol = decode_position(archive.positions[chosen], train.n, ds.m, VARIANTS["lt"])
+            sol = report_form(archive.positions[chosen], train.n, ds.m, VARIANTS["lt"])
             rows, tuned = tuning._tune(problem, fold_cfg)
             ref.assert_same_solution(res.solutions[i], sol)
             ref.assert_same_solution(tuned, sol)
-            assert res.predictions[i] == abe.predict_adapted(train, row, *rows)
+            assert res.predictions[i] == abe.predict_adapted(abe._FoldContext([(train, row)]),
+                                                             *rows)
             obj = archive.fitnesses[chosen]
             assert np.allclose(problem.score(*rows)[0], obj, rtol=1e-12, atol=0)
             assert abs(abs(actual - res.predictions[i]) - obj[0]) <= 1e-12 * max(1.0, actual)
+
+    def test_honest_lt_prediction_applies_the_inner_solution_to_the_held_out_project(self):
+        # an honest fold tunes a global problem over its training set and
+        # predicts the held-out project with that solution's decoded rows
+        ds = load_bundled("albrecht")
+        cfg = mopso.MopsoConfig(pop_size=10, max_iter=5, seed=3)
+        res = tuning.run_lt(ds, VARIANTS["lt"], cfg, honest=True)
+        for i in range(ds.n):
+            train, row, _ = ds.loocv_fold(i)
+            fold_cfg = replace(cfg, seed=tuning._fold_seed(cfg.seed, i))
+            rows, tuned = tuning._tune(GlobalProblem(train, VARIANTS["lt"]), fold_cfg)
+            ref.assert_same_solution(res.solutions[i], tuned)
+            pred = abe._FoldContext([(train, row)]).predict_batch(*rows)[0, 0]
+            assert res.predictions[i] == pred
+
+    @pytest.mark.parametrize("honest", [False, True], ids=["oracle", "honest"])
+    def test_a_fold_orders_the_held_out_project_once_and_decodes_once(self, honest,
+                                                                       monkeypatch):
+        """An LT fold builds one fold context for the held-out project,
+        which both scores (oracle mode) and predicts, and `_tune` decodes
+        the chosen position once.  A decode without a weight block is a
+        final decode: the swarm's evaluations pass the problem's own."""
+        ds = load_bundled("albrecht")
+        calls = {"neighbor_order": 0, "final_decode": 0}
+        real_order, real_decode = abe.neighbor_order, SolutionSpace.decode
+
+        def neighbor_order(*args):
+            calls["neighbor_order"] += 1
+            return real_order(*args)
+
+        def decode(space, X, W=None):
+            calls["final_decode"] += W is None
+            return real_decode(space, X, W)
+
+        monkeypatch.setattr(abe, "neighbor_order", neighbor_order)
+        monkeypatch.setattr(SolutionSpace, "decode", decode)
+        tuning.lt_fold(ds, VARIANTS["lt"], self.small_cfg(), honest, 0)
+        # an honest fold also orders the n - 1 folds of its inner pass
+        assert calls == {"neighbor_order": ds.n if honest else 1, "final_decode": 1}
 
     def test_fold_streams_are_distinct(self):
         def state(seed, fold):
@@ -451,12 +501,12 @@ class TestRunners:
         cfg = mopso.MopsoConfig(pop_size=30, max_iter=30, seed=1)
         moved = 0
         for i in range(8):
-            pred, _ = tuning._run_lt_fold(ds, VARIANTS["lt"], cfg, honest, i)
+            pred, _ = tuning.lt_fold(ds, VARIANTS["lt"], cfg, honest, i)
             for scale in (0.5, 1.3):
-                efforts = ds.efforts().copy()
+                efforts = ds.effort_vec.copy()
                 efforts[i] *= scale
                 scaled = replace(ds, effort_vec=efforts)
-                moved += tuning._run_lt_fold(scaled, VARIANTS["lt"], cfg, honest, i)[0] != pred
+                moved += tuning.lt_fold(scaled, VARIANTS["lt"], cfg, honest, i)[0] != pred
         if honest:
             assert moved == 0
         else:
@@ -467,7 +517,7 @@ class TestRunners:
         res = tuning.run_lt(ds, K_ONLY,
                             mopso.MopsoConfig(pop_size=30, max_iter=20, seed=1))
         assert len({s["k"] for s in res.solutions}) > 1
-        assert ref.folds_below_optimum(ds.efforts(), res.predictions,
+        assert ref.folds_below_optimum(ds.effort_vec, res.predictions,
                                        ref.local_optimum(ds, K_ONLY)) == []
 
 
@@ -515,7 +565,7 @@ class TestBestK:
             for i in range(ds.n):
                 train, row, _ = ds.loocv_fold(i)
                 loo.append(ref.abe0(train, row, kk))
-            mae = float(np.mean(np.abs(np.array(loo) - ds.efforts())))
+            mae = float(np.mean(np.abs(np.array(loo) - ds.effort_vec)))
             if best is None or mae < best[1] - 1e-15:
                 best = (kk, mae, loo)
         return best[0], best[2]
